@@ -32,7 +32,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import OrderCaseError, PoleError
+from .errors import DomainError, OrderCaseError, PoleError
 from .series import DEFAULT_TERMS, Alpha, FracSeries, LogSolution, series_scale
 
 __all__ = [
@@ -75,13 +75,18 @@ _LANCZOS_COEFFS = (
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
+#: 170! is the largest factorial a double holds.
+_MAX_FACTORIAL = 170
+
 
 def gamma(z: float) -> float:
     """Gamma function via the Lanczos approximation.
 
     Good to at least 12 significant digits on [-20, 50].  Arguments below
     1/2 go through the reflection formula; zero and negative integers raise
-    :class:`PoleError`.
+    :class:`PoleError`.  Arguments whose Lanczos power ``t**(z - 1/2)``
+    overflows a double (above about 142.4, or below about -141.4 through
+    the reflection) raise :class:`DomainError`.
     """
     if not math.isfinite(z):
         raise ValueError(f"gamma requires a finite argument, got {z!r}")
@@ -95,7 +100,20 @@ def gamma(z: float) -> float:
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
         acc += c / (z + i)
     t = z + _LANCZOS_G + 0.5
-    return _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+    try:
+        power = t ** (z + 0.5)
+    except OverflowError:
+        raise DomainError(
+            f"gamma({z + 1.0:g}) overflows the Lanczos evaluation") from None
+    return _SQRT_TWO_PI * power * math.exp(-t) * acc
+
+
+def _factorial(m: int) -> float:
+    """``m!`` as a float; DomainError once it overflows a double."""
+    if m > _MAX_FACTORIAL:
+        raise DomainError(f"integer order too large: m! overflows a double "
+                          f"for m > {_MAX_FACTORIAL}")
+    return float(math.factorial(m))
 
 
 def harmonic(n: int) -> float:
@@ -131,8 +149,13 @@ class BesselOrder:
 
 
 def classify_order(p: float) -> BesselOrder:
-    """Classify a real order, snapping to integers within 1e-9."""
+    """Classify a real order, snapping to integers within 1e-9.
+
+    A non-finite order raises :class:`DomainError`.
+    """
     p = float(p)
+    if not math.isfinite(p):
+        raise DomainError(f"order must be finite, got {p}")
     if abs(p) <= INTEGER_TOL:
         return BesselOrder(p, OrderKind.ZERO)
     nearest = round(p)
@@ -189,15 +212,17 @@ def bessel_j_series(p: float, alpha: Alpha | float,
         raise ValueError(f"n_terms must be positive, got {n_terms}")
     order = classify_order(p)
     # integer orders snap and use the exact factorial leading coefficient;
-    # gamma only enters for genuinely fractional orders
+    # gamma only enters for genuinely fractional orders.  Both are evaluated
+    # before 2.0**p: they raise DomainError well below the orders at which
+    # 2.0**p would raise OverflowError.
     if order.kind is OrderKind.ZERO:
         p = 0.0
         c0 = 1.0
     elif order.kind is OrderKind.POSITIVE_INTEGER:
         p = float(order.m)
-        c0 = 1.0 / (2.0 ** order.m * math.factorial(order.m))
+        c0 = 1.0 / (_factorial(order.m) * 2.0 ** order.m)
     else:
-        c0 = 1.0 / (2.0 ** p * gamma(p + 1.0))
+        c0 = 1.0 / (gamma(p + 1.0) * 2.0 ** p)
     coeffs = [0.0] * n_terms
     coeffs[0] = c0
     for k in range(2, n_terms, 2):
@@ -224,8 +249,9 @@ def bessel_j_neg_series(p: float, alpha: Alpha | float,
         )
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive, got {n_terms}")
+    g = gamma(1.0 - p)  # before 2.0**p, as in bessel_j_series
     coeffs = [0.0] * n_terms
-    coeffs[0] = 2.0 ** p / gamma(1.0 - p)
+    coeffs[0] = 2.0 ** p / g
     for k in range(2, n_terms, 2):
         coeffs[k] = -coeffs[k - 2] / (k * (k - 2.0 * p))
     return FracSeries(Alpha.of(alpha), -float(p), tuple(coeffs))
@@ -265,7 +291,11 @@ def second_solution_params(m: int, alpha: Alpha | float,
     if m < 1:
         raise OrderCaseError(f"integer-order second solution needs m >= 1, got {m}")
     a = Alpha.of(alpha).value
-    b0 = -log_coeff * 2.0 ** (m - 1) * math.factorial(m - 1) / a
+    fact = _factorial(m - 1)  # before 2.0**(m-1), as in bessel_j_series
+    b0 = -log_coeff * 2.0 ** (m - 1) * fact / a
+    if not math.isfinite(b0):
+        raise DomainError(f"order {m} too large: the leading coefficient "
+                          "overflows a double")
     return SecondSolutionParams(int(m), b0, log_coeff)
 
 
@@ -343,7 +373,7 @@ def second_solution_integer_order(m: int, alpha: Alpha | float,
         coeffs[2 * j] = params.b0 * ratio
 
     # pivot and tail ride on the log-part coefficient sequence
-    c0 = 1.0 / (2.0 ** m * math.factorial(m))
+    c0 = 1.0 / (_factorial(m) * 2.0 ** m)
     h_m = harmonic(m)
     coeffs[2 * m] = -c0 * h_m / (2.0 * a)
 

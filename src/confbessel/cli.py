@@ -104,16 +104,6 @@ def parse_range(text: str) -> tuple[float, float, int]:
     return start, stop, count
 
 
-def _range_points(rng: tuple[float, float, int]) -> list[float]:
-    start, stop, count = rng
-    if count == 1:
-        return [start]
-    step = (stop - start) / (count - 1)
-    pts = [start + i * step for i in range(count)]
-    pts[-1] = stop
-    return pts
-
-
 def build_solution(family: str, order: float, alpha: float,
                    terms: int) -> FracSeries | LogSolution:
     """Construct the requested solution family.
@@ -208,7 +198,7 @@ def run_eval(cfg: CliConfig) -> int:
 
 def run_table(cfg: CliConfig) -> int:
     if cfg.range_spec is not None:
-        xs = _range_points(cfg.range_spec)
+        xs = checks.linspace(*cfg.range_spec)
     elif cfg.x is not None:
         xs = [cfg.x]
     else:
@@ -249,7 +239,7 @@ def _collect_reports(cfg: CliConfig) -> list[checks.CheckReport]:
         solution = build_solution(cfg.family, cfg.order, cfg.alpha, cfg.terms)
         log = isinstance(solution, LogSolution)
         if cfg.range_spec is not None:
-            xs = _range_points(cfg.range_spec)
+            xs = checks.linspace(*cfg.range_spec)
         elif cfg.x is not None:
             xs = [cfg.x]
         else:

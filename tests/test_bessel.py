@@ -22,7 +22,7 @@ from confbessel import (
     second_solution_order_zero,
     second_solution_params,
 )
-from confbessel.errors import OrderCaseError
+from confbessel.errors import DomainError, OrderCaseError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -53,6 +53,11 @@ class TestClassifyOrder:
 
     def test_beyond_tolerance_is_generic(self):
         assert classify_order(3.0 + 1e-6).kind is OrderKind.GENERIC
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
+    def test_non_finite_orders_rejected(self, p):
+        with pytest.raises(DomainError):
+            classify_order(p)
 
 
 class TestIndicial:

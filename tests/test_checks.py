@@ -7,7 +7,10 @@ representation J_n(z) = (1/pi) * integral of cos(n t - z sin t) over
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confbessel import (
     FracSeries,
@@ -34,6 +37,7 @@ from confbessel import (
     second_solution_integer_order,
     second_solution_order_zero,
 )
+from confbessel.checks import LOG_RESIDUAL_X, RESIDUAL_X, SCALING_X, linspace
 from confbessel.errors import DomainError
 
 # frozen quadrature-oracle values
@@ -292,3 +296,26 @@ class TestLogResidualInternals:
 
         r = check_ode_residual(m, alpha, sol, (x,), 1e-7)
         assert r.max_abs_err <= 1e-13
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+class TestLinspace:
+    """The pure-Python grid twin agrees with numpy.linspace bit for bit."""
+
+    @pytest.mark.parametrize("grid, args", [
+        (RESIDUAL_X, (0.5, 5.0, 9)),
+        (LOG_RESIDUAL_X, (0.5, 3.0, 6)),
+        (SCALING_X, (0.5, 3.0, 6)),
+    ])
+    def test_module_grids(self, grid, args):
+        assert _bits(grid) == _bits(np.linspace(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(min_value=1e-6, max_value=1e6),
+           b=st.floats(min_value=1e-6, max_value=1e6),
+           n=st.integers(min_value=1, max_value=64))
+    def test_matches_numpy(self, a, b, n):
+        assert _bits(linspace(a, b, n)) == _bits(np.linspace(a, b, n))

@@ -240,11 +240,22 @@ class TestExitCodeMatrix:
         ["eval", "--family", "J", "--x", "1", "--terms", "0"],
         ["eval", "--family", "J", "--x", "1", "--tolerance", "-1"],
         ["check", "--family", "J", "--name", "scaling"],
+        # orders that are not finite, or whose leading coefficient overflows
+        ["eval", "--order", "nan", "--x", "1"],
+        ["eval", "--order", "inf", "--x", "1"],
+        ["eval", "--order", "200", "--x", "1"],
+        ["eval", "--order", "171.5", "--x", "1"],
+        ["eval", "--family", "K", "--order", "200", "--x", "1"],
+        ["eval", "--family", "K", "--order", "160", "--x", "1"],
+        ["eval", "--family", "Jneg", "--order", "170.5", "--x", "1"],
+        ["eval", "--family", "Jneg", "--order", "150.5", "--x", "1"],
+        ["check", "--family", "J", "--order", "nan"],
     ])
     def test_usage_and_domain_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err != ""
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["check", "--name", "nosuch"],

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from confbessel import gamma, harmonic
-from confbessel.errors import PoleError
+from confbessel.errors import DomainError, PoleError
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -47,6 +47,12 @@ class TestGammaValues:
             gamma(float("nan"))
         with pytest.raises(ValueError):
             gamma(float("inf"))
+
+    @pytest.mark.parametrize("z", [142.5, 172.5, 2001.5, -141.5, -169.5])
+    def test_overflow_is_a_domain_error(self, z):
+        # the Lanczos power t**(z - 1/2) overflows a double past z ~ 142.4
+        with pytest.raises(DomainError):
+            gamma(z)
 
 
 class TestGammaAccuracy:
