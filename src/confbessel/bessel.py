@@ -84,9 +84,9 @@ def gamma(z: float) -> float:
 
     Good to at least 12 significant digits on [-20, 50].  Arguments below
     1/2 go through the reflection formula; zero and negative integers raise
-    :class:`PoleError`.  Arguments whose Lanczos power ``t**(z - 1/2)``
-    overflows a double (above about 142.4, or below about -141.4 through
-    the reflection) raise :class:`DomainError`.
+    :class:`PoleError`.  Arguments whose Lanczos product overflows a double
+    (above about 142.2, or below about -141.2 through the reflection) raise
+    :class:`DomainError`.
     """
     if not math.isfinite(z):
         raise ValueError(f"gamma requires a finite argument, got {z!r}")
@@ -101,11 +101,13 @@ def gamma(z: float) -> float:
         acc += c / (z + i)
     t = z + _LANCZOS_G + 0.5
     try:
-        power = t ** (z + 0.5)
+        value = _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
     except OverflowError:
+        value = math.inf
+    if math.isinf(value):
         raise DomainError(
-            f"gamma({z + 1.0:g}) overflows the Lanczos evaluation") from None
-    return _SQRT_TWO_PI * power * math.exp(-t) * acc
+            f"gamma({z + 1.0:g}) overflows the Lanczos evaluation")
+    return value
 
 
 def _factorial(m: int) -> float:
@@ -114,6 +116,19 @@ def _factorial(m: int) -> float:
         raise DomainError(f"integer order too large: m! overflows a double "
                           f"for m > {_MAX_FACTORIAL}")
     return float(math.factorial(m))
+
+
+def _leading(c0: float, p: float) -> float:
+    """``c0`` itself; DomainError when it underflowed to 0 or is not finite.
+
+    At integer orders 151-170 the product ``2**m * m!`` in the denominator
+    overflows without raising and the quotient silently becomes 0, which
+    would make every coefficient, and every value, 0.
+    """
+    if c0 == 0.0 or not math.isfinite(c0):
+        raise DomainError(f"order {p:g} too large: the leading coefficient "
+                          "is not representable as a double")
+    return c0
 
 
 def harmonic(n: int) -> float:
@@ -224,7 +239,7 @@ def bessel_j_series(p: float, alpha: Alpha | float,
     else:
         c0 = 1.0 / (gamma(p + 1.0) * 2.0 ** p)
     coeffs = [0.0] * n_terms
-    coeffs[0] = c0
+    coeffs[0] = _leading(c0, p)
     for k in range(2, n_terms, 2):
         coeffs[k] = -coeffs[k - 2] / (k * (k + 2.0 * p))
     return FracSeries(Alpha.of(alpha), float(p), tuple(coeffs))
@@ -251,7 +266,7 @@ def bessel_j_neg_series(p: float, alpha: Alpha | float,
         raise ValueError(f"n_terms must be positive, got {n_terms}")
     g = gamma(1.0 - p)  # before 2.0**p, as in bessel_j_series
     coeffs = [0.0] * n_terms
-    coeffs[0] = 2.0 ** p / g
+    coeffs[0] = _leading(2.0 ** p / g, -p)
     for k in range(2, n_terms, 2):
         coeffs[k] = -coeffs[k - 2] / (k * (k - 2.0 * p))
     return FracSeries(Alpha.of(alpha), -float(p), tuple(coeffs))

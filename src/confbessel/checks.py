@@ -2,13 +2,16 @@ r"""Identity and residual verification for the constructed solutions.
 
 Every check returns a :class:`CheckReport` carrying the grid it ran on, the
 worst absolute and relative deviations, and a pass flag against its
-tolerance.  Checks come in two modes:
+tolerance.  Every check reports through one of two primitives, which hold
+the only max-error loops in the module:
 
-* coefficient-wise ("rel"): two series that should be equal term by term
-  are aligned to a common offset and compared coefficient against
+* ``_coefficientwise`` ("rel" mode): two series that should be equal term
+  by term are aligned to a common offset and compared coefficient against
   coefficient; the gate is the worst per-coefficient relative error.
-* pointwise ("abs"): both sides of an identity are evaluated on an
-  (order, alpha, x) grid; the gate is the worst absolute deviation.
+* ``_pointwise``: both sides of an identity are evaluated on an
+  (order, alpha, x) grid; the gate is the worst absolute deviation ("abs")
+  or the worst deviation relative to ``1 + |reference|`` ("rel", used by
+  the residual).  A NaN deviation always fails.
 
 The classical-oracle comparison uses the integral representation
 
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bessel import (
     OrderKind,
@@ -143,6 +146,53 @@ def _report(name: str, grid: Sequence[tuple[float, float, float]],
     )
 
 
+def _pointwise(name: str, rows: Sequence[tuple[float, float, float]],
+               deviation: Callable[[float, float, float], tuple[float, float]],
+               tolerance: float, mode: str) -> CheckReport:
+    """Report the worst of ``deviation(p, alpha, x) -> (diff, ref)`` over rows.
+
+    The absolute column is the worst ``|diff|``, the relative column the
+    worst ``|diff| / (1 + |ref|)``.  A NaN deviation counts as infinite in
+    both columns, so it fails in either mode (``max`` would drop it).
+    """
+    max_abs = 0.0
+    max_rel = 0.0
+    for p, a, x in rows:
+        diff, ref = deviation(p, a, x)
+        d = abs(diff)
+        rel = d / (1.0 + abs(ref))
+        if rel != rel:
+            d = rel = math.inf
+        max_abs = max(max_abs, d)
+        max_rel = max(max_rel, rel)
+    return _report(name, rows, max_abs, max_rel, tolerance, mode)
+
+
+def _coefficientwise(name: str, rows: Sequence[tuple[float, float, float]],
+                     lhs: FracSeries, rhs: FracSeries,
+                     tolerance: float) -> CheckReport:
+    """Gate two series that should agree term by term ("rel" mode).
+
+    The relative column is the worst per-coefficient relative difference
+    over the first ``N_COEFF_COMPARE`` slots, with ``rhs`` aligned to the
+    offset of ``lhs``.  The absolute column records the pointwise spot
+    deviations ``|lhs(x) - rhs(x)|`` at the rows' x (NaN counts as infinite).
+    """
+    aligned = series_rebase(rhs, lhs.offset)
+    max_rel = 0.0
+    for i in range(N_COEFF_COMPARE):
+        l = lhs.coeffs[i] if i < len(lhs.coeffs) else 0.0
+        r = aligned.coeffs[i] if i < len(aligned.coeffs) else 0.0
+        scale = max(abs(l), abs(r))
+        if scale > 0.0:
+            max_rel = max(max_rel, abs(l - r) / scale)
+    max_abs = 0.0
+    for _, _, x in rows:
+        d = abs(eval_series(lhs, x).value - eval_series(rhs, x).value)
+        max_abs = max(max_abs, d if d == d else math.inf)
+    return _report(name, rows, max_abs, max_rel, tolerance, "rel")
+
+
 def classical_bessel_j(n: int, z: float, panels: int = 512) -> float:
     """Classical Bessel J_n(z) by trapezoidal quadrature of the cosine integral."""
     if n < 0 or n != int(n):
@@ -158,12 +208,21 @@ def classical_bessel_j(n: int, z: float, panels: int = 512) -> float:
     return float(total * (math.pi / panels) / math.pi)
 
 
-def _check_grid_positive(xs: Iterable[float]) -> tuple[float, ...]:
-    xs = tuple(float(x) for x in xs)
+def _require_integer(n: float, least: int, what: str) -> None:
+    """ValueError unless ``n`` is an integer no smaller than ``least``."""
+    if n < least or n != int(n):
+        raise ValueError(f"{what} needs an integer order >= {least}, got {n}")
+
+
+def _rows(p: float, alpha: Alpha | float, grid: Iterable[float]
+          ) -> tuple[Alpha, list[tuple[float, float, float]]]:
+    """Validated alpha and the report rows ``(p, alpha, x)``, one per x."""
+    al = Alpha.of(alpha)
+    xs = tuple(float(x) for x in grid)
     for x in xs:
         if x <= 0.0:
             raise DomainError(f"grid points must be positive, got {x}")
-    return xs
+    return al, [(p, al.value, x) for x in xs]
 
 
 def _series_lhs_operator(s: FracSeries, p: float, x: float) -> float:
@@ -171,7 +230,11 @@ def _series_lhs_operator(s: FracSeries, p: float, x: float) -> float:
     a = s.alpha.value
     d1 = conformable_diff_exact(s)
     d2 = conformable_diff_exact(d1)
-    x2a = x ** (2.0 * a)
+    try:
+        x2a = x ** (2.0 * a)
+    except OverflowError:
+        raise DomainError(f"x = {x:g} is too large for the residual: "
+                          "x**(2*alpha) overflows a double") from None
     xa = x ** a
     return (
         x2a * eval_series(d2, x).value
@@ -193,54 +256,21 @@ def check_ode_residual(p: float, alpha: Alpha | float,
     the conformable operator is ``x**-alpha``, and the cross terms collapse
     to the single middle piece), so each ingredient is again a series.
     """
-    al = Alpha.of(alpha)
-    xs = _check_grid_positive(grid)
-    max_abs = 0.0
-    max_rel = 0.0
-    for x in xs:
-        if isinstance(solution, LogSolution):
-            lu = _series_lhs_operator(solution.log_part, p, x)
-            lv = _series_lhs_operator(solution.plain_part, p, x)
-            du = conformable_diff_exact(solution.log_part)
-            cross = 2.0 * x ** al.value * eval_series(du, x).value
-            residual = lu * math.log(x) + cross + lv
-            y = eval_log_solution(solution, x).value
-        else:
-            residual = _series_lhs_operator(solution, p, x)
-            y = eval_series(solution, x).value
-        max_abs = max(max_abs, abs(residual))
-        max_rel = max(max_rel, abs(residual) / (1.0 + abs(y)))
-    return _report(
-        name or f"residual[p={p:g} alpha={al.value:g}]",
-        [(p, al.value, x) for x in xs],
-        max_abs, max_rel, tolerance, "rel",
-    )
+    al, rows = _rows(p, alpha, grid)
 
+    def deviation(p, a, x):
+        if not isinstance(solution, LogSolution):
+            return (_series_lhs_operator(solution, p, x),
+                    eval_series(solution, x).value)
+        lu = _series_lhs_operator(solution.log_part, p, x)
+        lv = _series_lhs_operator(solution.plain_part, p, x)
+        du = conformable_diff_exact(solution.log_part)
+        cross = 2.0 * x ** a * eval_series(du, x).value
+        return (lu * math.log(x) + cross + lv,
+                eval_log_solution(solution, x).value)
 
-def _coefficient_deviation(lhs: FracSeries, rhs: FracSeries,
-                           n_compare: int) -> tuple[float, float]:
-    """Worst absolute and relative coefficient difference after alignment."""
-    rhs = series_rebase(rhs, lhs.offset)
-    max_abs = 0.0
-    max_rel = 0.0
-    for i in range(n_compare):
-        l = lhs.coeffs[i] if i < len(lhs.coeffs) else 0.0
-        r = rhs.coeffs[i] if i < len(rhs.coeffs) else 0.0
-        d = abs(l - r)
-        max_abs = max(max_abs, d)
-        scale = max(abs(l), abs(r))
-        if scale > 0.0:
-            max_rel = max(max_rel, d / scale)
-    return max_abs, max_rel
-
-
-def _pointwise_deviation(lhs: FracSeries, rhs: FracSeries,
-                         xs: Sequence[float]) -> float:
-    worst = 0.0
-    for x in xs:
-        worst = max(worst, abs(eval_series(lhs, x).value
-                               - eval_series(rhs, x).value))
-    return worst
+    return _pointwise(name or f"residual[p={p:g} alpha={al.value:g}]",
+                      rows, deviation, tolerance, "rel")
 
 
 def check_derivative_weighted_lower(p: int, alpha: Alpha | float,
@@ -252,20 +282,14 @@ def check_derivative_weighted_lower(p: int, alpha: Alpha | float,
     Integer p >= 1.  Coefficient-wise gate; the report's absolute column
     records the pointwise spot deviations on the grid.
     """
-    if p < 1 or p != int(p):
-        raise ValueError(f"weighted lowering identity needs integer p >= 1, got {p}")
-    al = Alpha.of(alpha)
-    xs = _check_grid_positive(grid)
+    _require_integer(p, 1, "weighted lowering identity")
+    al, rows = _rows(p, alpha, grid)
     lhs = conformable_diff_exact(series_shift(bessel_j_series(p, al, n_terms), p))
     rhs = series_scale(series_shift(bessel_j_series(p - 1, al, n_terms), p),
                        al.value)
-    _, max_rel = _coefficient_deviation(lhs, rhs, N_COEFF_COMPARE)
-    max_abs = _pointwise_deviation(lhs, rhs, xs)
-    return _report(
+    return _coefficientwise(
         f"derivative-weighted-lower[p={p} alpha={al.value:g}]",
-        [(p, al.value, x) for x in xs],
-        max_abs, max_rel, tolerance, "rel",
-    )
+        rows, lhs, rhs, tolerance)
 
 
 def check_derivative_weighted_raise(p: int, alpha: Alpha | float,
@@ -277,20 +301,14 @@ def check_derivative_weighted_raise(p: int, alpha: Alpha | float,
     Integer p >= 0; the weight cancels the offset, so at p = 0 this is the
     bare statement T(J_0) = -alpha * J_1.
     """
-    if p < 0 or p != int(p):
-        raise ValueError(f"weighted raising identity needs integer p >= 0, got {p}")
-    al = Alpha.of(alpha)
-    xs = _check_grid_positive(grid)
+    _require_integer(p, 0, "weighted raising identity")
+    al, rows = _rows(p, alpha, grid)
     lhs = conformable_diff_exact(series_shift(bessel_j_series(p, al, n_terms), -p))
     rhs = series_scale(series_shift(bessel_j_series(p + 1, al, n_terms), -float(p)),
                        -al.value)
-    _, max_rel = _coefficient_deviation(lhs, rhs, N_COEFF_COMPARE)
-    max_abs = _pointwise_deviation(lhs, rhs, xs)
-    return _report(
+    return _coefficientwise(
         f"derivative-weighted-raise[p={p} alpha={al.value:g}]",
-        [(p, al.value, x) for x in xs],
-        max_abs, max_rel, tolerance, "rel",
-    )
+        rows, lhs, rhs, tolerance)
 
 
 def check_derivative_lower(p: int, alpha: Alpha | float,
@@ -302,28 +320,20 @@ def check_derivative_lower(p: int, alpha: Alpha | float,
     The x**-alpha weight makes this a pointwise identity, not an aligned
     coefficient identity.  Integer p >= 1.
     """
-    if p < 1 or p != int(p):
-        raise ValueError(f"lowering identity needs integer p >= 1, got {p}")
-    al = Alpha.of(alpha)
-    a = al.value
-    xs = _check_grid_positive(grid)
+    _require_integer(p, 1, "lowering identity")
+    al, rows = _rows(p, alpha, grid)
     jp = bessel_j_series(p, al, n_terms)
     jm = bessel_j_series(p - 1, al, n_terms)
     djp = conformable_diff_exact(jp)
-    max_abs = 0.0
-    max_rel = 0.0
-    for x in xs:
+
+    def deviation(p, a, x):
         lhs = eval_series(djp, x).value
         rhs = (a * eval_series(jm, x).value
                - (a * p / x ** a) * eval_series(jp, x).value)
-        d = abs(lhs - rhs)
-        max_abs = max(max_abs, d)
-        max_rel = max(max_rel, d / (1.0 + abs(rhs)))
-    return _report(
-        f"derivative-lower[p={p} alpha={a:g}]",
-        [(p, a, x) for x in xs],
-        max_abs, max_rel, tolerance, "abs",
-    )
+        return lhs - rhs, rhs
+
+    return _pointwise(f"derivative-lower[p={p} alpha={al.value:g}]",
+                      rows, deviation, tolerance, "abs")
 
 
 def check_derivative_raise(p: int, alpha: Alpha | float,
@@ -331,28 +341,20 @@ def check_derivative_raise(p: int, alpha: Alpha | float,
                            tolerance: float = POINT_TOL,
                            n_terms: int = 60) -> CheckReport:
     """T(J_p) equals (alpha*p/x**alpha)*J_p - alpha*J_{p+1}, pointwise."""
-    if p < 0 or p != int(p):
-        raise ValueError(f"raising identity needs integer p >= 0, got {p}")
-    al = Alpha.of(alpha)
-    a = al.value
-    xs = _check_grid_positive(grid)
+    _require_integer(p, 0, "raising identity")
+    al, rows = _rows(p, alpha, grid)
     jp = bessel_j_series(p, al, n_terms)
     jn = bessel_j_series(p + 1, al, n_terms)
     djp = conformable_diff_exact(jp)
-    max_abs = 0.0
-    max_rel = 0.0
-    for x in xs:
+
+    def deviation(p, a, x):
         lhs = eval_series(djp, x).value
         rhs = ((a * p / x ** a) * eval_series(jp, x).value
                - a * eval_series(jn, x).value)
-        d = abs(lhs - rhs)
-        max_abs = max(max_abs, d)
-        max_rel = max(max_rel, d / (1.0 + abs(rhs)))
-    return _report(
-        f"derivative-raise[p={p} alpha={a:g}]",
-        [(p, a, x) for x in xs],
-        max_abs, max_rel, tolerance, "abs",
-    )
+        return lhs - rhs, rhs
+
+    return _pointwise(f"derivative-raise[p={p} alpha={al.value:g}]",
+                      rows, deviation, tolerance, "abs")
 
 
 def check_three_term_recurrence(p: int, alpha: Alpha | float,
@@ -360,28 +362,20 @@ def check_three_term_recurrence(p: int, alpha: Alpha | float,
                                 tolerance: float = POINT_TOL,
                                 n_terms: int = 60) -> CheckReport:
     """J_{p+1} equals (2p/x**alpha)*J_p - J_{p-1}, pointwise, integer p >= 1."""
-    if p < 1 or p != int(p):
-        raise ValueError(f"three-term recurrence needs integer p >= 1, got {p}")
-    al = Alpha.of(alpha)
-    a = al.value
-    xs = _check_grid_positive(grid)
+    _require_integer(p, 1, "three-term recurrence")
+    al, rows = _rows(p, alpha, grid)
     jm = bessel_j_series(p - 1, al, n_terms)
     jp = bessel_j_series(p, al, n_terms)
     jn = bessel_j_series(p + 1, al, n_terms)
-    max_abs = 0.0
-    max_rel = 0.0
-    for x in xs:
+
+    def deviation(p, a, x):
         lhs = eval_series(jn, x).value
         rhs = (2.0 * p / x ** a) * eval_series(jp, x).value \
             - eval_series(jm, x).value
-        d = abs(lhs - rhs)
-        max_abs = max(max_abs, d)
-        max_rel = max(max_rel, d / (1.0 + abs(rhs)))
-    return _report(
-        f"three-term-recurrence[p={p} alpha={a:g}]",
-        [(p, a, x) for x in xs],
-        max_abs, max_rel, tolerance, "abs",
-    )
+        return lhs - rhs, rhs
+
+    return _pointwise(f"three-term-recurrence[p={p} alpha={al.value:g}]",
+                      rows, deviation, tolerance, "abs")
 
 
 def check_negative_order_reflection(m: int, alpha: Alpha | float,
@@ -389,20 +383,14 @@ def check_negative_order_reflection(m: int, alpha: Alpha | float,
                                     tolerance: float = COEFF_TOL,
                                     n_terms: int = 60) -> CheckReport:
     """Order -m equals (-1)**m times order m, coefficient for coefficient."""
-    if m < 0 or m != int(m):
-        raise ValueError(f"reflection check needs integer m >= 0, got {m}")
-    al = Alpha.of(alpha)
-    xs = _check_grid_positive(grid)
+    _require_integer(m, 0, "reflection check")
+    al, rows = _rows(m, alpha, grid)
     lhs = bessel_j_neg_integer_series(m, al, n_terms)
     sign = -1.0 if m % 2 else 1.0
     rhs = series_scale(bessel_j_series(m, al, n_terms), sign)
-    _, max_rel = _coefficient_deviation(lhs, rhs, N_COEFF_COMPARE)
-    max_abs = _pointwise_deviation(lhs, rhs, xs)
-    return _report(
+    return _coefficientwise(
         f"negative-order-reflection[m={m} alpha={al.value:g}]",
-        [(m, al.value, x) for x in xs],
-        max_abs, max_rel, tolerance, "rel",
-    )
+        rows, lhs, rhs, tolerance)
 
 
 def check_half_order_closed_forms(alpha: Alpha | float,
@@ -414,26 +402,22 @@ def check_half_order_closed_forms(alpha: Alpha | float,
     ``J_{1/2}(x) = sqrt(2/(pi*x**alpha)) * sin(x**alpha)`` and the order
     -1/2 function is the same envelope times cos.
     """
-    al = Alpha.of(alpha)
-    a = al.value
-    xs = _check_grid_positive(grid)
+    al, rows = _rows(0.5, alpha, grid)
     plus = bessel_j_series(0.5, al, n_terms)
     minus = bessel_j_neg_series(0.5, al, n_terms)
-    max_abs = 0.0
-    max_rel = 0.0
-    grid_rows = []
-    for x in xs:
+
+    def deviation(p, a, x):
         xa = x ** a
         envelope = math.sqrt(2.0 / (math.pi * xa))
-        for p, series, ref in ((0.5, plus, envelope * math.sin(xa)),
-                               (-0.5, minus, envelope * math.cos(xa))):
-            d = abs(eval_series(series, x).value - ref)
-            max_abs = max(max_abs, d)
-            max_rel = max(max_rel, d / (1.0 + abs(ref)))
-            grid_rows.append((p, a, x))
-    return _report(
-        f"half-order[alpha={a:g}]", grid_rows, max_abs, max_rel, tolerance, "abs",
-    )
+        if p > 0.0:
+            series, ref = plus, envelope * math.sin(xa)
+        else:
+            series, ref = minus, envelope * math.cos(xa)
+        return eval_series(series, x).value - ref, ref
+
+    return _pointwise(f"half-order[alpha={al.value:g}]",
+                      [(s * p, a, x) for p, a, x in rows for s in (1.0, -1.0)],
+                      deviation, tolerance, "abs")
 
 
 def check_series_vs_quadrature(p: int, alpha: Alpha | float,
@@ -446,24 +430,16 @@ def check_series_vs_quadrature(p: int, alpha: Alpha | float,
     conformable function of order p at x must match the classical function
     at x**alpha, computed by an entirely independent method.
     """
-    if p < 0 or p != int(p):
-        raise ValueError(f"oracle comparison needs integer p >= 0, got {p}")
-    al = Alpha.of(alpha)
-    a = al.value
-    xs = _check_grid_positive(grid)
+    _require_integer(p, 0, "oracle comparison")
+    al, rows = _rows(p, alpha, grid)
     series = bessel_j_series(p, al, n_terms)
-    max_abs = 0.0
-    max_rel = 0.0
-    for x in xs:
+
+    def deviation(p, a, x):
         ref = classical_bessel_j(p, x ** a)
-        d = abs(eval_series(series, x).value - ref)
-        max_abs = max(max_abs, d)
-        max_rel = max(max_rel, d / (1.0 + abs(ref)))
-    return _report(
-        f"series-vs-quadrature[p={p} alpha={a:g}]",
-        [(p, a, x) for x in xs],
-        max_abs, max_rel, tolerance, "abs",
-    )
+        return eval_series(series, x).value - ref, ref
+
+    return _pointwise(f"series-vs-quadrature[p={p} alpha={al.value:g}]",
+                      rows, deviation, tolerance, "abs")
 
 
 def check_second_solution_scaling(alpha: Alpha | float,
@@ -477,34 +453,25 @@ def check_second_solution_scaling(alpha: Alpha | float,
     alpha = 1 instance evaluated at x**alpha.  ``m = None`` checks the
     order-zero logarithmic solution, ``m >= 1`` the integer-order one.
     """
-    al = Alpha.of(alpha)
-    a = al.value
-    xs = _check_grid_positive(grid)
     if m is None:
+        al, rows = _rows(0.0, alpha, grid)
         mine = second_solution_order_zero(al, n_terms)
         classical = second_solution_order_zero(1.0, n_terms)
         label = "zero"
-        p = 0.0
     else:
-        if m < 1 or m != int(m):
-            raise ValueError(f"integer-order scaling check needs m >= 1, got {m}")
+        _require_integer(m, 1, "integer-order scaling check")
+        al, rows = _rows(float(m), alpha, grid)
         mine = second_solution_integer_order(m, al, n_terms)
         classical = second_solution_integer_order(m, 1.0, n_terms)
         label = f"m={m}"
-        p = float(m)
-    max_abs = 0.0
-    max_rel = 0.0
-    for x in xs:
+
+    def deviation(p, a, x):
         lhs = eval_log_solution(mine, x).value
         rhs = eval_log_solution(classical, x ** a).value / a
-        d = abs(lhs - rhs)
-        max_abs = max(max_abs, d)
-        max_rel = max(max_rel, d / (1.0 + abs(rhs)))
-    return _report(
-        f"second-solution-scaling[{label} alpha={a:g}]",
-        [(p, a, x) for x in xs],
-        max_abs, max_rel, tolerance, "abs",
-    )
+        return lhs - rhs, rhs
+
+    return _pointwise(f"second-solution-scaling[{label} alpha={al.value:g}]",
+                      rows, deviation, tolerance, "abs")
 
 
 def solution_corpus(alpha: Alpha | float, n_terms: int = 60):

@@ -14,21 +14,19 @@ threads and grid evaluations parallelised by the caller.
 The conformable derivative acts termwise through the power rule
 ``x**q -> q * x**(q - alpha)`` (divided by nothing: the operator scales each
 term by ``alpha * (n + r)`` and lowers the offset by one), which makes
-differentiation exact on this representation.  Numerical evaluation lives in
-the kernel backends (compiled if available) and uses compensated summation,
-because the coefficient sequences of interest alternate in sign and pass
-through large intermediate terms before factorial decay sets in.
+differentiation exact on this representation.  Numerical evaluation goes
+through the one summation kernel, :func:`eval_series_kernel`, which uses
+compensated summation because the coefficient sequences of interest
+alternate in sign and pass through large intermediate terms before factorial
+decay sets in.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import AlignmentError, DomainError
-from .kernels import eval_series_kernel
 
 __all__ = [
     "Alpha",
@@ -98,11 +96,6 @@ class FracSeries:
             if not math.isfinite(c):
                 raise ValueError(f"non-finite coefficient {c!r}")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @cached_property
-    def _packed(self) -> array:
-        # Contiguous double buffer for the kernel backends.
-        return array("d", self.coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -257,6 +250,49 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
     )
 
 
+def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
+                       stop_rel: float) -> tuple[float, int, float]:
+    """Sum ``c_n * x**((n+offset)*alpha)`` over a coefficient sequence.
+
+    Terms are accumulated in ascending n with Kahan-compensated summation.
+    The loop stops early once a nonzero-coefficient term drops below
+    ``stop_rel`` times the magnitude of the partial sum; zero coefficients are
+    skipped and never trigger the stop test.
+
+    Returns ``(value, terms_used, tail)`` where ``terms_used`` counts the
+    coefficients consumed and ``tail`` is the magnitude of the last nonzero
+    term that was added (0.0 if every coefficient was zero).
+    """
+    xa = x ** alpha
+    power = x ** (offset * alpha)
+
+    total = 0.0
+    carry = 0.0
+    tail = 0.0
+    used = 0
+
+    n = 0
+    n_coeffs = len(coeffs)
+    while n < n_coeffs:
+        c = coeffs[n]
+        if c != 0.0:
+            term = c * power
+            # Kahan step
+            yk = term - carry
+            t = total + yk
+            carry = (t - total) - yk
+            total = t
+            tail = term if term >= 0.0 else -term
+            used = n + 1
+            at = total if total >= 0.0 else -total
+            if tail < stop_rel * at:
+                return total, used, tail
+        power *= xa
+        n += 1
+
+    return total, n_coeffs, tail
+
+
 def eval_series(a: FracSeries, x: float, stop_rel: float = STOP_REL) -> EvalResult:
     """Evaluate the series at ``x > 0``.
 
@@ -268,9 +304,13 @@ def eval_series(a: FracSeries, x: float, stop_rel: float = STOP_REL) -> EvalResu
         raise DomainError(f"x must be a finite real number, got {x!r}")
     if x <= 0.0:
         raise DomainError(f"series evaluation requires x > 0, got {x}")
-    value, used, tail = eval_series_kernel(
-        a._packed, a.alpha.value, a.offset, float(x), stop_rel
-    )
+    try:
+        value, used, tail = eval_series_kernel(
+            a.coeffs, a.alpha.value, a.offset, float(x), stop_rel
+        )
+    except OverflowError:
+        raise DomainError(f"x = {x:g} is out of range: x**(offset*alpha) "
+                          "overflows a double") from None
     return EvalResult(value, used, tail)
 
 

@@ -145,6 +145,18 @@ class TestFirstKindSeries:
         with pytest.raises(ValueError):
             bessel_j_series(0.0, 1.0, 0)
 
+    @pytest.mark.parametrize("p", [151.0, 160.0, 170.0, 141.3])
+    def test_vanishing_leading_coefficient_rejected(self, p):
+        # 2**m * m! (or gamma(p+1) * 2**p) overflows, so c0 would be 0
+        with pytest.raises(DomainError):
+            bessel_j_series(p, 1.0)
+
+    def test_largest_representable_orders_still_build(self):
+        # c0 of order 150 is subnormal but nonzero; order 141.2
+        # is the last fractional order whose gamma evaluates
+        assert bessel_j_series(150.0, 1.0).coeffs[0] > 0.0
+        assert bessel_j_series(141.2, 1.0).coeffs[0] > 0.0
+
     def test_half_order_sine_closed_form(self):
         # at alpha=0.5, x=4 the argument is x**alpha = 2
         s = bessel_j_series(0.5, 0.5)

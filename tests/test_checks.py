@@ -106,6 +106,13 @@ class TestReportInvariants:
             check_ode_residual(0.0, 1.0, bessel_j_series(0.0, 1.0),
                                [1.0, -2.0])
 
+    @pytest.mark.parametrize("check", [check_three_term_recurrence,
+                                       check_derivative_lower])
+    def test_nan_fails_abs_mode_anywhere_on_the_grid(self, check):
+        r = check(1, 1.0, [1.0, 1e10, 2.0])
+        assert not r.passed
+        assert r.max_abs_err == math.inf
+
 
 class TestResidual:
     def test_zero_function_has_zero_residual(self):
@@ -128,6 +135,16 @@ class TestResidual:
         r = check_ode_residual(1.0, 1.0, bessel_j_series(0.0, 1.0), GRID)
         assert not r.passed
         assert r.max_rel_err > 1e-2
+
+    def test_nan_residual_fails(self):
+        # at x = 1e10 the series sums inf - inf; max() alone would skip NaN
+        r = check_ode_residual(1.0, 1.0, bessel_j_series(1.0, 1.0), [1e10])
+        assert not r.passed
+        assert r.max_abs_err == r.max_rel_err == math.inf
+
+    def test_overflowing_operator_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            check_ode_residual(1.0, 1.0, bessel_j_series(1.0, 1.0), [1e200])
 
 
 class TestIdentityChecks:

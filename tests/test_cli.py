@@ -170,6 +170,12 @@ class TestCheck:
         assert code == EXIT_CHECK_FAILED
         assert "FAIL" in out
 
+    def test_nan_residual_sets_exit_one(self, capsys):
+        code, out, _ = run(capsys, "check", "--name", "residual", "--family",
+                           "J", "--order", "1", "--alpha", "1", "--x", "1e10")
+        assert code == EXIT_CHECK_FAILED
+        assert out.startswith("FAIL ")
+
     def test_family_narrows_to_residual(self, capsys):
         code, out, _ = run(capsys, "check", "--name", "residual", "--family",
                            "K", "--order", "1", "--alpha", "0.5")
@@ -250,6 +256,17 @@ class TestExitCodeMatrix:
         ["eval", "--family", "Jneg", "--order", "170.5", "--x", "1"],
         ["eval", "--family", "Jneg", "--order", "150.5", "--x", "1"],
         ["check", "--family", "J", "--order", "nan"],
+        # leading coefficients that underflow to 0 (or gamma rounding to inf)
+        ["eval", "--order", "160", "--x", "2"],
+        ["eval", "--order", "141.3", "--x", "2"],
+        ["eval", "--family", "Jneg", "--order", "142.3", "--x", "1"],
+        ["check", "--name", "residual", "--family", "J", "--order", "160"],
+        # powers of x that overflow a double
+        ["check", "--name", "residual", "--family", "J", "--order", "1",
+         "--alpha", "1", "--x", "1e200"],
+        ["check", "--name", "residual", "--family", "J", "--order", "1",
+         "--alpha", "1", "--range", "1:1e308:3"],
+        ["eval", "--order", "3", "--x", "1e200"],
     ])
     def test_usage_and_domain_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)

@@ -1,39 +1,18 @@
-"""Tests for kernel backend selection and cross-backend agreement."""
-
-import os
-import subprocess
-import sys
-from array import array
+"""Tests for the summation kernel."""
 
 import pytest
 
 from confbessel import bessel_j_series, kernel_backend
-from confbessel import _pykernels
-
-try:
-    from confbessel import _ckernels
-except ImportError:
-    _ckernels = None
-
-
-def _cases():
-    series = [bessel_j_series(p, a, 60)
-              for p in (0.0, 0.5, 2.0, 3.0) for a in (0.4, 1.0)]
-    xs = (0.3, 1.0, 2.5, 6.0)
-    for s in series:
-        packed = array("d", s.coeffs)
-        for x in xs:
-            yield packed, s.alpha.value, s.offset, x
+from confbessel.series import eval_series_kernel
 
 
 class TestPythonKernel:
     def test_reports_backend_name(self):
-        assert _pykernels.BACKEND == "python"
+        assert kernel_backend() == "python"
 
     def test_early_stop_and_tail(self):
         j0 = bessel_j_series(0.0, 1.0, 60)
-        value, used, tail = _pykernels.eval_series_kernel(
-            array("d", j0.coeffs), 1.0, 0.0, 0.5, 1e-18)
+        value, used, tail = eval_series_kernel(j0.coeffs, 1.0, 0.0, 0.5, 1e-18)
         assert used < 60
         assert tail >= 0.0
         assert value == pytest.approx(0.93846980724081283, rel=1e-12)
@@ -41,60 +20,7 @@ class TestPythonKernel:
     def test_zero_coefficients_do_not_trigger_stop(self):
         # odd slots are zero; a zero term must not satisfy the relative
         # stop test or every series would stop after its first gap
-        coeffs = array("d", [1.0, 0.0, 1.0, 0.0, 1.0])
-        value, used, _ = _pykernels.eval_series_kernel(
-            coeffs, 1.0, 0.0, 1.0, 1e-18)
+        value, used, _ = eval_series_kernel(
+            (1.0, 0.0, 1.0, 0.0, 1.0), 1.0, 0.0, 1.0, 1e-18)
         assert used == 5
         assert value == pytest.approx(3.0)
-
-
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend not built")
-class TestBackendAgreement:
-    def test_reports_backend_name(self):
-        assert _ckernels.BACKEND == "cython"
-
-    def test_values_terms_and_tails_agree(self):
-        for packed, alpha, offset, x in _cases():
-            py = _pykernels.eval_series_kernel(packed, alpha, offset, x, 1e-18)
-            cy = _ckernels.eval_series_kernel(packed, alpha, offset, x, 1e-18)
-            assert cy[0] == pytest.approx(py[0], rel=1e-15, abs=1e-300)
-            assert cy[1] == py[1]
-            assert cy[2] == pytest.approx(py[2], rel=1e-12, abs=1e-300)
-
-    def test_full_summation_agrees(self):
-        for packed, alpha, offset, x in _cases():
-            py = _pykernels.eval_series_kernel(packed, alpha, offset, x, 0.0)
-            cy = _ckernels.eval_series_kernel(packed, alpha, offset, x, 0.0)
-            assert cy[0] == pytest.approx(py[0], rel=1e-15, abs=1e-300)
-            assert cy[1] == len(packed)
-
-
-class TestSelection:
-    def test_active_backend_is_known(self):
-        assert kernel_backend() in ("python", "cython")
-
-    def test_compiled_preferred_when_available(self):
-        if _ckernels is not None and not os.environ.get(
-                "CONFBESSEL_PURE_PYTHON"):
-            assert kernel_backend() == "cython"
-
-    def test_env_var_forces_pure_python(self):
-        env = dict(os.environ, CONFBESSEL_PURE_PYTHON="1")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from confbessel import kernel_backend; print(kernel_backend())"],
-            capture_output=True, text=True, env=env, check=True)
-        assert out.stdout.strip() == "python"
-
-    def test_results_identical_across_backends_at_package_level(self):
-        # the package must give the same answers regardless of backend
-        env = dict(os.environ, CONFBESSEL_PURE_PYTHON="1")
-        code = ("from confbessel import bessel_j_series, eval_series;"
-                "r = eval_series(bessel_j_series(1.0, 0.7), 2.3);"
-                "print(repr(r.value), r.terms_used)")
-        forced = subprocess.run([sys.executable, "-c", code],
-                                capture_output=True, text=True, env=env,
-                                check=True)
-        native = subprocess.run([sys.executable, "-c", code],
-                                capture_output=True, text=True, check=True)
-        assert forced.stdout == native.stdout
