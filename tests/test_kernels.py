@@ -24,3 +24,8 @@ class TestPythonKernel:
             (1.0, 0.0, 1.0, 0.0, 1.0), 1.0, 0.0, 1.0, 1e-18)
         assert used == 5
         assert value == pytest.approx(3.0)
+
+
+class TestSelection:
+    def test_active_backend_is_known(self):
+        assert kernel_backend() in ("python",)
