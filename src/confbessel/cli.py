@@ -34,7 +34,7 @@ from .bessel import (
     second_solution_integer_order,
     second_solution_order_zero,
 )
-from .errors import ConfBesselError
+from .errors import ConfBesselError, DomainError
 from .series import (
     DEFAULT_TERMS,
     EvalResult,
@@ -54,6 +54,11 @@ FAMILIES = ("J", "Jneg", "y2zero", "K")
 CHECK_NAMES = ("residual", "identities", "halforder", "scaling", "all")
 CSV_HEADER = "x,value,terms_used,tail_estimate"
 REPORT_CSV_HEADER = "check_name,passed,max_abs_err,max_rel_err,tolerance,mode"
+
+#: Upper limits on ``--terms`` and on the ``--range`` count.  Both are
+#: allocated eagerly, so an unchecked value could exhaust memory.
+MAX_TERMS = 10_000
+MAX_POINTS = 100_000
 
 
 class UsageError(Exception):
@@ -99,6 +104,8 @@ def parse_range(text: str) -> tuple[float, float, int]:
         raise UsageError(f"range endpoints must be finite, got {text!r}")
     if count < 1:
         raise UsageError(f"range count must be >= 1, got {count}")
+    if count > MAX_POINTS:
+        raise UsageError(f"range count must be <= {MAX_POINTS}, got {count}")
     if start > stop:
         raise UsageError(f"range start must not exceed stop, got {text!r}")
     return start, stop, count
@@ -135,8 +142,14 @@ def build_solution(family: str, order: float, alpha: float,
 
 def _evaluate(solution: FracSeries | LogSolution, x: float) -> EvalResult:
     if isinstance(solution, LogSolution):
-        return eval_log_solution(solution, x)
-    return eval_series(solution, x)
+        result = eval_log_solution(solution, x)
+    else:
+        result = eval_series(solution, x)
+    if not (math.isfinite(result.value)
+            and math.isfinite(result.tail_estimate)):
+        raise DomainError(f"x = {x:g} is out of range: the series sum is "
+                          "not finite there")
+    return result
 
 
 def _open_out(path: str | None) -> tuple[TextIO, bool]:
@@ -348,6 +361,8 @@ def _config_from_namespace(ns: argparse.Namespace) -> CliConfig:
         raise UsageError("--range points must be positive")
     if ns.terms < 1:
         raise UsageError(f"--terms must be >= 1, got {ns.terms}")
+    if ns.terms > MAX_TERMS:
+        raise UsageError(f"--terms must be <= {MAX_TERMS}, got {ns.terms}")
     if ns.tolerance is not None and not (ns.tolerance > 0.0):
         raise UsageError(f"--tolerance must be > 0, got {ns.tolerance}")
     fmt = ns.format

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import length_hint
 
 from .errors import AlignmentError, DomainError
 
@@ -89,12 +90,12 @@ class FracSeries:
         if not math.isfinite(self.offset):
             raise ValueError(f"offset must be finite, got {self.offset!r}")
         object.__setattr__(self, "offset", float(self.offset))
-        coeffs = tuple(float(c) for c in self.coeffs)
+        coeffs = tuple(map(float, self.coeffs))
         if not coeffs:
             raise ValueError("coefficient list must be non-empty")
-        for c in coeffs:
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient {c!r}")
+        if not all(map(math.isfinite, coeffs)):
+            bad = next(c for c in coeffs if not math.isfinite(c))
+            raise ValueError(f"non-finite coefficient {bad!r}")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
@@ -252,7 +253,7 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
 
 def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
                        stop_rel: float) -> tuple[float, int, float]:
-    """Sum ``c_n * x**((n+offset)*alpha)`` over a coefficient sequence.
+    """Sum ``c_n * x**((n+offset)*alpha)`` over a coefficient tuple or list.
 
     Terms are accumulated in ascending n with Kahan-compensated summation.
     The loop stops early once a nonzero-coefficient term drops below
@@ -261,20 +262,15 @@ def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
 
     Returns ``(value, terms_used, tail)`` where ``terms_used`` counts the
     coefficients consumed and ``tail`` is the magnitude of the last nonzero
-    term that was added (0.0 if every coefficient was zero).
+    term that was added (0.0 if every coefficient was zero).  On an early
+    stop the count comes from the iterator's exact remaining length.
     """
     xa = x ** alpha
     power = x ** (offset * alpha)
 
-    total = 0.0
-    carry = 0.0
-    tail = 0.0
-    used = 0
-
-    n = 0
-    n_coeffs = len(coeffs)
-    while n < n_coeffs:
-        c = coeffs[n]
+    total = carry = tail = 0.0
+    rest = iter(coeffs)
+    for c in rest:
         if c != 0.0:
             term = c * power
             # Kahan step
@@ -283,14 +279,28 @@ def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
             carry = (t - total) - yk
             total = t
             tail = term if term >= 0.0 else -term
-            used = n + 1
-            at = total if total >= 0.0 else -total
-            if tail < stop_rel * at:
-                return total, used, tail
+            if tail < stop_rel * (total if total >= 0.0 else -total):
+                return total, len(coeffs) - length_hint(rest), tail
         power *= xa
-        n += 1
+    return total, len(coeffs), tail
 
-    return total, n_coeffs, tail
+
+def _checked_x(x: float) -> float:
+    if not (isinstance(x, (int, float)) and math.isfinite(x)):
+        raise DomainError(f"x must be a finite real number, got {x!r}")
+    if x <= 0.0:
+        raise DomainError(f"series evaluation requires x > 0, got {x}")
+    return float(x)
+
+
+def _sum(a: FracSeries, x: float, stop_rel: float) -> tuple[float, int, float]:
+    # a module-global lookup on every call, so a tracer can rebind the kernel
+    try:
+        return eval_series_kernel(a.coeffs, a.alpha.value, a.offset, x,
+                                  stop_rel)
+    except OverflowError:
+        raise DomainError(f"x = {x:g} is out of range: x**(offset*alpha) "
+                          "overflows a double") from None
 
 
 def eval_series(a: FracSeries, x: float, stop_rel: float = STOP_REL) -> EvalResult:
@@ -298,20 +308,10 @@ def eval_series(a: FracSeries, x: float, stop_rel: float = STOP_REL) -> EvalResu
 
     Terms are summed in ascending order with compensated summation; the sum
     stops early once a nonzero term falls below ``stop_rel`` times the
-    running total.
+    running total.  ``x`` is validated once and one :class:`EvalResult` is
+    built per point.
     """
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be a finite real number, got {x!r}")
-    if x <= 0.0:
-        raise DomainError(f"series evaluation requires x > 0, got {x}")
-    try:
-        value, used, tail = eval_series_kernel(
-            a.coeffs, a.alpha.value, a.offset, float(x), stop_rel
-        )
-    except OverflowError:
-        raise DomainError(f"x = {x:g} is out of range: x**(offset*alpha) "
-                          "overflows a double") from None
-    return EvalResult(value, used, tail)
+    return EvalResult(*_sum(a, _checked_x(x), stop_rel))
 
 
 def eval_log_solution(s: LogSolution, x: float,
@@ -320,12 +320,12 @@ def eval_log_solution(s: LogSolution, x: float,
 
     ``terms_used`` is the larger of the two parts' counts and the tail
     estimate combines both parts (the log part's tail weighted by |ln x|).
+    ``x`` is validated once, both parts go straight to the kernel, and one
+    :class:`EvalResult` is built per point.
     """
-    lg = eval_series(s.log_part, x, stop_rel)
-    pl = eval_series(s.plain_part, x, stop_rel)
+    x = _checked_x(x)
+    lg, lg_used, lg_tail = _sum(s.log_part, x, stop_rel)
+    pl, pl_used, pl_tail = _sum(s.plain_part, x, stop_rel)
     lnx = math.log(x)
-    return EvalResult(
-        lg.value * lnx + pl.value,
-        max(lg.terms_used, pl.terms_used),
-        abs(lnx) * lg.tail_estimate + pl.tail_estimate,
-    )
+    return EvalResult(lg * lnx + pl, max(lg_used, pl_used),
+                      abs(lnx) * lg_tail + pl_tail)

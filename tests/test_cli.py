@@ -13,6 +13,8 @@ from confbessel.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_POINTS,
+    MAX_TERMS,
     build_solution,
     main,
     parse_range,
@@ -267,12 +269,30 @@ class TestExitCodeMatrix:
         ["check", "--name", "residual", "--family", "J", "--order", "1",
          "--alpha", "1", "--range", "1:1e308:3"],
         ["eval", "--order", "3", "--x", "1e200"],
+        # sums that are not finite (nan value, inf tail)
+        ["eval", "--order", "1", "--x", "1e200"],
+        ["eval", "--order", "1", "--x", "1e200", "--format", "json"],
+        ["table", "--order", "0", "--range", "1e150:1e200:3"],
+        ["eval", "--family", "y2zero", "--x", "1e200"],
+        ["eval", "--family", "K", "--order", "1", "--x", "1e200"],
+        # sizes above the caps, refused before anything is allocated
+        ["eval", "--x", "1", "--terms", "100000000"],
+        ["table", "--range", "1:2:100000000"],
     ])
     def test_usage_and_domain_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err != ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["eval", "--x", "1", "--terms", "100000000"], MAX_TERMS),
+        (["table", "--range", "1:2:100000000"], MAX_POINTS),
+    ])
+    def test_caps_name_their_limit(self, capsys, argv, limit):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert str(limit) in err
 
     @pytest.mark.parametrize("argv", [
         ["check", "--name", "nosuch"],

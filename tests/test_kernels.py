@@ -1,9 +1,69 @@
 """Tests for the summation kernel."""
 
-import pytest
+import struct
 
-from confbessel import bessel_j_series, kernel_backend
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from confbessel import (
+    bessel_j_neg_series,
+    bessel_j_series,
+    kernel_backend,
+    second_solution_integer_order,
+    second_solution_order_zero,
+)
 from confbessel.series import eval_series_kernel
+
+
+def while_loop_kernel(coeffs, alpha, offset, x, stop_rel):
+    """The indexed ``while`` loop the kernel replaced, kept as the oracle.
+
+    ``eval_series_kernel`` must return the same ``(value, terms_used, tail)``
+    bit for bit: same Kahan step, same stop test, same order of the
+    ``power *= xa`` multiplications.
+    """
+    xa = x ** alpha
+    power = x ** (offset * alpha)
+
+    total = 0.0
+    carry = 0.0
+    tail = 0.0
+    used = 0
+
+    n = 0
+    n_coeffs = len(coeffs)
+    while n < n_coeffs:
+        c = coeffs[n]
+        if c != 0.0:
+            term = c * power
+            # Kahan step
+            yk = term - carry
+            t = total + yk
+            carry = (t - total) - yk
+            total = t
+            tail = term if term >= 0.0 else -term
+            used = n + 1
+            at = total if total >= 0.0 else -total
+            if tail < stop_rel * at:
+                return total, used, tail
+        power *= xa
+        n += 1
+
+    return total, n_coeffs, tail
+
+
+def bits(result):
+    value, used, tail = result
+    return struct.pack("d", value), used, struct.pack("d", tail)
+
+
+def assert_bit_identical(coeffs, alpha, offset, x, stop_rel):
+    expected = bits(while_loop_kernel(coeffs, alpha, offset, x, stop_rel))
+    assert bits(eval_series_kernel(coeffs, alpha, offset, x, stop_rel)) \
+        == expected
+    assert bits(eval_series_kernel(list(coeffs), alpha, offset, x,
+                                   stop_rel)) == expected
 
 
 class TestPythonKernel:
@@ -24,6 +84,60 @@ class TestPythonKernel:
             (1.0, 0.0, 1.0, 0.0, 1.0), 1.0, 0.0, 1.0, 1e-18)
         assert used == 5
         assert value == pytest.approx(3.0)
+
+
+# Coefficients with a good share of exact zeros, as in every even series.
+slot = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+class TestBitIdentity:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        coeffs=st.lists(slot, min_size=1, max_size=40).map(tuple),
+        alpha=st.floats(min_value=0.05, max_value=1.0),
+        offset=st.floats(min_value=-3.0, max_value=3.0),
+        x=st.floats(min_value=1e-3, max_value=30.0),
+        stop_rel=st.sampled_from([0.0, 1e-18, 1e-12, 1e-6, 0.5]),
+    )
+    @example(coeffs=(0.0,), alpha=1.0, offset=0.0, x=2.0, stop_rel=1e-18)
+    @example(coeffs=(0.0,) * 7, alpha=0.5, offset=-1.5, x=0.3, stop_rel=1e-18)
+    @example(coeffs=(1.0, 0.0, 1e-30), alpha=1.0, offset=-2.0, x=0.5,
+             stop_rel=1e-18)
+    @example(coeffs=(1.0, 0.0, 1.0, 0.0, 1.0), alpha=1.0, offset=0.0, x=1.0,
+             stop_rel=1e-18)
+    # the stop test is strict: at n = 1 the tail equals stop_rel * |total|
+    @example(coeffs=(1.0, 1.0, 1.0), alpha=1.0, offset=0.0, x=1.0,
+             stop_rel=0.5)
+    def test_matches_while_loop(self, coeffs, alpha, offset, x, stop_rel):
+        assert_bit_identical(coeffs, alpha, offset, x, stop_rel)
+
+    @pytest.mark.parametrize("coeffs, offset, x, used", [
+        ((1.0, 0.0, 1e-30, 5.0), 0.0, 1.0, 3),  # early stop inside the loop
+        ((1.0, 0.0, 1.0), -2.0, 0.5, 3),        # runs out of coefficients
+    ])
+    def test_both_returns(self, coeffs, offset, x, used):
+        assert eval_series_kernel(coeffs, 1.0, offset, x, 1e-18)[1] == used
+        assert_bit_identical(coeffs, 1.0, offset, x, 1e-18)
+
+    @pytest.mark.parametrize("alpha", [0.35, 0.8, 1.0])
+    @pytest.mark.parametrize("n_terms", [30, 60, 120])
+    def test_constructed_series(self, alpha, n_terms):
+        parts = [
+            bessel_j_series(0.0, alpha, n_terms),
+            bessel_j_series(2.5, alpha, n_terms),
+            bessel_j_neg_series(1.5, alpha, n_terms),
+        ]
+        for log_solution in (second_solution_order_zero(alpha, n_terms),
+                             second_solution_integer_order(2, alpha, n_terms)):
+            parts += [log_solution.log_part, log_solution.plain_part]
+        for part in parts:
+            for t in (0.01, 0.5, 1.0, 3.3, 9.0, 20.0):
+                x = t ** (1.0 / alpha)
+                assert_bit_identical(part.coeffs, part.alpha.value,
+                                     part.offset, x, 1e-18)
 
 
 class TestSelection:

@@ -2,25 +2,31 @@
 
 import dataclasses
 import math
+import struct
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confbessel import (
     Alpha,
+    EvalResult,
     FracSeries,
     LogSolution,
     bessel_j_series,
     conformable_diff_exact,
     eval_log_solution,
     eval_series,
+    second_solution_integer_order,
+    second_solution_order_zero,
     series_add,
     series_rebase,
     series_scale,
     series_shift,
     series_trim,
 )
+from confbessel import series
 from confbessel.errors import AlignmentError, DomainError
 
 
@@ -57,6 +63,14 @@ class TestFracSeries:
             S(1.0, 0.0, [1.0, float("nan")])
         with pytest.raises(ValueError):
             S(1.0, float("inf"), [1.0])
+
+    def test_error_names_first_non_finite_coefficient(self):
+        with pytest.raises(ValueError,
+                           match=r"^non-finite coefficient inf$"):
+            S(1.0, 0.0, [1.0, float("inf"), float("nan")])
+        with pytest.raises(ValueError,
+                           match=r"^non-finite coefficient nan$"):
+            S(1.0, 0.0, [float("nan"), 2.0])
 
     def test_immutable(self):
         s = S(1.0, 0.0, [1.0])
@@ -300,6 +314,70 @@ class TestLogSolution:
         with pytest.raises(DomainError):
             eval_log_solution(sol, 0.0)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejects_negative_and_non_finite_x(self, bad):
+        sol = LogSolution(S(1.0, 0.0, [1.0]), S(1.0, 0.0, [1.0]))
+        with pytest.raises(DomainError):
+            eval_log_solution(sol, bad)
+
+    @pytest.mark.parametrize("log_offset, plain_offset, x", [
+        (2.0, 0.0, 1e200),     # the log part's power overflows
+        (0.0, 2.0, 1e200),     # the plain part's power overflows
+        (0.0, -2.0, 1e-200),   # a negative offset at a tiny x
+    ])
+    def test_overflow_raises_domain_error(self, log_offset, plain_offset, x):
+        sol = LogSolution(S(1.0, log_offset, [1.0]),
+                          S(1.0, plain_offset, [1.0]))
+        with pytest.raises(DomainError, match="overflows a double"):
+            eval_log_solution(sol, x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        which=st.sampled_from(["y2zero", "K1", "K2", "K3"]),
+        alpha=st.floats(min_value=0.1, max_value=1.0),
+        t=st.floats(min_value=1e-3, max_value=20.0),
+        n_terms=st.sampled_from([30, 60, 120]),
+    )
+    def test_bit_identical_to_two_eval_series_calls(self, which, alpha, t,
+                                                    n_terms):
+        # the composition eval_log_solution had before it summed the parts
+        # directly
+        if which == "y2zero":
+            sol = second_solution_order_zero(alpha, n_terms)
+        else:
+            sol = second_solution_integer_order(int(which[1]), alpha, n_terms)
+        x = t ** (1.0 / alpha)
+        lg = eval_series(sol.log_part, x)
+        pl = eval_series(sol.plain_part, x)
+        lnx = math.log(x)
+        expected = EvalResult(
+            lg.value * lnx + pl.value,
+            max(lg.terms_used, pl.terms_used),
+            abs(lnx) * lg.tail_estimate + pl.tail_estimate,
+        )
+        got = eval_log_solution(sol, x)
+        assert struct.pack("d", got.value) == struct.pack("d", expected.value)
+        assert got.terms_used == expected.terms_used
+        assert struct.pack("d", got.tail_estimate) == \
+            struct.pack("d", expected.tail_estimate)
+
+    def test_kernel_is_looked_up_as_module_global(self, monkeypatch):
+        # a tracer rebinds series.eval_series_kernel; both evaluators must
+        # reach the kernel through that name, once per series summed
+        calls = []
+        kernel = series.eval_series_kernel
+
+        def counting(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(series, "eval_series_kernel", counting)
+        sol = second_solution_integer_order(1, 0.5)
+        eval_log_solution(sol, 1.5)
+        assert len(calls) == 2
+        eval_series(sol.plain_part, 1.5)
+        assert len(calls) == 3
+
 
 coeff_lists = st.lists(
     st.floats(min_value=-10.0, max_value=10.0, allow_nan=False),
@@ -363,3 +441,29 @@ class TestProperties:
         magnitude = x ** (m * alpha) * sum(
             abs(c) * x ** (n * alpha) for n, c in enumerate(coeffs))
         assert abs(lhs - rhs) <= 24 * u * magnitude
+
+
+class TestMpmathPins:
+    """``eval_series`` against mpmath through J_{alpha,p}(x) = J_p(x**alpha).
+
+    The gate is 1e-13 relative plus the rounding floor of the sum itself,
+    16u times the sum of |terms|.  The floor matters near the zeros of J_p
+    and towards t = 10, where the alternating terms cancel (at t = 10 and
+    p = 1 the relative error is 2.5e-12 while the absolute one is 1.1e-13).
+    """
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    def test_first_kind_matches_classical_bessel(self, p, alpha):
+        s = bessel_j_series(p, alpha)
+        u = 2.0 ** -53
+        with mpmath.workdps(40):
+            for k in range(1, 41):
+                t = k / 4
+                x = t ** (1.0 / alpha)
+                ref = mpmath.besselj(p, mpmath.mpf(x) ** alpha)
+                got = eval_series(s, x).value
+                mag = math.fsum(abs(c) * x ** ((n + s.offset) * alpha)
+                                for n, c in enumerate(s.coeffs))
+                assert abs(got - ref) <= 1e-13 * abs(ref) + 16 * u * mag, \
+                    (p, alpha, t)
