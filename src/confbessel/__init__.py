@@ -24,20 +24,15 @@ from .series import (
 from .conformable import DiffConfig, conformable_diff2_numeric, conformable_diff_numeric
 from .bessel import (
     BesselOrder,
-    IndicialData,
     OrderKind,
-    SecondSolutionParams,
-    b_chain_ratios,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
     classify_order,
     gamma,
     harmonic,
-    indicial,
     second_solution_integer_order,
     second_solution_order_zero,
-    second_solution_params,
 )
 from .checks import (
     CheckReport,
@@ -76,12 +71,9 @@ __all__ = [
     "DiffConfig",
     "EvalResult",
     "FracSeries",
-    "IndicialData",
     "LogSolution",
     "OrderKind",
-    "SecondSolutionParams",
     "all_suites",
-    "b_chain_ratios",
     "bessel_j_neg_integer_series",
     "bessel_j_neg_series",
     "bessel_j_series",
@@ -106,14 +98,12 @@ __all__ = [
     "half_order_suite",
     "harmonic",
     "identity_suite",
-    "indicial",
     "kernel_backend",
     "random_residual_suite",
     "residual_suite",
     "scaling_suite",
     "second_solution_integer_order",
     "second_solution_order_zero",
-    "second_solution_params",
     "solution_corpus",
     "series_add",
     "series_rebase",

@@ -19,17 +19,20 @@ four solution families arise:
 * ``second_solution_integer_order`` -- the logarithmic companion at a
   positive integer order m.
 
-Coefficients are generated by the two-step recurrence in ratio form rather
-than by per-term gamma/factorial evaluation: the ratio form cannot overflow
-(individual factors like ``2**(2n+p) * n! * gamma(p+n+1)`` would, past
-n ~ 80) and the gamma function enters exactly once, in the leading
-coefficient.
+All four are built from one even-index recurrence at an indicial root r,
+``c_k = -c_{k-2} / (k * (k + 2r))``, in ratio form rather than by per-term
+gamma/factorial evaluation: the ratio form cannot overflow (individual
+factors like ``2**(2n+p) * n! * gamma(p+n+1)`` would, past n ~ 80) and the
+gamma function enters exactly once, in the leading coefficient.  The two
+logarithmic solutions take the coefficients ``c_{2n}`` of their log part
+and weight them by harmonic numbers, as in the classical Y_n series.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, OrderCaseError, PoleError
@@ -41,16 +44,11 @@ __all__ = [
     "OrderKind",
     "BesselOrder",
     "classify_order",
-    "IndicialData",
-    "indicial",
-    "SecondSolutionParams",
-    "second_solution_params",
     "bessel_j_series",
     "bessel_j_neg_series",
     "bessel_j_neg_integer_series",
     "second_solution_order_zero",
     "second_solution_integer_order",
-    "b_chain_ratios",
 ]
 
 #: Orders this close to an integer are treated as that integer.  Orders are
@@ -118,19 +116,6 @@ def _factorial(m: int) -> float:
     return float(math.factorial(m))
 
 
-def _leading(c0: float, p: float) -> float:
-    """``c0`` itself; DomainError when it underflowed to 0 or is not finite.
-
-    At integer orders 151-170 the product ``2**m * m!`` in the denominator
-    overflows without raising and the quotient silently becomes 0, which
-    would make every coefficient, and every value, 0.
-    """
-    if c0 == 0.0 or not math.isfinite(c0):
-        raise DomainError(f"order {p:g} too large: the leading coefficient "
-                          "is not representable as a double")
-    return c0
-
-
 def harmonic(n: int) -> float:
     """Harmonic number ``H_n = 1 + 1/2 + ... + 1/n`` with ``H_0 = 0``."""
     if n < 0:
@@ -182,31 +167,24 @@ def classify_order(p: float) -> BesselOrder:
     return BesselOrder(p, OrderKind.GENERIC)
 
 
-@dataclass(frozen=True)
-class IndicialData:
-    """Indicial roots (p, -p) and the indicial polynomial evaluator."""
+def _even_series(alpha: Alpha | float, r: float, c0: float,
+                 n_terms: int) -> FracSeries:
+    """Series at the indicial root ``r`` with leading coefficient ``c0``.
 
-    p: float
-    alpha: Alpha
-
-    @property
-    def roots(self) -> tuple[float, float]:
-        return (self.p, -self.p)
-
-    def poly(self, r: float) -> float:
-        """Indicial polynomial ``alpha**2 * (r*(r-1) + r - p**2)``."""
-        a2 = self.alpha.value ** 2
-        return a2 * (r * (r - 1.0) + r - self.p ** 2)
-
-
-def indicial(p: float, alpha: Alpha | float) -> IndicialData:
-    """Indicial data for order ``p >= 0`` (pass ``abs(p)`` for negative p)."""
-    if p < 0.0:
-        raise ValueError(
-            f"indicial data is defined for p >= 0 (got {p}); the two roots "
-            "already cover both signs, pass abs(p)"
-        )
-    return IndicialData(float(p), Alpha.of(alpha))
+    Odd coefficients vanish and ``c_k = -c_{k-2} / (k * (k + 2r))``.  A
+    ``c0`` that is zero, subnormal or not finite raises DomainError: at
+    integer orders 151-170 the product ``2**m * m!`` in its denominator
+    overflows without raising and the quotient silently becomes 0, and at
+    order 150 it is subnormal, so every value would lose bits unnoticed.
+    """
+    if not sys.float_info.min <= abs(c0) < math.inf:
+        raise DomainError(f"order {r:g} too large: the leading coefficient "
+                          "is not representable as a double")
+    coeffs = [0.0] * n_terms
+    coeffs[0] = c0
+    for k in range(2, n_terms, 2):
+        coeffs[k] = -coeffs[k - 2] / (k * (k + 2.0 * r))
+    return FracSeries(Alpha.of(alpha), float(r), tuple(coeffs))
 
 
 def bessel_j_series(p: float, alpha: Alpha | float,
@@ -238,11 +216,7 @@ def bessel_j_series(p: float, alpha: Alpha | float,
         c0 = 1.0 / (_factorial(order.m) * 2.0 ** order.m)
     else:
         c0 = 1.0 / (gamma(p + 1.0) * 2.0 ** p)
-    coeffs = [0.0] * n_terms
-    coeffs[0] = _leading(c0, p)
-    for k in range(2, n_terms, 2):
-        coeffs[k] = -coeffs[k - 2] / (k * (k + 2.0 * p))
-    return FracSeries(Alpha.of(alpha), float(p), tuple(coeffs))
+    return _even_series(alpha, p, c0, n_terms)
 
 
 def bessel_j_neg_series(p: float, alpha: Alpha | float,
@@ -265,11 +239,7 @@ def bessel_j_neg_series(p: float, alpha: Alpha | float,
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive, got {n_terms}")
     g = gamma(1.0 - p)  # before 2.0**p, as in bessel_j_series
-    coeffs = [0.0] * n_terms
-    coeffs[0] = _leading(2.0 ** p / g, -p)
-    for k in range(2, n_terms, 2):
-        coeffs[k] = -coeffs[k - 2] / (k * (k - 2.0 * p))
-    return FracSeries(Alpha.of(alpha), -float(p), tuple(coeffs))
+    return _even_series(alpha, -p, 2.0 ** p / g, n_terms)
 
 
 def bessel_j_neg_integer_series(m: int, alpha: Alpha | float,
@@ -286,72 +256,24 @@ def bessel_j_neg_integer_series(m: int, alpha: Alpha | float,
     return series_scale(bessel_j_series(float(m), alpha, n_terms), sign)
 
 
-@dataclass(frozen=True)
-class SecondSolutionParams:
-    """Free constants of the integer-order second solution.
-
-    ``b0`` (the leading negative-power coefficient) and ``log_coeff`` (the
-    multiplier of the ln-term) are tied by
-    ``log_coeff = -alpha * b0 / (2**(m-1) * (m-1)!)``.
-    """
-
-    m: int
-    b0: float
-    log_coeff: float
-
-
-def second_solution_params(m: int, alpha: Alpha | float,
-                           log_coeff: float = 1.0) -> SecondSolutionParams:
-    """Solve the constant-tying relation for ``b0`` given the log coefficient."""
-    if m < 1:
-        raise OrderCaseError(f"integer-order second solution needs m >= 1, got {m}")
-    a = Alpha.of(alpha).value
-    fact = _factorial(m - 1)  # before 2.0**(m-1), as in bessel_j_series
-    b0 = -log_coeff * 2.0 ** (m - 1) * fact / a
-    if not math.isfinite(b0):
-        raise DomainError(f"order {m} too large: the leading coefficient "
-                          "overflows a double")
-    return SecondSolutionParams(int(m), b0, log_coeff)
-
-
 def second_solution_order_zero(alpha: Alpha | float,
                                n_terms: int = DEFAULT_TERMS) -> LogSolution:
     """Logarithmic second solution at order zero.
 
-    The log part is the order-zero first-kind series; the plain part has
-    coefficient ``(1/alpha) * (-1)**(n+1) * H_n / (2**(2n) * (n!)**2)`` at
-    exponent ``2*n*alpha`` for n >= 1 and no constant term.
+    The log part is the order-zero first-kind series ``c_{2n}``; the plain
+    part has coefficient ``-c_{2n} * H_n / alpha``, that is
+    ``(1/alpha) * (-1)**(n+1) * H_n / (2**(2n) * (n!)**2)``, at exponent
+    ``2*n*alpha`` for n >= 1 and no constant term.
     """
     al = Alpha.of(alpha)
     log_part = bessel_j_series(0.0, al, n_terms)
+    c = log_part.coeffs
     coeffs = [0.0] * n_terms
-    # scale = 1 / (2**(2n) * (n!)**2), harmonic sum updated incrementally
-    scale = 1.0
     h = 0.0
-    sign = 1.0
-    for n in range(1, (n_terms - 1) // 2 + 1):
-        scale /= 4.0 * n * n
+    for n in range(1, (n_terms + 1) // 2):
         h += 1.0 / n
-        coeffs[2 * n] = sign * h * scale / al.value
-        sign = -sign
+        coeffs[2 * n] = -c[2 * n] * h / al.value
     return LogSolution(log_part, FracSeries(al, 0.0, tuple(coeffs)))
-
-
-def b_chain_ratios(m: int) -> list[float]:
-    """Normalized low-power coefficients ``b_{2j} / b_0`` for j = 0..m-1.
-
-    ``b_{2j} = b_0 / (2**(2j) * j! * (m-1)*(m-2)*...*(m-j))``; odd-index
-    entries are identically zero and not returned.  For m = 1 the chain is
-    just ``b_0`` itself.
-    """
-    if m < 1 or m != int(m):
-        raise OrderCaseError(f"coefficient chain needs integer m >= 1, got {m}")
-    ratios = [1.0]
-    value = 1.0
-    for j in range(1, m):
-        value /= 4.0 * j * (m - j)
-        ratios.append(value)
-    return ratios
 
 
 def second_solution_integer_order(m: int, alpha: Alpha | float,
@@ -359,14 +281,14 @@ def second_solution_integer_order(m: int, alpha: Alpha | float,
     """Logarithmic second solution at positive integer order m.
 
     With the log coefficient normalized to 1, the plain part (offset -m)
-    assembles three pieces:
+    assembles two pieces:
 
     * the finite negative-power block ``b_{2j}``, j < m, exact regardless of
-      truncation, with ``b_0 = -2**(m-1) * (m-1)! / alpha``;
-    * the pivot ``b_{2m} = -(1/(2*alpha)) * c_0 * H_m`` at exponent
-      ``m*alpha``, where ``c_0 = 1/(2**m * m!)`` leads the log part;
+      truncation, with ``b_0 = -2**(m-1) * (m-1)! / alpha`` and
+      ``b_{2j} = b_{2j-2} / (4 j (m-j))``;
     * the tail ``b_{2m+2n} = -(1/(2*alpha)) * c_{2n} * (H_n + H_{m+n})`` for
-      n >= 1, with ``c_{2n}`` the log-part coefficients.
+      n >= 0, with ``c_{2n}`` the log-part coefficients.  Its n = 0 term,
+      ``-c_0 * H_m / (2*alpha)``, is the pivot.
 
     The pivot choice is what makes the tail close under the recurrence; see
     the regression test for the rejected alternative normalization.
@@ -379,28 +301,24 @@ def second_solution_integer_order(m: int, alpha: Alpha | float,
     al = Alpha.of(alpha)
     a = al.value
     log_part = bessel_j_series(float(m), al, n_terms)
+    c = log_part.coeffs
+    coeffs = [0.0] * (2 * m + n_terms)
 
-    params = second_solution_params(m, al, log_coeff=1.0)
-    length = 2 * m + n_terms
-    coeffs = [0.0] * length
+    b0 = -2.0 ** (m - 1) * _factorial(m - 1) / a
+    if not math.isfinite(b0):
+        raise DomainError(f"order {m} too large: the leading coefficient "
+                          "overflows a double")
+    coeffs[0] = b0
+    ratio = 1.0
+    for j in range(1, m):
+        ratio /= 4.0 * j * (m - j)
+        coeffs[2 * j] = b0 * ratio
 
-    for j, ratio in enumerate(b_chain_ratios(m)):
-        coeffs[2 * j] = params.b0 * ratio
-
-    # pivot and tail ride on the log-part coefficient sequence
-    c0 = 1.0 / (_factorial(m) * 2.0 ** m)
-    h_m = harmonic(m)
-    coeffs[2 * m] = -c0 * h_m / (2.0 * a)
-
-    c2n = c0
     h_n = 0.0
-    h_mn = h_m
-    n = 1
-    while 2 * m + 2 * n < length:
-        c2n = -c2n / (2.0 * n * (2.0 * n + 2.0 * m))
-        h_n += 1.0 / n
-        h_mn += 1.0 / (m + n)
-        coeffs[2 * m + 2 * n] = -c2n * (h_n + h_mn) / (2.0 * a)
-        n += 1
+    h_mn = harmonic(m)
+    for n in range((n_terms + 1) // 2):
+        coeffs[2 * m + 2 * n] = -c[2 * n] * (h_n + h_mn) / (2.0 * a)
+        h_n += 1.0 / (n + 1)
+        h_mn += 1.0 / (m + n + 1)
 
     return LogSolution(log_part, FracSeries(al, -float(m), tuple(coeffs)))

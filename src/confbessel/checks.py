@@ -225,22 +225,29 @@ def _rows(p: float, alpha: Alpha | float, grid: Iterable[float]
     return al, [(p, al.value, x) for x in xs]
 
 
-def _series_lhs_operator(s: FracSeries, p: float, x: float) -> float:
-    """Left side of the Bessel equation applied to a plain series at x."""
+def _series_lhs_operator(s: FracSeries, p: float) -> Callable[[float], float]:
+    """Left side of the Bessel equation on a plain series, as a function of x.
+
+    The two derivatives are built once, not at every point.
+    """
     a = s.alpha.value
     d1 = conformable_diff_exact(s)
     d2 = conformable_diff_exact(d1)
-    try:
-        x2a = x ** (2.0 * a)
-    except OverflowError:
-        raise DomainError(f"x = {x:g} is too large for the residual: "
-                          "x**(2*alpha) overflows a double") from None
-    xa = x ** a
-    return (
-        x2a * eval_series(d2, x).value
-        + a * xa * eval_series(d1, x).value
-        + a * a * (x2a - p * p) * eval_series(s, x).value
-    )
+
+    def lhs(x: float) -> float:
+        try:
+            x2a = x ** (2.0 * a)
+        except OverflowError:
+            raise DomainError(f"x = {x:g} is too large for the residual: "
+                              "x**(2*alpha) overflows a double") from None
+        xa = x ** a
+        return (
+            x2a * eval_series(d2, x).value
+            + a * xa * eval_series(d1, x).value
+            + a * a * (x2a - p * p) * eval_series(s, x).value
+        )
+
+    return lhs
 
 
 def check_ode_residual(p: float, alpha: Alpha | float,
@@ -258,16 +265,21 @@ def check_ode_residual(p: float, alpha: Alpha | float,
     """
     al, rows = _rows(p, alpha, grid)
 
-    def deviation(p, a, x):
-        if not isinstance(solution, LogSolution):
-            return (_series_lhs_operator(solution, p, x),
-                    eval_series(solution, x).value)
-        lu = _series_lhs_operator(solution.log_part, p, x)
-        lv = _series_lhs_operator(solution.plain_part, p, x)
+    if not isinstance(solution, LogSolution):
+        lhs = _series_lhs_operator(solution, p)
+
+        def deviation(p, a, x):
+            return lhs(x), eval_series(solution, x).value
+    else:
+        op_u = _series_lhs_operator(solution.log_part, p)
+        op_v = _series_lhs_operator(solution.plain_part, p)
         du = conformable_diff_exact(solution.log_part)
-        cross = 2.0 * x ** a * eval_series(du, x).value
-        return (lu * math.log(x) + cross + lv,
-                eval_log_solution(solution, x).value)
+
+        def deviation(p, a, x):
+            lu, lv = op_u(x), op_v(x)
+            cross = 2.0 * x ** a * eval_series(du, x).value
+            return (lu * math.log(x) + cross + lv,
+                    eval_log_solution(solution, x).value)
 
     return _pointwise(name or f"residual[p={p:g} alpha={al.value:g}]",
                       rows, deviation, tolerance, "rel")

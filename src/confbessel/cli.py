@@ -16,13 +16,14 @@ output (color is only attempted on a terminal anyway).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from . import checks
 from .bessel import (
@@ -152,13 +153,18 @@ def _evaluate(solution: FracSeries | LogSolution, x: float) -> EvalResult:
     return result
 
 
-def _open_out(path: str | None) -> tuple[TextIO, bool]:
+@contextlib.contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """stdout, or the file at ``path``, closed on the way out."""
     if path is None:
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline="\n"), True
+        out = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise UsageError(f"cannot open output path {path!r}: {exc}") from exc
+    with out:
+        yield out
 
 
 def _emit_rows(rows: list[dict], fmt: str, out: TextIO) -> None:
@@ -192,8 +198,7 @@ def run_eval(cfg: CliConfig) -> int:
     solution = build_solution(cfg.family, cfg.order, cfg.alpha, cfg.terms)
     result = _evaluate(solution, cfg.x)
     record = _row(cfg.x, result)
-    out, close = _open_out(cfg.output_path)
-    try:
+    with _output(cfg.output_path) as out:
         if cfg.format == "json":
             out.write(json.dumps(record) + "\n")
         elif cfg.format == "csv":
@@ -203,9 +208,6 @@ def run_eval(cfg: CliConfig) -> int:
                 out.write(f"{key} = {_fmt(record[key])}\n")
             out.write(f"terms_used = {record['terms_used']}\n")
             out.write(f"tail_estimate = {_fmt(record['tail_estimate'])}\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -218,12 +220,8 @@ def run_table(cfg: CliConfig) -> int:
         raise UsageError("table requires --range (or --x for a single row)")
     solution = build_solution(cfg.family, cfg.order, cfg.alpha, cfg.terms)
     rows = [_row(x, _evaluate(solution, x)) for x in xs]
-    out, close = _open_out(cfg.output_path)
-    try:
+    with _output(cfg.output_path) as out:
         _emit_rows(rows, cfg.format, out)
-    finally:
-        if close:
-            out.close()
     return EXIT_OK
 
 
@@ -284,8 +282,7 @@ def _collect_reports(cfg: CliConfig) -> list[checks.CheckReport]:
 
 def run_check(cfg: CliConfig) -> int:
     reports = _collect_reports(cfg)
-    out, close = _open_out(cfg.output_path)
-    try:
+    with _output(cfg.output_path) as out:
         if cfg.format == "json":
             for r in reports:
                 out.write(json.dumps(dataclasses.asdict(r)) + "\n")
@@ -296,13 +293,10 @@ def run_check(cfg: CliConfig) -> int:
                           f"{_fmt(r.max_abs_err)},{_fmt(r.max_rel_err)},"
                           f"{_fmt(r.tolerance)},{r.mode}\n")
         else:
-            color = (not close and sys.stdout.isatty()
+            color = (cfg.output_path is None and sys.stdout.isatty()
                      and not os.environ.get("NO_COLOR"))
             for line in _plain_report_lines(reports, color):
                 out.write(line + "\n")
-    finally:
-        if close:
-            out.close()
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
@@ -400,10 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if cfg.command == "table":
             return run_table(cfg)
         return run_check(cfg)
-    except UsageError as exc:
-        print(f"confbessel: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ConfBesselError as exc:
+    except (UsageError, ConfBesselError) as exc:
         print(f"confbessel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

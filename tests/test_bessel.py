@@ -1,30 +1,64 @@
 """Tests for the solution-family constructors and order classification."""
 
 import math
+import struct
 
+import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confbessel import (
     Alpha,
+    FracSeries,
+    LogSolution,
     OrderKind,
-    b_chain_ratios,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
     classify_order,
+    conformable_diff_exact,
     eval_series,
     gamma,
     harmonic,
-    indicial,
     second_solution_integer_order,
     second_solution_order_zero,
-    second_solution_params,
 )
 from confbessel.errors import DomainError, OrderCaseError
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def indicial_value(series, p):
+    """The Bessel operator's lowest-order coefficient on the leading term.
+
+    On ``c_0 x**(r*alpha)`` the terms ``x**(2a) T T y + a x**a T y
+    - a**2 p**2 y`` all land at exponent ``r*alpha`` and sum to
+    ``a**2 (r**2 - p**2) c_0`` (the ``a**2 x**(2a) y`` term starts two slots
+    higher).  Returned divided by ``c_0``: the indicial polynomial at the
+    series' offset r, which vanishes exactly when r = +-p.
+    """
+    lead = FracSeries(series.alpha, series.offset, (series.coeffs[0],))
+    d1 = conformable_diff_exact(lead)
+    d2 = conformable_diff_exact(d1)
+    a = series.alpha.value
+    return (d2.coeffs[0] + a * d1.coeffs[0]
+            - a * a * p * p * lead.coeffs[0]) / lead.coeffs[0]
+
+
+def root_series(p, alpha):
+    """The constructed series whose leading terms sit at the roots +p, -p.
+
+    At p = 0 the root is double and both are the order-zero series (the log
+    part of y2zero); at integer m the -m root leads the plain part of K.
+    """
+    order = classify_order(p)
+    plus = bessel_j_series(p, alpha)
+    if order.kind is OrderKind.ZERO:
+        return plus, second_solution_order_zero(alpha).log_part
+    if order.kind is OrderKind.POSITIVE_INTEGER:
+        return plus, second_solution_integer_order(order.m, alpha).plain_part
+    return plus, bessel_j_neg_series(p, alpha)
 
 
 class TestClassifyOrder:
@@ -61,25 +95,30 @@ class TestClassifyOrder:
 
 
 class TestIndicial:
+    """The families start at the indicial roots +-p of the equation."""
+
     @pytest.mark.parametrize("p", [0.0, 0.5, 2.0])
     def test_roots_are_plus_minus_p(self, p):
-        assert indicial(p, 0.5).roots == (p, -p)
+        plus, minus = root_series(p, 0.5)
+        assert (plus.offset, minus.offset) == (p, -p)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.5])
     @pytest.mark.parametrize("alpha", [0.3, 0.75, 1.0])
     def test_roots_annihilate_the_polynomial(self, p, alpha):
-        data = indicial(p, alpha)
-        for r in data.roots:
-            assert data.poly(r) == pytest.approx(0.0, abs=1e-15)
+        # the three pieces are O(alpha**2 p**2) and cancel to a few ulps
+        for series in root_series(p, alpha):
+            assert indicial_value(series, p) == pytest.approx(0.0, abs=1e-14)
 
     def test_polynomial_shape(self):
         # I(r) = alpha**2 (r**2 - p**2)
-        data = indicial(2.0, 0.5)
-        assert data.poly(3.0) == pytest.approx(0.25 * (9.0 - 4.0))
+        monomial = FracSeries(Alpha(0.5), 3.0, (1.0,))
+        assert indicial_value(monomial, 2.0) == pytest.approx(0.25 * (9.0 - 4.0))
 
     def test_negative_p_rejected(self):
+        # the -p root is built from |p|, never from a negative order
         with pytest.raises(ValueError):
-            indicial(-1.0, 0.5)
+            bessel_j_series(-1.5, 0.5)
+        assert bessel_j_neg_series(1.5, 0.5).offset == -1.5
 
 
 class TestFirstKindSeries:
@@ -145,17 +184,31 @@ class TestFirstKindSeries:
         with pytest.raises(ValueError):
             bessel_j_series(0.0, 1.0, 0)
 
-    @pytest.mark.parametrize("p", [151.0, 160.0, 170.0, 141.3])
+    @pytest.mark.parametrize("p", [150.0, 151.0, 160.0, 170.0, 141.3])
     def test_vanishing_leading_coefficient_rejected(self, p):
-        # 2**m * m! (or gamma(p+1) * 2**p) overflows, so c0 would be 0
+        # 2**m * m! (or gamma(p+1) * 2**p) overflows, so c0 would be 0;
+        # at order 150 c0 = 1.2e-308 is subnormal and every value loses bits
         with pytest.raises(DomainError):
             bessel_j_series(p, 1.0)
+        if p == int(p):
+            with pytest.raises(DomainError):
+                second_solution_integer_order(p, 1.0)
 
     def test_largest_representable_orders_still_build(self):
-        # c0 of order 150 is subnormal but nonzero; order 141.2
+        # c0 of order 149 is the smallest normal one (3.7e-306); order 141.2
         # is the last fractional order whose gamma evaluates
-        assert bessel_j_series(150.0, 1.0).coeffs[0] > 0.0
+        assert bessel_j_series(149.0, 1.0).coeffs[0] >= 2.0 ** -1022
         assert bessel_j_series(141.2, 1.0).coeffs[0] > 0.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_order_149_matches_mpmath(self, alpha):
+        # J_149(2), at t = x**alpha = 2: 2.6e-261, through the largest
+        # order with a normal leading coefficient
+        x = 2.0 ** (1.0 / alpha)
+        got = eval_series(bessel_j_series(149.0, alpha), x).value
+        with mpmath.workdps(40):
+            ref = mpmath.besselj(149, mpmath.mpf(x) ** alpha)
+            assert abs((got - ref) / ref) <= 1e-15
 
     def test_half_order_sine_closed_form(self):
         # at alpha=0.5, x=4 the argument is x**alpha = 2
@@ -239,20 +292,29 @@ class TestIntegerOrderReduction:
 
 
 class TestSecondSolutionParams:
+    """K's two free constants: the log coefficient is 1 (the log part is J_m
+    itself) and ``b_0 = -2**(m-1) (m-1)! / alpha`` leads the plain part."""
+
     @pytest.mark.parametrize("m,alpha", [(1, 1.0), (2, 0.5), (4, 0.3)])
     def test_tying_relation_holds(self, m, alpha):
-        params = second_solution_params(m, alpha)
-        lhs = -alpha * params.b0 / (2.0 ** (m - 1) * math.factorial(m - 1))
-        assert lhs == pytest.approx(params.log_coeff, rel=1e-15)
+        sol = second_solution_integer_order(m, alpha)
+        b0 = sol.plain_part.coeffs[0]
+        lhs = -alpha * b0 / (2.0 ** (m - 1) * math.factorial(m - 1))
+        assert lhs == pytest.approx(1.0, rel=1e-15)
+        assert sol.log_part.coeffs == bessel_j_series(m, alpha).coeffs
 
     def test_unit_log_coeff_values(self):
-        assert second_solution_params(1, 1.0).b0 == pytest.approx(-1.0)
-        assert second_solution_params(2, 0.5).b0 == pytest.approx(-4.0)
-        assert second_solution_params(3, 1.0).b0 == pytest.approx(-8.0)
+        def b0(m, alpha):
+            return second_solution_integer_order(m, alpha).plain_part.coeffs[0]
+
+        assert b0(1, 1.0) == pytest.approx(-1.0)
+        assert b0(2, 0.5) == pytest.approx(-4.0)
+        assert b0(3, 1.0) == pytest.approx(-8.0)
 
     def test_m_below_one_rejected(self):
-        with pytest.raises(OrderCaseError):
-            second_solution_params(0, 1.0)
+        for m in (-1, 0.0, 1.5):
+            with pytest.raises(OrderCaseError):
+                second_solution_integer_order(m, 1.0)
 
 
 class TestSecondSolutionOrderZero:
@@ -343,20 +405,30 @@ class TestSecondSolutionIntegerOrder:
             second_solution_integer_order(0, 1.0)
 
 
+def b_chain(m, alpha=0.7):
+    """K's negative-power block ``b_{2j} / b_0``, j = 0..m-1."""
+    plain = second_solution_integer_order(m, alpha, 10).plain_part.coeffs
+    return [plain[2 * j] / plain[0] for j in range(m)]
+
+
 class TestBChain:
     def test_m1_is_single_entry(self):
-        assert b_chain_ratios(1) == [1.0]
+        # at m = 1 the block is b_0 alone; slot 2 already holds the pivot
+        alpha = 0.7
+        sol = second_solution_integer_order(1, alpha)
+        assert b_chain(1) == [1.0]
+        assert sol.plain_part.coeffs[1] == 0.0
+        assert sol.plain_part.coeffs[2] == \
+            -sol.log_part.coeffs[0] * harmonic(1) / (2.0 * alpha)
 
     def test_m2_and_m3_values(self):
-        assert b_chain_ratios(2) == [1.0, 0.25]
-        assert b_chain_ratios(3) == [1.0, 0.125, 1.0 / 64.0]
+        assert b_chain(2) == [1.0, 0.25]
+        assert b_chain(3) == [1.0, 0.125, 1.0 / 64.0]
 
     @pytest.mark.parametrize("m", [2, 4, 6])
     def test_closed_form(self, m):
         # b_{2j}/b_0 = (m-j-1)! / (2**(2j) j! (m-1)!)
-        ratios = b_chain_ratios(m)
-        assert len(ratios) == m
-        for j, r in enumerate(ratios):
+        for j, r in enumerate(b_chain(m)):
             want = (math.factorial(m - j - 1)
                     / (2.0 ** (2 * j) * math.factorial(j)
                        * math.factorial(m - 1)))
@@ -364,7 +436,7 @@ class TestBChain:
 
     def test_invalid_m_rejected(self):
         with pytest.raises(OrderCaseError):
-            b_chain_ratios(0)
+            second_solution_integer_order(2.5, 1.0)
 
 
 class TestProperties:
@@ -390,6 +462,185 @@ class TestProperties:
     @given(p=st.floats(min_value=0.0, max_value=4.0),
            alpha=st.floats(min_value=0.1, max_value=1.0))
     def test_indicial_roots_annihilate(self, p, alpha):
-        data = indicial(p, alpha)
-        assert data.poly(data.roots[0]) == pytest.approx(0.0, abs=1e-12)
-        assert data.poly(data.roots[1]) == pytest.approx(0.0, abs=1e-12)
+        # near-integer orders snap: state the roots at the effective order
+        plus, minus = root_series(p, alpha)
+        for series in (plus, minus):
+            assert indicial_value(series, plus.offset) == \
+                pytest.approx(0.0, abs=1e-12)
+
+
+# Frozen reference: the four constructors as they stood before the shared
+# even-term recurrence, each with its own copy of the coefficient loop.  The
+# rewrite must reproduce their coefficient bytes and their errors, except
+# that a subnormal leading coefficient (integer order 150) is now refused.
+
+def _ref_factorial(m):
+    if m > 170:
+        raise DomainError(f"integer order too large: m! overflows a double "
+                          "for m > 170")
+    return float(math.factorial(m))
+
+
+def _ref_leading(c0, p):
+    if c0 == 0.0 or not math.isfinite(c0):
+        raise DomainError(f"order {p:g} too large: the leading coefficient "
+                          "is not representable as a double")
+    return c0
+
+
+def ref_bessel_j_series(p, alpha, n_terms):
+    if p < 0.0:
+        raise OrderCaseError(
+            f"first-kind series needs p >= 0, got {p}; use "
+            "bessel_j_neg_series or bessel_j_neg_integer_series for -p"
+        )
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be positive, got {n_terms}")
+    order = classify_order(p)
+    if order.kind is OrderKind.ZERO:
+        p = 0.0
+        c0 = 1.0
+    elif order.kind is OrderKind.POSITIVE_INTEGER:
+        p = float(order.m)
+        c0 = 1.0 / (_ref_factorial(order.m) * 2.0 ** order.m)
+    else:
+        c0 = 1.0 / (gamma(p + 1.0) * 2.0 ** p)
+    coeffs = [0.0] * n_terms
+    coeffs[0] = _ref_leading(c0, p)
+    for k in range(2, n_terms, 2):
+        coeffs[k] = -coeffs[k - 2] / (k * (k + 2.0 * p))
+    return FracSeries(Alpha.of(alpha), float(p), tuple(coeffs))
+
+
+def ref_bessel_j_neg_series(p, alpha, n_terms):
+    if p <= 0.0:
+        raise OrderCaseError(f"negative-order series needs p > 0, got {p}")
+    order = classify_order(p)
+    if order.kind is OrderKind.POSITIVE_INTEGER:
+        raise OrderCaseError(
+            f"order -{p} with integer p reduces to a signed first-kind "
+            "series; use bessel_j_neg_integer_series"
+        )
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be positive, got {n_terms}")
+    g = gamma(1.0 - p)
+    coeffs = [0.0] * n_terms
+    coeffs[0] = _ref_leading(2.0 ** p / g, -p)
+    for k in range(2, n_terms, 2):
+        coeffs[k] = -coeffs[k - 2] / (k * (k - 2.0 * p))
+    return FracSeries(Alpha.of(alpha), -float(p), tuple(coeffs))
+
+
+def ref_second_solution_order_zero(alpha, n_terms):
+    al = Alpha.of(alpha)
+    log_part = ref_bessel_j_series(0.0, al, n_terms)
+    coeffs = [0.0] * n_terms
+    scale = 1.0
+    h = 0.0
+    sign = 1.0
+    for n in range(1, (n_terms - 1) // 2 + 1):
+        scale /= 4.0 * n * n
+        h += 1.0 / n
+        coeffs[2 * n] = sign * h * scale / al.value
+        sign = -sign
+    return LogSolution(log_part, FracSeries(al, 0.0, tuple(coeffs)))
+
+
+def ref_second_solution_integer_order(m, alpha, n_terms):
+    if m < 1 or m != int(m):
+        raise OrderCaseError(
+            f"integer-order second solution needs integer m >= 1, got {m}"
+        )
+    m = int(m)
+    al = Alpha.of(alpha)
+    a = al.value
+    log_part = ref_bessel_j_series(float(m), al, n_terms)
+
+    # second_solution_params(m, al, log_coeff=1.0)
+    fact = _ref_factorial(m - 1)
+    b0 = -1.0 * 2.0 ** (m - 1) * fact / a
+    if not math.isfinite(b0):
+        raise DomainError(f"order {m} too large: the leading coefficient "
+                          "overflows a double")
+    length = 2 * m + n_terms
+    coeffs = [0.0] * length
+
+    # b_chain_ratios(m)
+    ratios = [1.0]
+    value = 1.0
+    for j in range(1, m):
+        value /= 4.0 * j * (m - j)
+        ratios.append(value)
+    for j, ratio in enumerate(ratios):
+        coeffs[2 * j] = b0 * ratio
+
+    c0 = 1.0 / (_ref_factorial(m) * 2.0 ** m)
+    h_m = harmonic(m)
+    coeffs[2 * m] = -c0 * h_m / (2.0 * a)
+
+    c2n = c0
+    h_n = 0.0
+    h_mn = h_m
+    n = 1
+    while 2 * m + 2 * n < length:
+        c2n = -c2n / (2.0 * n * (2.0 * n + 2.0 * m))
+        h_n += 1.0 / n
+        h_mn += 1.0 / (m + n)
+        coeffs[2 * m + 2 * n] = -c2n * (h_n + h_mn) / (2.0 * a)
+        n += 1
+
+    return LogSolution(log_part, FracSeries(al, -float(m), tuple(coeffs)))
+
+
+def _bytes(series):
+    return struct.pack(f"<d{len(series.coeffs)}d", series.offset,
+                       *series.coeffs)
+
+
+def _outcome(build, *args):
+    """Coefficient and offset bytes of the result, or the error raised."""
+    try:
+        result = build(*args)
+    except Exception as exc:  # the error type and message are compared
+        return type(exc), str(exc)
+    if isinstance(result, LogSolution):
+        return _bytes(result.log_part), _bytes(result.plain_part)
+    return _bytes(result)
+
+
+FAMILIES = [
+    (bessel_j_series, ref_bessel_j_series),
+    (bessel_j_neg_series, ref_bessel_j_neg_series),
+    (lambda p, a, n: second_solution_order_zero(a, n),
+     lambda p, a, n: ref_second_solution_order_zero(a, n)),
+    (second_solution_integer_order, ref_second_solution_integer_order),
+]
+
+orders = st.one_of(
+    st.integers(0, 172).map(float),
+    st.integers(0, 172).map(lambda m: m + 0.5),
+    st.floats(0.0, 145.0),
+)
+term_counts = st.one_of(st.sampled_from([1, 2, 3, 120]),
+                        st.integers(0, 150).map(lambda k: 2 * k + 1))
+alphas = st.floats(0.0, 1.0, exclude_min=True)
+
+
+class TestFrozenReference:
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(range(len(FAMILIES))), p=orders,
+           alpha=alphas, n_terms=term_counts)
+    @example(family=3, p=149.0, alpha=1e-6, n_terms=3)  # b_0 overflows
+    @example(family=1, p=141.5, alpha=1.0, n_terms=120)
+    @example(family=0, p=171.0, alpha=1.0, n_terms=1)
+    def test_coefficients_and_errors_match_bit_for_bit(self, family, p,
+                                                       alpha, n_terms):
+        build, ref = FAMILIES[family]
+        got = _outcome(build, p, alpha, n_terms)
+        if p == 150.0 and family in (0, 3):
+            # the one intended change: c0 = 1.2e-308 is subnormal
+            assert got[0] is DomainError
+            assert isinstance(_outcome(ref_bessel_j_series, p, alpha, n_terms),
+                              bytes)
+        else:
+            assert got == _outcome(ref, p, alpha, n_terms)

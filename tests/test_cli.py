@@ -258,8 +258,10 @@ class TestExitCodeMatrix:
         ["eval", "--family", "Jneg", "--order", "170.5", "--x", "1"],
         ["eval", "--family", "Jneg", "--order", "150.5", "--x", "1"],
         ["check", "--family", "J", "--order", "nan"],
-        # leading coefficients that underflow to 0 (or gamma rounding to inf)
+        # leading coefficients that underflow to 0 or to a subnormal (or
+        # gamma rounding to inf)
         ["eval", "--order", "160", "--x", "2"],
+        ["eval", "--order", "150", "--x", "2"],
         ["eval", "--order", "141.3", "--x", "2"],
         ["eval", "--family", "Jneg", "--order", "142.3", "--x", "1"],
         ["check", "--name", "residual", "--family", "J", "--order", "160"],
