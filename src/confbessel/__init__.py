@@ -7,6 +7,8 @@ solution, together with exact and numeric conformable differentiation, an
 identity-verification suite, and a CLI (``confbessel``).
 """
 
+import importlib
+
 from .series import (
     Alpha,
     EvalResult,
@@ -21,7 +23,6 @@ from .series import (
     series_shift,
     series_trim,
 )
-from .conformable import DiffConfig, conformable_diff2_numeric, conformable_diff_numeric
 from .bessel import (
     BesselOrder,
     OrderKind,
@@ -34,27 +35,44 @@ from .bessel import (
     second_solution_integer_order,
     second_solution_order_zero,
 )
-from .checks import (
-    CheckReport,
-    all_suites,
-    check_derivative_lower,
-    check_derivative_raise,
-    check_derivative_weighted_lower,
-    check_derivative_weighted_raise,
-    check_half_order_closed_forms,
-    check_negative_order_reflection,
-    check_ode_residual,
-    check_second_solution_scaling,
-    check_series_vs_quadrature,
-    check_three_term_recurrence,
-    classical_bessel_j,
-    half_order_suite,
-    identity_suite,
-    random_residual_suite,
-    residual_suite,
-    scaling_suite,
-    solution_corpus,
-)
+
+#: Names re-exported from the check suites and the numeric operator, which
+#: most callers never use: each submodule is imported on first access to
+#: one of its names (PEP 562), so ``import confbessel`` does not load it.
+_LAZY = {
+    "CheckReport": "checks",
+    "all_suites": "checks",
+    "check_derivative_lower": "checks",
+    "check_derivative_raise": "checks",
+    "check_derivative_weighted_lower": "checks",
+    "check_derivative_weighted_raise": "checks",
+    "check_half_order_closed_forms": "checks",
+    "check_negative_order_reflection": "checks",
+    "check_ode_residual": "checks",
+    "check_second_solution_scaling": "checks",
+    "check_series_vs_quadrature": "checks",
+    "check_three_term_recurrence": "checks",
+    "classical_bessel_j": "checks",
+    "half_order_suite": "checks",
+    "identity_suite": "checks",
+    "random_residual_suite": "checks",
+    "residual_suite": "checks",
+    "scaling_suite": "checks",
+    "solution_corpus": "checks",
+    "DiffConfig": "conformable",
+    "conformable_diff2_numeric": "conformable",
+    "conformable_diff_numeric": "conformable",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

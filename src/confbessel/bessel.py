@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, OrderCaseError, PoleError
 from .series import DEFAULT_TERMS, Alpha, FracSeries, LogSolution, series_scale
@@ -135,8 +135,7 @@ class OrderKind(enum.Enum):
     POSITIVE_INTEGER = "positive-integer"
 
 
-@dataclass(frozen=True)
-class BesselOrder:
+class BesselOrder(NamedTuple):
     """A real order together with its case classification.
 
     ``m`` holds the integer value when ``kind`` is POSITIVE_INTEGER and is

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bessel import (
     OrderKind,
@@ -49,6 +48,7 @@ from .series import (
     conformable_diff_exact,
     eval_log_solution,
     eval_series,
+    linspace,
     series_rebase,
     series_scale,
     series_shift,
@@ -78,19 +78,6 @@ __all__ = [
 ]
 
 
-def linspace(start: float, stop: float, num: int) -> list[float]:
-    """``num`` evenly spaced floats from ``start`` to ``stop`` inclusive.
-
-    The formula of ``numpy.linspace``, so the points agree with it bit for
-    bit: ``i*step + start`` with ``step = (stop - start)/(num - 1)``, and
-    ``stop`` itself as the last point.
-    """
-    if num == 1:
-        return [start]
-    step = (stop - start) / (num - 1)
-    return [i * step + start for i in range(num - 1)] + [stop]
-
-
 # Default verification grids.  Fixed and deterministic: the suites must
 # produce identical reports on every run.
 IDENTITY_ORDERS = (1, 2, 3)
@@ -114,8 +101,7 @@ SCALING_TOL = 1e-10
 N_COEFF_COMPARE = 30
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one named check over a sample grid."""
 
     check_name: str

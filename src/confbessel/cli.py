@@ -17,15 +17,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, TextIO
 
-from . import checks
 from .bessel import (
     OrderKind,
     bessel_j_neg_integer_series,
@@ -43,7 +40,11 @@ from .series import (
     LogSolution,
     eval_log_solution,
     eval_series,
+    linspace,
 )
+
+if TYPE_CHECKING:
+    from .checks import CheckReport
 
 __all__ = ["CliConfig", "main", "console_entry", "build_solution", "parse_range"]
 
@@ -63,11 +64,10 @@ MAX_POINTS = 100_000
 
 
 class UsageError(Exception):
-    """Bad flag combination or malformed value; maps to exit code 2."""
+    """Bad flag combination, malformed value or failed output; exit code 2."""
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(NamedTuple):
     """Resolved invocation: parsed flags with per-command defaults filled in.
 
     ``family`` is None for a ``check`` run over the default corpus; a
@@ -155,16 +155,32 @@ def _evaluate(solution: FracSeries | LogSolution, x: float) -> EvalResult:
 
 @contextlib.contextmanager
 def _output(path: str | None) -> Iterator[TextIO]:
-    """stdout, or the file at ``path``, closed on the way out."""
+    """stdout, flushed on the way out, or the file at ``path``, closed.
+
+    A failed write, flush or close becomes a UsageError.  On a broken
+    stdout pipe, stdout is pointed at the null device so the interpreter's
+    final flush does not fail a second time.
+    """
     if path is None:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            if isinstance(exc, BrokenPipeError):
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            raise UsageError(f"cannot write to stdout: {exc}") from exc
         return
     try:
         out = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise UsageError(f"cannot open output path {path!r}: {exc}") from exc
-    with out:
-        yield out
+    try:
+        with out:
+            yield out
+    except OSError as exc:
+        raise UsageError(f"cannot write output path {path!r}: {exc}") from exc
 
 
 def _emit_rows(rows: list[dict], fmt: str, out: TextIO) -> None:
@@ -213,7 +229,7 @@ def run_eval(cfg: CliConfig) -> int:
 
 def run_table(cfg: CliConfig) -> int:
     if cfg.range_spec is not None:
-        xs = checks.linspace(*cfg.range_spec)
+        xs = linspace(*cfg.range_spec)
     elif cfg.x is not None:
         xs = [cfg.x]
     else:
@@ -225,7 +241,7 @@ def run_table(cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _plain_report_lines(reports: list[checks.CheckReport],
+def _plain_report_lines(reports: list[CheckReport],
                         color: bool) -> list[str]:
     lines = []
     for r in reports:
@@ -241,7 +257,9 @@ def _plain_report_lines(reports: list[checks.CheckReport],
     return lines
 
 
-def _collect_reports(cfg: CliConfig) -> list[checks.CheckReport]:
+def _collect_reports(cfg: CliConfig) -> list[CheckReport]:
+    from . import checks  # loaded only by the check command
+
     if cfg.family is not None:
         if cfg.check_name != "residual":
             raise UsageError(
@@ -250,7 +268,7 @@ def _collect_reports(cfg: CliConfig) -> list[checks.CheckReport]:
         solution = build_solution(cfg.family, cfg.order, cfg.alpha, cfg.terms)
         log = isinstance(solution, LogSolution)
         if cfg.range_spec is not None:
-            xs = checks.linspace(*cfg.range_spec)
+            xs = linspace(*cfg.range_spec)
         elif cfg.x is not None:
             xs = [cfg.x]
         else:
@@ -285,7 +303,7 @@ def run_check(cfg: CliConfig) -> int:
     with _output(cfg.output_path) as out:
         if cfg.format == "json":
             for r in reports:
-                out.write(json.dumps(dataclasses.asdict(r)) + "\n")
+                out.write(json.dumps(r._asdict()) + "\n")
         elif cfg.format == "csv":
             out.write(REPORT_CSV_HEADER + "\n")
             for r in reports:

@@ -10,17 +10,15 @@ the two must agree on every constructed solution, and they share no code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, EvaluationError
-from .series import Alpha
+from .series import Alpha, ImmutableValue
 
 __all__ = ["DiffConfig", "conformable_diff_numeric", "conformable_diff2_numeric"]
 
 
-@dataclass(frozen=True)
-class DiffConfig:
+class DiffConfig(ImmutableValue):
     """Finite-difference settings for the numeric operator.
 
     ``step_scale`` is relative: the actual step is ``step_scale * max(x, 1)``.
@@ -28,13 +26,13 @@ class DiffConfig:
     against double-precision rounding for smooth functions.
     """
 
-    alpha: Alpha
-    step_scale: float = 1e-6
+    _fields = ("alpha", "step_scale")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Alpha.of(self.alpha))
-        if not (math.isfinite(self.step_scale) and self.step_scale > 0.0):
-            raise ValueError(f"step_scale must be positive, got {self.step_scale!r}")
+    def __init__(self, alpha: Alpha | float, step_scale: float = 1e-6):
+        alpha = Alpha.of(alpha)
+        if not (math.isfinite(step_scale) and step_scale > 0.0):
+            raise ValueError(f"step_scale must be positive, got {step_scale!r}")
+        self.__dict__.update(alpha=alpha, step_scale=step_scale)
 
 
 def _central_difference(f: Callable[[float], float], x: float, h: float) -> float:

@@ -24,8 +24,8 @@ decay sets in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import length_hint
+from typing import NamedTuple
 
 from .errors import AlignmentError, DomainError
 
@@ -42,6 +42,7 @@ __all__ = [
     "conformable_diff_exact",
     "eval_series",
     "eval_log_solution",
+    "linspace",
 ]
 
 #: Tolerance for treating two exponent offsets as equal.  Offsets come from
@@ -57,19 +58,53 @@ STOP_REL = 1e-18
 DEFAULT_TERMS = 60
 
 
-@dataclass(frozen=True)
-class Alpha:
+class ImmutableValue:
+    """Base of the validated values: fields fixed at construction.
+
+    A subclass lists its fields in ``_fields`` and stores them in
+    ``__init__`` through ``self.__dict__``; assignment and deletion raise
+    ``AttributeError``.  Equality and hash compare the field tuple of two
+    values of the same class, and the repr is ``Name(field=value, ...)``.
+    There are no ``__slots__``: the benchmark's span recorder reads
+    ``vars()`` of a series.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Alpha(ImmutableValue):
     """Derivative order, restricted to the interval (0, 1]."""
 
-    value: float
+    _fields = ("value",)
 
-    def __post_init__(self):
-        v = self.value
-        if not (isinstance(v, (int, float)) and math.isfinite(v)):
-            raise DomainError(f"alpha must be a finite real number, got {v!r}")
-        if not 0.0 < v <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {v}")
-        object.__setattr__(self, "value", float(v))
+    def __init__(self, value: float):
+        if not (isinstance(value, (int, float)) and math.isfinite(value)):
+            raise DomainError(
+                f"alpha must be a finite real number, got {value!r}")
+        if not 0.0 < value <= 1.0:
+            raise DomainError(f"alpha must lie in (0, 1], got {value}")
+        self.__dict__.update(value=float(value))
 
     @classmethod
     def of(cls, a: "Alpha | float") -> "Alpha":
@@ -77,26 +112,23 @@ class Alpha:
         return a if isinstance(a, cls) else cls(float(a))
 
 
-@dataclass(frozen=True)
-class FracSeries:
+class FracSeries(ImmutableValue):
     """Truncated series ``sum(c_n * x**((n + offset) * alpha))``."""
 
-    alpha: Alpha
-    offset: float
-    coeffs: tuple[float, ...]
+    _fields = ("alpha", "offset", "coeffs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", Alpha.of(self.alpha))
-        if not math.isfinite(self.offset):
-            raise ValueError(f"offset must be finite, got {self.offset!r}")
-        object.__setattr__(self, "offset", float(self.offset))
-        coeffs = tuple(map(float, self.coeffs))
+    def __init__(self, alpha: Alpha | float, offset: float,
+                 coeffs: tuple[float, ...]):
+        alpha = Alpha.of(alpha)
+        if not math.isfinite(offset):
+            raise ValueError(f"offset must be finite, got {offset!r}")
+        coeffs = tuple(map(float, coeffs))
         if not coeffs:
             raise ValueError("coefficient list must be non-empty")
         if not all(map(math.isfinite, coeffs)):
             bad = next(c for c in coeffs if not math.isfinite(c))
             raise ValueError(f"non-finite coefficient {bad!r}")
-        object.__setattr__(self, "coeffs", coeffs)
+        self.__dict__.update(alpha=alpha, offset=float(offset), coeffs=coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -117,24 +149,22 @@ class FracSeries:
         return (n + self.offset) * self.alpha.value
 
 
-@dataclass(frozen=True)
-class LogSolution:
+class LogSolution(ImmutableValue):
     """Solution of the form ``log_part(x) * ln(x) + plain_part(x)``, x > 0."""
 
-    log_part: FracSeries
-    plain_part: FracSeries
+    _fields = ("log_part", "plain_part")
 
-    def __post_init__(self):
-        da = abs(self.log_part.alpha.value - self.plain_part.alpha.value)
+    def __init__(self, log_part: FracSeries, plain_part: FracSeries):
+        da = abs(log_part.alpha.value - plain_part.alpha.value)
         if da > OFFSET_TOL:
             raise AlignmentError(
                 "log_part and plain_part must share the same alpha "
-                f"({self.log_part.alpha.value} vs {self.plain_part.alpha.value})"
+                f"({log_part.alpha.value} vs {plain_part.alpha.value})"
             )
+        self.__dict__.update(log_part=log_part, plain_part=plain_part)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Evaluated value with truncation bookkeeping.
 
     ``tail_estimate`` is the magnitude of the last nonzero term that entered
@@ -145,6 +175,19 @@ class EvalResult:
     value: float
     terms_used: int
     tail_estimate: float
+
+
+def linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num`` evenly spaced floats from ``start`` to ``stop`` inclusive.
+
+    The formula of ``numpy.linspace``, so the points agree with it bit for
+    bit: ``i*step + start`` with ``step = (stop - start)/(num - 1)``, and
+    ``stop`` itself as the last point.
+    """
+    if num == 1:
+        return [start]
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
 
 
 def _check_combinable(a: FracSeries, b: FracSeries) -> None:

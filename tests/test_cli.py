@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -311,6 +312,40 @@ class TestExitCodeMatrix:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestWriteErrors:
+    """A failed write is exit 2 with one error line, never a traceback."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="host has no /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--x", "2"],
+        ["table", "--range", "1:2:5", "--format", "json"],
+        ["check", "--name", "residual", "--family", "J"],
+    ])
+    def test_full_device_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", "/dev/full")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("confbessel: error: cannot write output path "
+                              "'/dev/full': ")
+        assert err.count("\n") == 1
+
+    def test_reader_closing_the_pipe_early_exits_two(self):
+        # as in `confbessel table ... | head -1`: the output is far larger
+        # than a pipe buffer, so the child is still writing when the pipe
+        # closes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "confbessel", "table",
+             "--range", "1:2:100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline() == CSV_HEADER + "\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_USAGE
+        assert err.startswith("confbessel: error: cannot write to stdout: ")
+        assert err.count("\n") == 1
 
 
 class TestConsoleScript:

@@ -1,8 +1,11 @@
-"""The cold path: ``import confbessel`` and the CLI must not load numpy.
+"""The cold path: ``import confbessel`` and the CLI load only what they run.
 
 Only the quadrature oracle (``checks.classical_bessel_j``) uses numpy, and it
-imports it on first call.  Each case runs in a fresh interpreter, because
-the test process itself has long since imported numpy.
+imports it on first call.  The check suites (``confbessel.checks``) and the
+numeric operator (``confbessel.conformable``) load on first use of one of
+their names, and the package never imports ``dataclasses``.  Each case runs
+in a fresh interpreter, because the test process itself has long since
+imported all of them.
 """
 
 import json
@@ -17,37 +20,88 @@ import confbessel
 
 PACKAGE_ROOT = Path(confbessel.__file__).resolve().parent.parent
 
+WATCHED = ("numpy", "confbessel.checks", "confbessel.conformable",
+           "dataclasses")
+
 PROBE = """
 import json, sys
 import confbessel
 from confbessel import cli
 argv = json.loads(sys.argv[1])
 code = cli.main(argv) if argv else 0
-print(json.dumps({"code": code, "numpy": "numpy" in sys.modules}),
-      file=sys.stderr)
+loaded = {name: name in sys.modules for name in json.loads(sys.argv[2])}
+print(json.dumps({"code": code, **loaded}), file=sys.stderr)
 """
 
 
-def run_cold(argv):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE_ROOT), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
+
+
+def run_cold(argv):
+    proc = run_python("-c", PROBE, json.dumps(argv), json.dumps(WATCHED))
     return json.loads(proc.stderr.splitlines()[-1])
 
 
-@pytest.mark.parametrize("argv", [
-    [],
-    ["eval", "--family", "J", "--order", "0.5", "--alpha", "0.5", "--x", "4"],
-    ["table", "--family", "Jneg", "--order", "2.5", "--alpha", "0.7",
-     "--range", "0.5:4:25"],
-    ["check", "--name", "residual", "--family", "J"],
-], ids=["import", "eval", "table", "check-residual"])
-def test_cold_path_leaves_numpy_unloaded(argv):
-    assert run_cold(argv) == {"code": 0, "numpy": False}
+def loaded(*names):
+    return {name: name in names for name in WATCHED}
+
+
+@pytest.mark.parametrize("argv, code, modules", [
+    ([], 0, ()),
+    (["eval", "--family", "J", "--order", "0.5", "--alpha", "0.5", "--x", "4"],
+     0, ()),
+    (["table", "--family", "Jneg", "--order", "2.5", "--alpha", "0.7",
+      "--range", "0.5:4:25"], 0, ()),
+    (["check", "--name", "residual", "--family", "J"], 0,
+     ("confbessel.checks",)),
+    (["eval", "--alpha", "1.5", "--x", "1"], 2, ()),
+    (["table", "--range", "1:2"], 2, ()),
+], ids=["import", "eval", "table", "check-residual", "malformed-eval",
+        "malformed-table"])
+def test_cold_path_leaves_numpy_unloaded(argv, code, modules):
+    """eval, table and usage errors load no check code and no dataclasses;
+    the residual check loads the suites but neither numpy nor dataclasses."""
+    assert run_cold(argv) == {"code": code, **loaded(*modules)}
 
 
 def test_check_all_still_reaches_the_oracle():
-    assert run_cold(["check", "--name", "all"]) == {"code": 0, "numpy": True}
+    assert run_cold(["check", "--name", "all"]) \
+        == {"code": 0, **loaded("numpy", "confbessel.checks")}
+
+
+def test_every_public_name_resolves_to_its_submodule_object():
+    probe = """
+import sys
+import confbessel
+missing = []
+for name in confbessel.__all__:
+    value = getattr(confbessel, name)
+    home = sys.modules[getattr(value, "__module__", "confbessel")]
+    if getattr(home, name) is not value:
+        missing.append(name)
+print(missing)
+"""
+    assert run_python("-c", probe).stdout == "[]\n"
+
+
+def test_star_import_binds_every_public_name():
+    probe = """
+import confbessel
+from confbessel import *
+print(sorted(n for n in confbessel.__all__ if n not in globals()))
+"""
+    assert run_python("-c", probe).stdout == "[]\n"
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        confbessel.no_such_name
+    assert str(info.value) == \
+        "module 'confbessel' has no attribute 'no_such_name'"

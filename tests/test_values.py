@@ -1,0 +1,122 @@
+"""The package's value types: equality, hashing, repr, field order, immutability.
+
+The validated values (``Alpha``, ``FracSeries``, ``LogSolution``,
+``DiffConfig``) are plain classes on one immutable base; the plain records
+(``EvalResult``, ``BesselOrder``, ``CheckReport``, ``CliConfig``) are named
+tuples.  Both kinds keep the repr text, hash and field order the package's
+earlier frozen records had, and both reject assignment.
+"""
+
+import pytest
+
+from confbessel import (
+    Alpha,
+    BesselOrder,
+    CheckReport,
+    DiffConfig,
+    EvalResult,
+    FracSeries,
+    LogSolution,
+    OrderKind,
+)
+from confbessel.cli import CliConfig
+
+
+def _log_solution(scale=2.0):
+    return LogSolution(FracSeries(1.0, 0.0, (1.0,)),
+                       FracSeries(1.0, 1.0, (0.0, scale)))
+
+
+# (build, a different value of the same class, exact repr, field names)
+CASES = {
+    "Alpha": (
+        lambda: Alpha(0.5), lambda: Alpha(0.25),
+        "Alpha(value=0.5)", ("value",)),
+    "FracSeries": (
+        lambda: FracSeries(0.5, 1.0, (1, -0.25)),
+        lambda: FracSeries(0.5, 1.0, (1, -0.5)),
+        "FracSeries(alpha=Alpha(value=0.5), offset=1.0, coeffs=(1.0, -0.25))",
+        ("alpha", "offset", "coeffs")),
+    "LogSolution": (
+        _log_solution, lambda: _log_solution(3.0),
+        "LogSolution(log_part=FracSeries(alpha=Alpha(value=1.0), offset=0.0, "
+        "coeffs=(1.0,)), plain_part=FracSeries(alpha=Alpha(value=1.0), "
+        "offset=1.0, coeffs=(0.0, 2.0)))",
+        ("log_part", "plain_part")),
+    "DiffConfig": (
+        lambda: DiffConfig(0.75), lambda: DiffConfig(0.75, 1e-4),
+        "DiffConfig(alpha=Alpha(value=0.75), step_scale=1e-06)",
+        ("alpha", "step_scale")),
+    "EvalResult": (
+        lambda: EvalResult(1.5, 3, 2e-17), lambda: EvalResult(1.5, 4, 2e-17),
+        "EvalResult(value=1.5, terms_used=3, tail_estimate=2e-17)",
+        ("value", "terms_used", "tail_estimate")),
+    "BesselOrder": (
+        lambda: BesselOrder(0.5, OrderKind.HALF_ODD_INTEGER),
+        lambda: BesselOrder(2.0, OrderKind.POSITIVE_INTEGER, 2),
+        "BesselOrder(p=0.5, kind=<OrderKind.HALF_ODD_INTEGER: "
+        "'half-odd-integer'>, m=None)",
+        ("p", "kind", "m")),
+    "CheckReport": (
+        lambda: CheckReport("residual[J]", ((0.0, 1.0, 0.5),), 1e-12, 2e-12,
+                            1e-08, "rel", True),
+        lambda: CheckReport("residual[J]", ((0.0, 1.0, 0.5),), 1e-12, 2e-12,
+                            1e-08, "rel", False),
+        "CheckReport(check_name='residual[J]', grid=((0.0, 1.0, 0.5),), "
+        "max_abs_err=1e-12, max_rel_err=2e-12, tolerance=1e-08, mode='rel', "
+        "passed=True)",
+        ("check_name", "grid", "max_abs_err", "max_rel_err", "tolerance",
+         "mode", "passed")),
+    "CliConfig": (
+        lambda: CliConfig("eval", x=2.0), lambda: CliConfig("eval", x=3.0),
+        "CliConfig(command='eval', family='J', order=0.0, alpha=1.0, x=2.0, "
+        "range_spec=None, terms=60, format='plain', tolerance=None, "
+        "output_path=None, check_name='all')",
+        ("command", "family", "order", "alpha", "x", "range_spec", "terms",
+         "format", "tolerance", "output_path", "check_name")),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    return CASES[request.param]
+
+
+def test_equality_and_hash(case):
+    build, other, _, fields = case
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert hash(a) == hash(tuple(getattr(a, f) for f in fields))
+    assert a != other()
+    assert a != object()
+
+
+def test_repr_is_unchanged(case):
+    build, _, text, _ = case
+    assert repr(build()) == text
+
+
+def test_field_order(case):
+    build, _, _, fields = case
+    assert type(build())._fields == fields
+
+
+def test_assignment_raises(case):
+    build, _, _, fields = case
+    value = build()
+    for name in (fields[0], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1.0)
+    with pytest.raises(AttributeError):
+        delattr(value, fields[0])
+    assert repr(value) == case[2]
+
+
+def test_keyword_construction_matches_positional():
+    assert FracSeries(alpha=0.5, offset=1.0, coeffs=(1.0,)) \
+        == FracSeries(0.5, 1.0, (1.0,))
+    assert Alpha(value=0.5) == Alpha(0.5)
+    assert DiffConfig(alpha=0.5, step_scale=1e-6) == DiffConfig(0.5)
+
