@@ -7,6 +7,7 @@ representation J_n(z) = (1/pi) * integral of cos(n t - z sin t) over
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,8 @@ from confbessel import (
     second_solution_integer_order,
     second_solution_order_zero,
 )
-from confbessel.checks import LOG_RESIDUAL_X, RESIDUAL_X, SCALING_X, linspace
+from confbessel.checks import (LOG_RESIDUAL_X, ORACLE_MAX_ARG, RESIDUAL_X,
+                               SCALING_X, linspace)
 from confbessel.errors import DomainError
 
 # frozen quadrature-oracle values
@@ -79,6 +81,46 @@ class TestOracle:
             classical_bessel_j(-1, 1.0)
         with pytest.raises(ValueError):
             classical_bessel_j(0, -1.0)
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_z(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            classical_bessel_j(0, z)
+
+    @pytest.mark.parametrize("n, z", [(0, ORACLE_MAX_ARG + 1.0),
+                                      (10, ORACLE_MAX_ARG - 5.0),
+                                      (int(ORACLE_MAX_ARG) + 1, 0.0)])
+    def test_rejects_work_beyond_the_cap(self, n, z):
+        # the panel count grows with z + n, so the cap bounds one call's work
+        with pytest.raises(ValueError, match="z \\+ n"):
+            classical_bessel_j(n, z)
+
+    @pytest.mark.parametrize("panels", [0, -3, 2.5])
+    def test_rejects_bad_panel_override(self, panels):
+        with pytest.raises(ValueError, match="panels"):
+            classical_bessel_j(0, 1.0, panels=panels)
+
+    def test_accepts_the_cap(self):
+        assert abs(classical_bessel_j(0, ORACLE_MAX_ARG)) < 0.01
+
+    def test_large_argument_is_accurate(self):
+        # 512 fixed panels gave 0.026379 here
+        with mpmath.workdps(30):
+            ref = float(mpmath.besselj(0, 1000))
+        assert abs(classical_bessel_j(0, 1000.0) - ref) <= 1e-14
+
+    @pytest.mark.parametrize("orders, zs, bound", [
+        (range(6), [20.0 * i / 64 for i in range(1, 65)], 1e-15),
+        ((0, 7, 19, 33, 60), (25.0, 61.5, 100.0, 177.7, 250.0, 300.0), 1e-14),
+    ], ids=["small-z", "large-z"])
+    def test_matches_mpmath(self, orders, zs, bound):
+        worst = 0.0
+        with mpmath.workdps(30):
+            for n in orders:
+                for z in zs:
+                    ref = float(mpmath.besselj(n, z))
+                    worst = max(worst, abs(classical_bessel_j(n, z) - ref))
+        assert worst <= bound
 
 
 class TestReportInvariants:

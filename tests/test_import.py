@@ -1,9 +1,10 @@
 """The cold path: ``import confbessel`` and the CLI load only what they run.
 
-Only the quadrature oracle (``checks.classical_bessel_j``) uses numpy, and it
-imports it on first call.  The check suites (``confbessel.checks``) and the
-numeric operator (``confbessel.conformable``) load on first use of one of
-their names, and the package never imports ``dataclasses``.  Each case runs
+No path loads numpy: the package needs only the standard library, and
+even the quadrature oracle (``checks.classical_bessel_j``) is plain
+``math``.  The check suites (``confbessel.checks``) and the numeric operator
+(``confbessel.conformable``) load on first use of one of their names, and
+the package never imports ``dataclasses``.  Each case runs
 in a fresh interpreter, because the test process itself has long since
 imported all of them.
 """
@@ -72,8 +73,21 @@ def test_cold_path_leaves_numpy_unloaded(argv, code, modules):
 
 
 def test_check_all_still_reaches_the_oracle():
-    assert run_cold(["check", "--name", "all"]) \
-        == {"code": 0, **loaded("numpy", "confbessel.checks")}
+    """The suites that run the quadrature oracle load no numpy."""
+    for name in ("all", "scaling"):
+        assert run_cold(["check", "--name", name]) \
+            == {"code": 0, **loaded("confbessel.checks")}
+
+
+def test_all_suites_leaves_numpy_unloaded():
+    probe = """
+import sys
+import confbessel
+reports = confbessel.all_suites()
+print(len(reports), all(r.passed for r in reports), "numpy" in sys.modules)
+"""
+    count, passed, numpy_loaded = run_python("-c", probe).stdout.split()
+    assert (int(count) > 0, passed, numpy_loaded) == (True, "True", "False")
 
 
 def test_every_public_name_resolves_to_its_submodule_object():
