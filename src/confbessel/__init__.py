@@ -21,7 +21,6 @@ from .series import (
     series_rebase,
     series_scale,
     series_shift,
-    series_trim,
 )
 from .bessel import (
     BesselOrder,
@@ -127,6 +126,5 @@ __all__ = [
     "series_rebase",
     "series_scale",
     "series_shift",
-    "series_trim",
     "__version__",
 ]

@@ -18,7 +18,9 @@ differentiation exact on this representation.  Numerical evaluation goes
 through the one summation kernel, :func:`eval_series_kernel`, which uses
 compensated summation because the coefficient sequences of interest
 alternate in sign and pass through large intermediate terms before factorial
-decay sets in.
+decay sets in.  Every constructed family holds only even powers past its
+leading exponent, so the kernel sums such a series over its even slots
+alone, with the same roundings in the same order.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "series_add",
     "series_scale",
     "series_shift",
-    "series_trim",
     "series_rebase",
     "conformable_diff_exact",
     "eval_series",
@@ -113,7 +114,13 @@ class Alpha(ImmutableValue):
 
 
 class FracSeries(ImmutableValue):
-    """Truncated series ``sum(c_n * x**((n + offset) * alpha))``."""
+    """Truncated series ``sum(c_n * x**((n + offset) * alpha))``.
+
+    Besides its fields a series records ``_evens``, derived once here: the
+    even slots ``coeffs[::2]`` when every odd slot is zero, else ``None``.
+    The kernel then walks only those slots.  It is not a field, so equality,
+    hash and repr ignore it.
+    """
 
     _fields = ("alpha", "offset", "coeffs")
 
@@ -128,7 +135,10 @@ class FracSeries(ImmutableValue):
         if not all(map(math.isfinite, coeffs)):
             bad = next(c for c in coeffs if not math.isfinite(c))
             raise ValueError(f"non-finite coefficient {bad!r}")
-        self.__dict__.update(alpha=alpha, offset=float(offset), coeffs=coeffs)
+        # any() is false when every odd slot is 0.0 or -0.0
+        self.__dict__.update(
+            alpha=alpha, offset=float(offset), coeffs=coeffs,
+            _evens=None if any(coeffs[1::2]) else coeffs[::2])
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -143,10 +153,6 @@ class FracSeries(ImmutableValue):
 
     def __neg__(self) -> "FracSeries":
         return series_scale(self, -1.0)
-
-    def exponent(self, n: int) -> float:
-        """Exponent of x carried by coefficient slot ``n``."""
-        return (n + self.offset) * self.alpha.value
 
 
 class LogSolution(ImmutableValue):
@@ -168,8 +174,10 @@ class EvalResult(NamedTuple):
     """Evaluated value with truncation bookkeeping.
 
     ``tail_estimate`` is the magnitude of the last nonzero term that entered
-    the sum; for alternating series with eventually decreasing terms it
-    bounds the truncation error.
+    the sum.  It estimates the truncation error only: for an alternating
+    series whose terms decrease from that term on, the omitted rest is
+    smaller.  It ignores rounding and so is no error bound (J_0 at
+    alpha = 1, x = 10: tail 1.5e-20, error against mpmath 9.8e-14).
     """
 
     value: float
@@ -237,19 +245,6 @@ def series_shift(a: FracSeries, dr: float) -> FracSeries:
     return FracSeries(a.alpha, a.offset + dr, a.coeffs)
 
 
-def series_trim(a: FracSeries) -> FracSeries:
-    """Drop trailing zero coefficients, keeping at least one slot.
-
-    The offset never changes under trimming.
-    """
-    n = len(a.coeffs)
-    while n > 1 and a.coeffs[n - 1] == 0.0:
-        n -= 1
-    if n == len(a.coeffs):
-        return a
-    return FracSeries(a.alpha, a.offset, a.coeffs[:n])
-
-
 def series_rebase(a: FracSeries, offset: float) -> FracSeries:
     """Re-represent the same function with a different offset.
 
@@ -295,7 +290,8 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
 
 
 def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
-                       stop_rel: float) -> tuple[float, int, float]:
+                       stop_rel: float,
+                       evens=None) -> tuple[float, int, float]:
     """Sum ``c_n * x**((n+offset)*alpha)`` over a coefficient tuple or list.
 
     Terms are accumulated in ascending n with Kahan-compensated summation.
@@ -307,11 +303,35 @@ def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
     coefficients consumed and ``tail`` is the magnitude of the last nonzero
     term that was added (0.0 if every coefficient was zero).  On an early
     stop the count comes from the iterator's exact remaining length.
+
+    ``evens``, if given, must be ``coeffs[::2]`` of a tuple whose odd slots
+    are all zero (``FracSeries._evens``).  A separate loop then walks only
+    those slots and steps the power as ``power * xa * xa``, which rounds
+    twice in the same order as two ``power *= xa``; the result, counted in
+    slots of ``coeffs``, is the same bit for bit.
     """
     xa = x ** alpha
     power = x ** (offset * alpha)
 
     total = carry = tail = 0.0
+    if evens is not None:
+        rest = iter(evens)
+        for c in rest:
+            if c != 0.0:
+                term = c * power
+                # Kahan step
+                yk = term - carry
+                t = total + yk
+                carry = (t - total) - yk
+                total = t
+                tail = term if term >= 0.0 else -term
+                if tail < stop_rel * (total if total >= 0.0 else -total):
+                    # slot j of ``evens`` is slot 2j of ``coeffs``
+                    used = 2 * (len(evens) - length_hint(rest)) - 1
+                    return total, used, tail
+            power = power * xa * xa
+        return total, len(coeffs), tail
+
     rest = iter(coeffs)
     for c in rest:
         if c != 0.0:
@@ -328,6 +348,15 @@ def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
     return total, len(coeffs), tail
 
 
+#: Builds an :class:`EvalResult` from a 3-tuple without the Python-level
+#: ``__new__`` that ``EvalResult(*r)`` runs: one frame less per point.
+_result = tuple.__new__
+
+#: A float x with ``0.0 < x < _INF`` needs no check; anything else goes
+#: through :func:`_checked_x`, which refuses it or converts it to float.
+_INF = math.inf
+
+
 def _checked_x(x: float) -> float:
     if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise DomainError(f"x must be a finite real number, got {x!r}")
@@ -336,14 +365,9 @@ def _checked_x(x: float) -> float:
     return float(x)
 
 
-def _sum(a: FracSeries, x: float, stop_rel: float) -> tuple[float, int, float]:
-    # a module-global lookup on every call, so a tracer can rebind the kernel
-    try:
-        return eval_series_kernel(a.coeffs, a.alpha.value, a.offset, x,
-                                  stop_rel)
-    except OverflowError:
-        raise DomainError(f"x = {x:g} is out of range: x**(offset*alpha) "
-                          "overflows a double") from None
+def _overflow(x: float) -> DomainError:
+    return DomainError(f"x = {x:g} is out of range: x**(offset*alpha) "
+                       "overflows a double")
 
 
 def eval_series(a: FracSeries, x: float, stop_rel: float = STOP_REL) -> EvalResult:
@@ -354,7 +378,15 @@ def eval_series(a: FracSeries, x: float, stop_rel: float = STOP_REL) -> EvalResu
     running total.  ``x`` is validated once and one :class:`EvalResult` is
     built per point.
     """
-    return EvalResult(*_sum(a, _checked_x(x), stop_rel))
+    if x.__class__ is not float or not 0.0 < x < _INF:
+        x = _checked_x(x)
+    # the kernel is looked up as a module global on every call, so a tracer
+    # can rebind it
+    try:
+        return _result(EvalResult, eval_series_kernel(
+            a.coeffs, a.alpha.value, a.offset, x, stop_rel, a._evens))
+    except OverflowError:
+        raise _overflow(x) from None
 
 
 def eval_log_solution(s: LogSolution, x: float,
@@ -366,9 +398,17 @@ def eval_log_solution(s: LogSolution, x: float,
     ``x`` is validated once, both parts go straight to the kernel, and one
     :class:`EvalResult` is built per point.
     """
-    x = _checked_x(x)
-    lg, lg_used, lg_tail = _sum(s.log_part, x, stop_rel)
-    pl, pl_used, pl_tail = _sum(s.plain_part, x, stop_rel)
+    if x.__class__ is not float or not 0.0 < x < _INF:
+        x = _checked_x(x)
+    lp = s.log_part
+    pp = s.plain_part
+    try:
+        lg, lg_used, lg_tail = eval_series_kernel(
+            lp.coeffs, lp.alpha.value, lp.offset, x, stop_rel, lp._evens)
+        pl, pl_used, pl_tail = eval_series_kernel(
+            pp.coeffs, pp.alpha.value, pp.offset, x, stop_rel, pp._evens)
+    except OverflowError:
+        raise _overflow(x) from None
     lnx = math.log(x)
-    return EvalResult(lg * lnx + pl, max(lg_used, pl_used),
-                      abs(lnx) * lg_tail + pl_tail)
+    return _result(EvalResult, (lg * lnx + pl, max(lg_used, pl_used),
+                                abs(lnx) * lg_tail + pl_tail))

@@ -1,5 +1,6 @@
 """Tests for the summation kernel."""
 
+import math
 import struct
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from confbessel import (
     bessel_j_neg_series,
     bessel_j_series,
+    eval_log_solution,
+    eval_series,
     kernel_backend,
     second_solution_integer_order,
     second_solution_order_zero,
@@ -138,6 +141,89 @@ class TestBitIdentity:
                 x = t ** (1.0 / alpha)
                 assert_bit_identical(part.coeffs, part.alpha.value,
                                      part.offset, x, 1e-18)
+
+
+@st.composite
+def even_parity(draw):
+    """A tuple of 1-130 slots whose odd slots are all 0.0 or -0.0."""
+    n = draw(st.integers(min_value=1, max_value=130))
+    out = [None] * n
+    out[::2] = draw(st.lists(slot, min_size=(n + 1) // 2,
+                             max_size=(n + 1) // 2))
+    out[1::2] = draw(st.lists(st.sampled_from([0.0, -0.0]),
+                              min_size=n // 2, max_size=n // 2))
+    return tuple(out)
+
+
+def log_solution_bits(sol, x):
+    """``eval_log_solution``'s result, summed by the while-loop oracle."""
+    lg, lg_used, lg_tail = while_loop_kernel(
+        sol.log_part.coeffs, sol.log_part.alpha.value, sol.log_part.offset,
+        x, 1e-18)
+    pl, pl_used, pl_tail = while_loop_kernel(
+        sol.plain_part.coeffs, sol.plain_part.alpha.value,
+        sol.plain_part.offset, x, 1e-18)
+    lnx = math.log(x)
+    return bits((lg * lnx + pl, max(lg_used, pl_used),
+                 abs(lnx) * lg_tail + pl_tail))
+
+
+class TestEvenSlots:
+    """The kernel's even-slot loop against the while-loop oracle."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        coeffs=even_parity(),
+        alpha=st.floats(min_value=0.05, max_value=1.0),
+        offset=st.floats(min_value=-3.0, max_value=3.0),
+        x=st.floats(min_value=1e-3, max_value=30.0),
+        stop_rel=st.sampled_from([0.0, 1e-18, 1e-12, 1e-6, 0.5, 1.0]),
+    )
+    @example(coeffs=(0.0,), alpha=1.0, offset=0.0, x=2.0, stop_rel=1e-18)
+    @example(coeffs=(2.5,), alpha=0.5, offset=0.5, x=3.0, stop_rel=0.0)
+    @example(coeffs=(1.0, -0.0), alpha=1.0, offset=0.0, x=0.5, stop_rel=1.0)
+    @example(coeffs=(0.0, -0.0, 0.0, 0.0), alpha=0.3, offset=-1.0, x=7.0,
+             stop_rel=1e-18)
+    # slot 2 sits on the stop test's equality (1 == 0.5 * 2) and must not
+    # stop; slot 4 stops, so terms_used is 5 of 7
+    @example(coeffs=(1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), alpha=1.0,
+             offset=0.0, x=1.0, stop_rel=0.5)
+    def test_matches_while_loop(self, coeffs, alpha, offset, x, stop_rel):
+        expected = bits(while_loop_kernel(coeffs, alpha, offset, x, stop_rel))
+        assert bits(eval_series_kernel(coeffs, alpha, offset, x, stop_rel,
+                                       coeffs[::2])) == expected
+        # the general loop, on the same tuple
+        assert bits(eval_series_kernel(coeffs, alpha, offset, x,
+                                       stop_rel)) == expected
+
+    @pytest.mark.parametrize("coeffs, used", [
+        ((1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), 5),  # early stop at slot 4
+        ((1.0, 0.0, 1.0, 0.0), 4),                  # runs out, even length
+        ((1.0, 0.0, 1.0), 3),                       # runs out, odd length
+    ])
+    def test_terms_used_counts_slots_of_the_full_tuple(self, coeffs, used):
+        result = eval_series_kernel(coeffs, 1.0, 0.0, 1.0, 0.5, coeffs[::2])
+        assert result[1] == used
+
+    @pytest.mark.parametrize("n_terms", [30, 60, 120])
+    @pytest.mark.parametrize("alpha", [0.35, 0.8, 1.0])
+    def test_families_through_the_evaluators(self, alpha, n_terms):
+        plain = [bessel_j_series(0.0, alpha, n_terms),
+                 bessel_j_series(2.5, alpha, n_terms),
+                 bessel_j_neg_series(1.5, alpha, n_terms)]
+        logs = [second_solution_order_zero(alpha, n_terms),
+                second_solution_integer_order(2, alpha, n_terms)]
+        for part in plain:
+            assert part._evens is not None
+        for t in (1e-3, 0.01, 0.5, 1.0, 3.3, 9.0, 14.5, 20.0):
+            x = t ** (1.0 / alpha)
+            for part in plain:
+                expected = bits(while_loop_kernel(
+                    part.coeffs, alpha, part.offset, x, 1e-18))
+                assert bits(eval_series(part, x)) == expected
+            for sol in logs:
+                assert bits(eval_log_solution(sol, x)) == \
+                    log_solution_bits(sol, x)
 
 
 class TestSelection:

@@ -13,6 +13,7 @@ from confbessel import (
     EvalResult,
     FracSeries,
     LogSolution,
+    bessel_j_neg_series,
     bessel_j_series,
     conformable_diff_exact,
     eval_log_solution,
@@ -23,7 +24,6 @@ from confbessel import (
     series_rebase,
     series_scale,
     series_shift,
-    series_trim,
 )
 from confbessel import series
 from confbessel.errors import AlignmentError, DomainError
@@ -50,11 +50,6 @@ class TestAlpha:
 
 
 class TestFracSeries:
-    def test_exponent_combines_offset_and_alpha(self):
-        s = S(0.5, 1.5, [1.0, 0.0, 2.0])
-        assert s.exponent(0) == pytest.approx(0.75)
-        assert s.exponent(2) == pytest.approx((2 + 1.5) * 0.5)
-
     def test_rejects_empty_and_non_finite(self):
         with pytest.raises(ValueError):
             S(1.0, 0.0, [])
@@ -82,6 +77,44 @@ class TestFracSeries:
         assert (2.0 * a).coeffs == (2.0, 4.0)
         assert (-a).coeffs == (-1.0, -2.0)
         assert (a + a).coeffs == (2.0, 4.0)
+
+
+class TestEvenSlots:
+    """``FracSeries._evens``: the even slots, kept when every odd slot is 0."""
+
+    def test_list_and_tuple_build_equal_values(self):
+        coeffs = [1.0, 0.0, -0.25, -0.0, 1 / 64]
+        a = FracSeries(0.5, 1.0, coeffs)
+        b = FracSeries(0.5, 1.0, tuple(coeffs))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert "_evens" not in repr(a)
+        assert a._evens == b._evens == (1.0, -0.25, 1 / 64)
+
+    def test_none_when_an_odd_slot_is_nonzero(self):
+        assert FracSeries(1, 0, [1, 1])._evens is None
+        j = bessel_j_series(0.0, 0.5, 10)
+        assert j._evens == j.coeffs[::2]
+        assert series_shift(j, 1)._evens is None
+
+    def test_every_family_records_its_even_slots(self):
+        parts = [bessel_j_series(2.5, 0.8, 30),
+                 bessel_j_neg_series(1.5, 0.8, 31)]
+        for sol in (second_solution_order_zero(0.8, 30),
+                    second_solution_integer_order(2, 0.8, 30)):
+            parts += [sol.log_part, sol.plain_part]
+        for part in parts:
+            assert part._evens == part.coeffs[::2]
+
+    def test_assignment_still_raises(self):
+        a = S(1.0, 0.0, [1.0, 0.0, 2.0])
+        for name in ("coeffs", "_evens"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, (3.0,))
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a._evens == (1.0, 2.0)
 
 
 class TestSeriesAdd:
@@ -151,20 +184,6 @@ class TestSeriesShift:
             lhs = eval_series(series_shift(a, dr), x).value
             rhs = x ** (dr * 0.7) * eval_series(a, x).value
             assert lhs == pytest.approx(rhs, rel=5e-15)
-
-
-class TestSeriesTrim:
-    def test_drops_trailing_zeros_only(self):
-        a = S(1.0, 0.0, [0.0, 1.0, 0.0, 0.0])
-        assert series_trim(a).coeffs == (0.0, 1.0)
-
-    def test_keeps_one_slot(self):
-        a = S(1.0, 0.0, [0.0, 0.0])
-        assert series_trim(a).coeffs == (0.0,)
-
-    def test_noop_returns_same_object(self):
-        a = S(1.0, 0.0, [1.0, 2.0])
-        assert series_trim(a) is a
 
 
 class TestSeriesRebase:
@@ -240,6 +259,34 @@ class TestEvalSeries:
         for bad in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
                 eval_series(a, bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        (0.0, "series evaluation requires x > 0, got 0.0"),
+        (-0.0, "series evaluation requires x > 0, got -0.0"),
+        (-1, "series evaluation requires x > 0, got -1"),
+        (float("nan"), "x must be a finite real number, got nan"),
+        (float("inf"), "x must be a finite real number, got inf"),
+        (float("-inf"), "x must be a finite real number, got -inf"),
+        ("2.0", "x must be a finite real number, got '2.0'"),
+        (None, "x must be a finite real number, got None"),
+    ])
+    def test_both_evaluators_refuse_bad_x_alike(self, bad, message):
+        a = S(1.0, 0.0, [1.0])
+        for evaluate, value in ((eval_series, a),
+                                (eval_log_solution, LogSolution(a, a))):
+            with pytest.raises(DomainError) as excinfo:
+                evaluate(value, bad)
+            assert str(excinfo.value) == message
+
+    def test_int_bool_and_float_subclass_x_are_converted(self):
+        class MyFloat(float):
+            pass
+
+        a = bessel_j_series(0.0, 0.5, 30)
+        sol = second_solution_order_zero(0.5, 30)
+        for x, same in ((2, 2.0), (True, 1.0), (MyFloat(2.5), 2.5)):
+            assert eval_series(a, x) == eval_series(a, same)
+            assert eval_log_solution(sol, x) == eval_log_solution(sol, same)
 
     def test_near_origin_leading_term_dominates(self):
         a = S(1.0, 0.0, [1.0, 0.0, -0.25])
@@ -376,6 +423,24 @@ class TestLogSolution:
         assert len(calls) == 2
         eval_series(sol.plain_part, 1.5)
         assert len(calls) == 3
+
+    def test_evaluators_pass_the_even_slots(self, monkeypatch):
+        # every part of a family is even-parity, so the kernel gets its
+        # even-slot record; a series with a nonzero odd slot gets None
+        calls = []
+        kernel = series.eval_series_kernel
+
+        def recording(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(series, "eval_series_kernel", recording)
+        sol = second_solution_order_zero(0.5)
+        eval_log_solution(sol, 1.5)
+        odd = series_shift(bessel_j_series(0.0, 0.5), 1)
+        eval_series(odd, 1.5)
+        assert [args[-1] for args in calls] == [
+            sol.log_part.coeffs[::2], sol.plain_part.coeffs[::2], None]
 
 
 coeff_lists = st.lists(

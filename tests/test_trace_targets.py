@@ -52,3 +52,48 @@ def test_traced_calls_record_spans():
         assert calls[layer] > 0, layer
     assert tracer.counts["checks.reports"] == len(reports)
     assert math.isfinite(plain.value) and math.isfinite(log.value)
+
+
+def test_kernel_counters_match_the_while_loop():
+    """Per-layer kernel counts stay comparable across kernel rewrites.
+
+    Over a fixed set of families and points, the tracer's
+    ``kernels.terms_summed`` and ``kernels.early_stops`` must equal the
+    totals of the frozen while-loop kernel in ``test_kernels.py``: a faster
+    loop may not change how many slots it reports.
+    """
+    from test_kernels import while_loop_kernel
+
+    spans = _load_spans()
+    from confbessel import bessel, series
+
+    plain = [bessel.bessel_j_series(0.0, 0.8, 60),
+             bessel.bessel_j_series(2.5, 0.5, 30),
+             bessel.bessel_j_neg_series(1.5, 1.0, 120)]
+    logs = [bessel.second_solution_order_zero(0.8, 60),
+            bessel.second_solution_integer_order(2, 0.5, 120)]
+    parts = plain + [p for s in logs for p in (s.log_part, s.plain_part)]
+    parts.append(series.series_shift(plain[0], 1))  # odd slots only
+    xs = (0.01, 0.7, 2.0, 9.0, 30.0)
+
+    terms = stops = 0
+    for part in parts:
+        for x in xs:
+            used = while_loop_kernel(part.coeffs, part.alpha.value,
+                                     part.offset, x, series.STOP_REL)[1]
+            terms += used
+            stops += used < len(part)
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for x in xs:
+            for s in plain + parts[-1:]:
+                series.eval_series(s, x)
+            for s in logs:
+                series.eval_log_solution(s, x)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["kernels.terms_summed"] == terms
+    assert tracer.counts["kernels.early_stops"] == stops
+    assert 0 < stops < len(parts) * len(xs)
