@@ -262,7 +262,9 @@ def second_solution_order_zero(alpha: Alpha | float,
     The log part is the order-zero first-kind series ``c_{2n}``; the plain
     part has coefficient ``-c_{2n} * H_n / alpha``, that is
     ``(1/alpha) * (-1)**(n+1) * H_n / (2**(2n) * (n!)**2)``, at exponent
-    ``2*n*alpha`` for n >= 1 and no constant term.
+    ``2*n*alpha`` for n >= 1 and no constant term.  Its largest
+    coefficient, ``1 / (4*alpha)`` at n = 1, overflows a double for alpha
+    below about 1.4e-309; that raises DomainError.
     """
     al = Alpha.of(alpha)
     log_part = bessel_j_series(0.0, al, n_terms)
@@ -272,6 +274,9 @@ def second_solution_order_zero(alpha: Alpha | float,
     for n in range(1, (n_terms + 1) // 2):
         h += 1.0 / n
         coeffs[2 * n] = -c[2 * n] * h / al.value
+    if n_terms > 2 and math.isinf(coeffs[2]):
+        raise DomainError(f"alpha = {al.value:g} is too small: the plain "
+                          "part's coefficients overflow a double")
     return LogSolution(log_part, FracSeries(al, 0.0, tuple(coeffs)))
 
 

@@ -137,7 +137,7 @@ def _report(name: str, grid: Sequence[tuple[float, float, float]],
         max_rel_err=float(max_rel),
         tolerance=float(tolerance),
         mode=mode,
-        passed=bool(gauge <= tolerance),
+        passed=bool(math.isfinite(gauge) and gauge <= tolerance),
     )
 
 
@@ -148,7 +148,8 @@ def _pointwise(name: str, rows: Sequence[tuple[float, float, float]],
 
     The absolute column is the worst ``|diff|``, the relative column the
     worst ``|diff| / (1 + |ref|)``.  A NaN deviation counts as infinite in
-    both columns, so it fails in either mode (``max`` would drop it).
+    both columns, so it fails in either mode and at any tolerance (``max``
+    would drop it).
     """
     max_abs = 0.0
     max_rel = 0.0
@@ -260,10 +261,14 @@ def _series_lhs_operator(s: FracSeries, p: float) -> Callable[[float], float]:
 
 def check_ode_residual(p: float, alpha: Alpha | float,
                        solution: FracSeries | LogSolution,
-                       grid: Iterable[float],
-                       tolerance: float = RESIDUAL_TOL,
+                       grid: Iterable[float] | None = None,
+                       tolerance: float | None = None,
                        name: str | None = None) -> CheckReport:
     """Residual of the Bessel equation, relative to ``1 + |y(x)|``.
+
+    ``grid`` and ``tolerance`` default to ``RESIDUAL_X`` and
+    ``RESIDUAL_TOL`` for a plain series, and to ``LOG_RESIDUAL_X`` and
+    ``LOG_RESIDUAL_TOL`` for a logarithmic solution.
 
     Plain series go straight through exact differentiation.  For a
     logarithmic solution ``u ln x + v`` the operator expands to
@@ -271,9 +276,14 @@ def check_ode_residual(p: float, alpha: Alpha | float,
     the conformable operator is ``x**-alpha``, and the cross terms collapse
     to the single middle piece), so each ingredient is again a series.
     """
+    log = isinstance(solution, LogSolution)
+    if grid is None:
+        grid = LOG_RESIDUAL_X if log else RESIDUAL_X
+    if tolerance is None:
+        tolerance = LOG_RESIDUAL_TOL if log else RESIDUAL_TOL
     al, rows = _rows(p, alpha, grid)
 
-    if not isinstance(solution, LogSolution):
+    if not log:
         lhs = _series_lhs_operator(solution, p)
 
         def deviation(p, a, x):
@@ -295,8 +305,8 @@ def check_ode_residual(p: float, alpha: Alpha | float,
 
 def check_derivative_weighted_lower(p: int, alpha: Alpha | float,
                                     grid: Iterable[float],
-                                    tolerance: float = COEFF_TOL,
-                                    n_terms: int = 60) -> CheckReport:
+                                    tolerance: float = COEFF_TOL
+                                    ) -> CheckReport:
     """T(x**(p*alpha) * J_p) equals alpha * x**(p*alpha) * J_{p-1}.
 
     Integer p >= 1.  Coefficient-wise gate; the report's absolute column
@@ -304,8 +314,8 @@ def check_derivative_weighted_lower(p: int, alpha: Alpha | float,
     """
     _require_integer(p, 1, "weighted lowering identity")
     al, rows = _rows(p, alpha, grid)
-    lhs = conformable_diff_exact(series_shift(bessel_j_series(p, al, n_terms), p))
-    rhs = series_scale(series_shift(bessel_j_series(p - 1, al, n_terms), p),
+    lhs = conformable_diff_exact(series_shift(bessel_j_series(p, al), p))
+    rhs = series_scale(series_shift(bessel_j_series(p - 1, al), p),
                        al.value)
     return _coefficientwise(
         f"derivative-weighted-lower[p={p} alpha={al.value:g}]",
@@ -314,8 +324,8 @@ def check_derivative_weighted_lower(p: int, alpha: Alpha | float,
 
 def check_derivative_weighted_raise(p: int, alpha: Alpha | float,
                                     grid: Iterable[float],
-                                    tolerance: float = COEFF_TOL,
-                                    n_terms: int = 60) -> CheckReport:
+                                    tolerance: float = COEFF_TOL
+                                    ) -> CheckReport:
     """T(x**(-p*alpha) * J_p) equals -alpha * x**(-p*alpha) * J_{p+1}.
 
     Integer p >= 0; the weight cancels the offset, so at p = 0 this is the
@@ -323,8 +333,8 @@ def check_derivative_weighted_raise(p: int, alpha: Alpha | float,
     """
     _require_integer(p, 0, "weighted raising identity")
     al, rows = _rows(p, alpha, grid)
-    lhs = conformable_diff_exact(series_shift(bessel_j_series(p, al, n_terms), -p))
-    rhs = series_scale(series_shift(bessel_j_series(p + 1, al, n_terms), -float(p)),
+    lhs = conformable_diff_exact(series_shift(bessel_j_series(p, al), -p))
+    rhs = series_scale(series_shift(bessel_j_series(p + 1, al), -float(p)),
                        -al.value)
     return _coefficientwise(
         f"derivative-weighted-raise[p={p} alpha={al.value:g}]",
@@ -333,8 +343,7 @@ def check_derivative_weighted_raise(p: int, alpha: Alpha | float,
 
 def check_derivative_lower(p: int, alpha: Alpha | float,
                            grid: Iterable[float],
-                           tolerance: float = POINT_TOL,
-                           n_terms: int = 60) -> CheckReport:
+                           tolerance: float = POINT_TOL) -> CheckReport:
     """T(J_p) equals alpha*J_{p-1} - (alpha*p/x**alpha)*J_p, pointwise.
 
     The x**-alpha weight makes this a pointwise identity, not an aligned
@@ -342,8 +351,8 @@ def check_derivative_lower(p: int, alpha: Alpha | float,
     """
     _require_integer(p, 1, "lowering identity")
     al, rows = _rows(p, alpha, grid)
-    jp = bessel_j_series(p, al, n_terms)
-    jm = bessel_j_series(p - 1, al, n_terms)
+    jp = bessel_j_series(p, al)
+    jm = bessel_j_series(p - 1, al)
     djp = conformable_diff_exact(jp)
 
     def deviation(p, a, x):
@@ -358,13 +367,12 @@ def check_derivative_lower(p: int, alpha: Alpha | float,
 
 def check_derivative_raise(p: int, alpha: Alpha | float,
                            grid: Iterable[float],
-                           tolerance: float = POINT_TOL,
-                           n_terms: int = 60) -> CheckReport:
+                           tolerance: float = POINT_TOL) -> CheckReport:
     """T(J_p) equals (alpha*p/x**alpha)*J_p - alpha*J_{p+1}, pointwise."""
     _require_integer(p, 0, "raising identity")
     al, rows = _rows(p, alpha, grid)
-    jp = bessel_j_series(p, al, n_terms)
-    jn = bessel_j_series(p + 1, al, n_terms)
+    jp = bessel_j_series(p, al)
+    jn = bessel_j_series(p + 1, al)
     djp = conformable_diff_exact(jp)
 
     def deviation(p, a, x):
@@ -379,14 +387,14 @@ def check_derivative_raise(p: int, alpha: Alpha | float,
 
 def check_three_term_recurrence(p: int, alpha: Alpha | float,
                                 grid: Iterable[float],
-                                tolerance: float = POINT_TOL,
-                                n_terms: int = 60) -> CheckReport:
+                                tolerance: float = POINT_TOL
+                                ) -> CheckReport:
     """J_{p+1} equals (2p/x**alpha)*J_p - J_{p-1}, pointwise, integer p >= 1."""
     _require_integer(p, 1, "three-term recurrence")
     al, rows = _rows(p, alpha, grid)
-    jm = bessel_j_series(p - 1, al, n_terms)
-    jp = bessel_j_series(p, al, n_terms)
-    jn = bessel_j_series(p + 1, al, n_terms)
+    jm = bessel_j_series(p - 1, al)
+    jp = bessel_j_series(p, al)
+    jn = bessel_j_series(p + 1, al)
 
     def deviation(p, a, x):
         lhs = eval_series(jn, x).value
@@ -400,14 +408,14 @@ def check_three_term_recurrence(p: int, alpha: Alpha | float,
 
 def check_negative_order_reflection(m: int, alpha: Alpha | float,
                                     grid: Iterable[float] = (1.0,),
-                                    tolerance: float = COEFF_TOL,
-                                    n_terms: int = 60) -> CheckReport:
+                                    tolerance: float = COEFF_TOL
+                                    ) -> CheckReport:
     """Order -m equals (-1)**m times order m, coefficient for coefficient."""
     _require_integer(m, 0, "reflection check")
     al, rows = _rows(m, alpha, grid)
-    lhs = bessel_j_neg_integer_series(m, al, n_terms)
+    lhs = bessel_j_neg_integer_series(m, al)
     sign = -1.0 if m % 2 else 1.0
-    rhs = series_scale(bessel_j_series(m, al, n_terms), sign)
+    rhs = series_scale(bessel_j_series(m, al), sign)
     return _coefficientwise(
         f"negative-order-reflection[m={m} alpha={al.value:g}]",
         rows, lhs, rhs, tolerance)
@@ -415,16 +423,16 @@ def check_negative_order_reflection(m: int, alpha: Alpha | float,
 
 def check_half_order_closed_forms(alpha: Alpha | float,
                                   grid: Iterable[float],
-                                  tolerance: float = HALF_ORDER_TOL,
-                                  n_terms: int = 60) -> CheckReport:
+                                  tolerance: float = HALF_ORDER_TOL
+                                  ) -> CheckReport:
     """Orders +-1/2 against their sine and cosine closed forms.
 
     ``J_{1/2}(x) = sqrt(2/(pi*x**alpha)) * sin(x**alpha)`` and the order
     -1/2 function is the same envelope times cos.
     """
     al, rows = _rows(0.5, alpha, grid)
-    plus = bessel_j_series(0.5, al, n_terms)
-    minus = bessel_j_neg_series(0.5, al, n_terms)
+    plus = bessel_j_series(0.5, al)
+    minus = bessel_j_neg_series(0.5, al)
 
     def deviation(p, a, x):
         xa = x ** a
@@ -442,8 +450,8 @@ def check_half_order_closed_forms(alpha: Alpha | float,
 
 def check_series_vs_quadrature(p: int, alpha: Alpha | float,
                                grid: Iterable[float],
-                               tolerance: float = ORACLE_TOL,
-                               n_terms: int = 60) -> CheckReport:
+                               tolerance: float = ORACLE_TOL
+                               ) -> CheckReport:
     """Series evaluation against the quadrature oracle at argument x**alpha.
 
     Exercises both the series engine and the alpha-scaling structure: the
@@ -452,7 +460,7 @@ def check_series_vs_quadrature(p: int, alpha: Alpha | float,
     """
     _require_integer(p, 0, "oracle comparison")
     al, rows = _rows(p, alpha, grid)
-    series = bessel_j_series(p, al, n_terms)
+    series = bessel_j_series(p, al)
 
     def deviation(p, a, x):
         ref = classical_bessel_j(p, x ** a)
@@ -465,8 +473,8 @@ def check_series_vs_quadrature(p: int, alpha: Alpha | float,
 def check_second_solution_scaling(alpha: Alpha | float,
                                   grid: Iterable[float],
                                   m: int | None = None,
-                                  tolerance: float = SCALING_TOL,
-                                  n_terms: int = 60) -> CheckReport:
+                                  tolerance: float = SCALING_TOL
+                                  ) -> CheckReport:
     """Second solutions at alpha vs the rescaled alpha = 1 instance.
 
     The alpha-instance evaluated at x must equal ``1/alpha`` times the
@@ -475,14 +483,14 @@ def check_second_solution_scaling(alpha: Alpha | float,
     """
     if m is None:
         al, rows = _rows(0.0, alpha, grid)
-        mine = second_solution_order_zero(al, n_terms)
-        classical = second_solution_order_zero(1.0, n_terms)
+        mine = second_solution_order_zero(al)
+        classical = second_solution_order_zero(1.0)
         label = "zero"
     else:
         _require_integer(m, 1, "integer-order scaling check")
         al, rows = _rows(float(m), alpha, grid)
-        mine = second_solution_integer_order(m, al, n_terms)
-        classical = second_solution_integer_order(m, 1.0, n_terms)
+        mine = second_solution_integer_order(m, al)
+        classical = second_solution_integer_order(m, 1.0)
         label = f"m={m}"
 
     def deviation(p, a, x):
@@ -494,7 +502,7 @@ def check_second_solution_scaling(alpha: Alpha | float,
                       rows, deviation, tolerance, "abs")
 
 
-def solution_corpus(alpha: Alpha | float, n_terms: int = 60):
+def solution_corpus(alpha: Alpha | float):
     """The fixed family of constructed solutions used by the suites.
 
     Yields ``(label, order, solution)`` triples: first-kind series at
@@ -503,28 +511,20 @@ def solution_corpus(alpha: Alpha | float, n_terms: int = 60):
     """
     al = Alpha.of(alpha)
     for p in (0.0, 0.5, 1.0, 2.5, 3.0):
-        yield f"J[p={p:g}]", p, bessel_j_series(p, al, n_terms)
+        yield f"J[p={p:g}]", p, bessel_j_series(p, al)
     for p in (0.5, 2.5):
-        yield f"Jneg[p={p:g}]", p, bessel_j_neg_series(p, al, n_terms)
-    yield "y2zero", 0.0, second_solution_order_zero(al, n_terms)
+        yield f"Jneg[p={p:g}]", p, bessel_j_neg_series(p, al)
+    yield "y2zero", 0.0, second_solution_order_zero(al)
     for m in (1, 2):
-        yield f"K[m={m}]", float(m), second_solution_integer_order(m, al, n_terms)
+        yield f"K[m={m}]", float(m), second_solution_integer_order(m, al)
 
 
 def residual_suite(tolerance: float | None = None) -> list[CheckReport]:
     """Residual checks for the whole corpus on the standard grids."""
-    reports = []
-    for a in RESIDUAL_ALPHAS:
-        for label, p, solution in solution_corpus(a):
-            log = isinstance(solution, LogSolution)
-            xs = LOG_RESIDUAL_X if log else RESIDUAL_X
-            tol = tolerance if tolerance is not None else \
-                (LOG_RESIDUAL_TOL if log else RESIDUAL_TOL)
-            reports.append(check_ode_residual(
-                p, a, solution, xs, tol,
-                name=f"residual[{label} alpha={a:g}]",
-            ))
-    return reports
+    return [check_ode_residual(p, a, solution, tolerance=tolerance,
+                               name=f"residual[{label} alpha={a:g}]")
+            for a in RESIDUAL_ALPHAS
+            for label, p, solution in solution_corpus(a)]
 
 
 def identity_suite(tolerance: float | None = None) -> list[CheckReport]:
@@ -586,7 +586,6 @@ def random_residual_suite(seed: int, cases: int = 8,
     sign reduction.
     """
     rng = random.Random(seed)
-    tol = tolerance if tolerance is not None else RESIDUAL_TOL
     reports = []
     for i in range(cases):
         a = rng.uniform(0.25, 1.0)
@@ -609,6 +608,6 @@ def random_residual_suite(seed: int, cases: int = 8,
             solution = bessel_j_series(p, a)
             label = f"J[p={p:g}]"
         reports.append(check_ode_residual(
-            p, a, solution, xs, tol,
+            p, a, solution, xs, tolerance,
             name=f"fuzz-residual[{i}: {label} alpha={a:.3f}]"))
     return reports

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from .bessel import (
     OrderKind,
@@ -35,7 +35,6 @@ from .bessel import (
 from .errors import ConfBesselError, DomainError
 from .series import (
     DEFAULT_TERMS,
-    EvalResult,
     FracSeries,
     LogSolution,
     eval_log_solution,
@@ -46,14 +45,22 @@ from .series import (
 if TYPE_CHECKING:
     from .checks import CheckReport
 
-__all__ = ["CliConfig", "main", "console_entry", "build_solution", "parse_range"]
+__all__ = ["main", "console_entry", "build_solution", "parse_range"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 FAMILIES = ("J", "Jneg", "y2zero", "K")
-CHECK_NAMES = ("residual", "identities", "halforder", "scaling", "all")
+#: ``check --name`` value -> suite function in :mod:`confbessel.checks`.
+_SUITES = {
+    "residual": "residual_suite",
+    "identities": "identity_suite",
+    "halforder": "half_order_suite",
+    "scaling": "scaling_suite",
+    "all": "all_suites",
+}
+CHECK_NAMES = tuple(_SUITES)
 CSV_HEADER = "x,value,terms_used,tail_estimate"
 REPORT_CSV_HEADER = "check_name,passed,max_abs_err,max_rel_err,tolerance,mode"
 
@@ -65,26 +72,6 @@ MAX_POINTS = 100_000
 
 class UsageError(Exception):
     """Bad flag combination, malformed value or failed output; exit code 2."""
-
-
-class CliConfig(NamedTuple):
-    """Resolved invocation: parsed flags with per-command defaults filled in.
-
-    ``family`` is None for a ``check`` run over the default corpus; a
-    concrete family narrows ``check`` to a single residual check.
-    """
-
-    command: str
-    family: str | None = "J"
-    order: float = 0.0
-    alpha: float = 1.0
-    x: float | None = None
-    range_spec: tuple[float, float, int] | None = None
-    terms: int = DEFAULT_TERMS
-    format: str = "plain"
-    tolerance: float | None = None
-    output_path: str | None = None
-    check_name: str = "all"
 
 
 def _fmt(v: float) -> str:
@@ -125,10 +112,8 @@ def build_solution(family: str, order: float, alpha: float,
         return bessel_j_series(order, alpha, terms)
     if family == "Jneg":
         kind = classify_order(order)
-        if kind.kind is OrderKind.ZERO:
-            return bessel_j_neg_integer_series(0, alpha, terms)
-        if kind.kind is OrderKind.POSITIVE_INTEGER:
-            return bessel_j_neg_integer_series(kind.m, alpha, terms)
+        if kind.kind in (OrderKind.ZERO, OrderKind.POSITIVE_INTEGER):
+            return bessel_j_neg_integer_series(kind.m or 0, alpha, terms)
         return bessel_j_neg_series(order, alpha, terms)
     if family == "y2zero":
         return second_solution_order_zero(alpha, terms)
@@ -141,7 +126,8 @@ def build_solution(family: str, order: float, alpha: float,
     raise UsageError(f"unknown family {family!r}")
 
 
-def _evaluate(solution: FracSeries | LogSolution, x: float) -> EvalResult:
+def _row(solution: FracSeries | LogSolution, x: float) -> dict:
+    """One output record: ``x`` and the fields of its ``EvalResult``."""
     if isinstance(solution, LogSolution):
         result = eval_log_solution(solution, x)
     else:
@@ -150,7 +136,7 @@ def _evaluate(solution: FracSeries | LogSolution, x: float) -> EvalResult:
             and math.isfinite(result.tail_estimate)):
         raise DomainError(f"x = {x:g} is out of range: the series sum is "
                           "not finite there")
-    return result
+    return {"x": x, **result._asdict()}
 
 
 @contextlib.contextmanager
@@ -199,45 +185,23 @@ def _emit_rows(rows: list[dict], fmt: str, out: TextIO) -> None:
                       f"{r['terms_used']:>6d} {r['tail_estimate']:>12.3e}\n")
 
 
-def _row(x: float, result: EvalResult) -> dict:
-    return {
-        "x": x,
-        "value": result.value,
-        "terms_used": result.terms_used,
-        "tail_estimate": result.tail_estimate,
-    }
+def run_points(ns: argparse.Namespace) -> int:
+    """``eval`` and ``table``: every point is evaluated before any is written.
 
-
-def run_eval(cfg: CliConfig) -> int:
-    if cfg.x is None:
-        raise UsageError("eval requires --x")
-    solution = build_solution(cfg.family, cfg.order, cfg.alpha, cfg.terms)
-    result = _evaluate(solution, cfg.x)
-    record = _row(cfg.x, result)
-    with _output(cfg.output_path) as out:
-        if cfg.format == "json":
-            out.write(json.dumps(record) + "\n")
-        elif cfg.format == "csv":
-            _emit_rows([record], "csv", out)
+    A one-row ``table`` prints the same JSON and CSV bytes as ``eval``; only
+    ``eval --format plain`` has its own ``key = value`` layout.
+    """
+    if ns.xs is None:
+        raise UsageError("eval requires --x" if ns.command == "eval" else
+                         "table requires --range (or --x for a single row)")
+    solution = build_solution(ns.family, ns.order, ns.alpha, ns.terms)
+    rows = [_row(solution, x) for x in ns.xs]
+    with _output(ns.output_path) as out:
+        if ns.command == "eval" and ns.format == "plain":
+            for key, value in rows[0].items():
+                out.write(f"{key} = {_fmt(value)}\n")
         else:
-            for key in ("x", "value"):
-                out.write(f"{key} = {_fmt(record[key])}\n")
-            out.write(f"terms_used = {record['terms_used']}\n")
-            out.write(f"tail_estimate = {_fmt(record['tail_estimate'])}\n")
-    return EXIT_OK
-
-
-def run_table(cfg: CliConfig) -> int:
-    if cfg.range_spec is not None:
-        xs = linspace(*cfg.range_spec)
-    elif cfg.x is not None:
-        xs = [cfg.x]
-    else:
-        raise UsageError("table requires --range (or --x for a single row)")
-    solution = build_solution(cfg.family, cfg.order, cfg.alpha, cfg.terms)
-    rows = [_row(x, _evaluate(solution, x)) for x in xs]
-    with _output(cfg.output_path) as out:
-        _emit_rows(rows, cfg.format, out)
+            _emit_rows(rows, ns.format, out)
     return EXIT_OK
 
 
@@ -257,68 +221,48 @@ def _plain_report_lines(reports: list[CheckReport],
     return lines
 
 
-def _collect_reports(cfg: CliConfig) -> list[CheckReport]:
+def _collect_reports(ns: argparse.Namespace) -> list[CheckReport]:
     from . import checks  # loaded only by the check command
 
-    if cfg.family is not None:
-        if cfg.check_name != "residual":
-            raise UsageError(
-                "--family narrows the residual check only; drop --family or "
-                "use --name residual")
-        solution = build_solution(cfg.family, cfg.order, cfg.alpha, cfg.terms)
-        log = isinstance(solution, LogSolution)
-        if cfg.range_spec is not None:
-            xs = linspace(*cfg.range_spec)
-        elif cfg.x is not None:
-            xs = [cfg.x]
-        else:
-            xs = list(checks.LOG_RESIDUAL_X if log else checks.RESIDUAL_X)
-        tol = cfg.tolerance if cfg.tolerance is not None else \
-            (checks.LOG_RESIDUAL_TOL if log else checks.RESIDUAL_TOL)
-        if cfg.family == "y2zero":
-            p = 0.0
-        elif cfg.family == "K":
-            p = float(classify_order(cfg.order).m)
-        else:
-            p = cfg.order
-        label = f"{cfg.family} order={cfg.order:g}"
-        return [checks.check_ode_residual(
-            p, cfg.alpha, solution, xs, tol,
-            name=f"residual[{label} alpha={cfg.alpha:g}]")]
-    if cfg.check_name == "residual":
-        return checks.residual_suite(cfg.tolerance)
-    if cfg.check_name == "identities":
-        return checks.identity_suite(cfg.tolerance)
-    if cfg.check_name == "halforder":
-        return checks.half_order_suite(cfg.tolerance)
-    if cfg.check_name == "scaling":
-        return checks.scaling_suite(cfg.tolerance)
-    if cfg.check_name == "all":
-        return checks.all_suites(cfg.tolerance)
-    raise UsageError(f"unknown check name {cfg.check_name!r}")
+    if ns.family is None:
+        return getattr(checks, _SUITES[ns.check_name])(ns.tolerance)
+    if ns.check_name != "residual":
+        raise UsageError("--family narrows the residual check only; drop "
+                         "--family or use --name residual")
+    solution = build_solution(ns.family, ns.order, ns.alpha, ns.terms)
+    if ns.family == "y2zero":
+        p = 0.0
+    elif ns.family == "K":
+        p = float(classify_order(ns.order).m)
+    else:
+        p = ns.order
+    return [checks.check_ode_residual(
+        p, ns.alpha, solution, ns.xs, ns.tolerance,
+        name=f"residual[{ns.family} order={ns.order:g} alpha={ns.alpha:g}]")]
 
 
-def run_check(cfg: CliConfig) -> int:
-    reports = _collect_reports(cfg)
-    with _output(cfg.output_path) as out:
-        if cfg.format == "json":
+def run_check(ns: argparse.Namespace) -> int:
+    reports = _collect_reports(ns)
+    with _output(ns.output_path) as out:
+        if ns.format == "json":
             for r in reports:
                 out.write(json.dumps(r._asdict()) + "\n")
-        elif cfg.format == "csv":
+        elif ns.format == "csv":
             out.write(REPORT_CSV_HEADER + "\n")
             for r in reports:
                 out.write(f"{r.check_name},{str(r.passed).lower()},"
                           f"{_fmt(r.max_abs_err)},{_fmt(r.max_rel_err)},"
                           f"{_fmt(r.tolerance)},{r.mode}\n")
         else:
-            color = (cfg.output_path is None and sys.stdout.isatty()
+            color = (ns.output_path is None and sys.stdout.isatty()
                      and not os.environ.get("NO_COLOR"))
             for line in _plain_report_lines(reports, color):
                 out.write(line + "\n")
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def _add_common(sub: argparse.ArgumentParser, *, family_default) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, family_default,
+                format_default: str) -> None:
     sub.add_argument("--family", choices=FAMILIES, default=family_default,
                      help="solution family (default %(default)s)")
     sub.add_argument("--order", type=float, default=0.0,
@@ -333,7 +277,7 @@ def _add_common(sub: argparse.ArgumentParser, *, family_default) -> None:
     sub.add_argument("--terms", type=int, default=DEFAULT_TERMS,
                      help="series length (default %(default)s)")
     sub.add_argument("--format", choices=("csv", "json", "plain"),
-                     default=None, help="output format")
+                     default=format_default, help="output format")
     sub.add_argument("--tolerance", type=float, default=None,
                      help="override check tolerance")
     sub.add_argument("--out", dest="output_path", default=None,
@@ -348,13 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_eval = subs.add_parser("eval", help="evaluate one solution at one point")
-    _add_common(p_eval, family_default="J")
+    _add_common(p_eval, family_default="J", format_default="plain")
 
     p_table = subs.add_parser("table", help="tabulate one solution on a grid")
-    _add_common(p_table, family_default="J")
+    _add_common(p_table, family_default="J", format_default="csv")
 
     p_check = subs.add_parser("check", help="run the verification suites")
-    _add_common(p_check, family_default=None)
+    _add_common(p_check, family_default=None, format_default="plain")
     p_check.add_argument("--name", dest="check_name", choices=CHECK_NAMES,
                          default=None,
                          help="which suite to run (default: all, or residual "
@@ -362,7 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> CliConfig:
+def _validate(ns: argparse.Namespace) -> None:
+    """Refuse malformed flags, then fill what depends on them.
+
+    Sets ``ns.xs``: the ``--range`` points, else ``[--x]``, else None.
+    """
     if ns.command == "eval" and ns.range_spec is not None:
         raise UsageError("eval takes --x, not --range")
     range_spec = parse_range(ns.range_spec) if ns.range_spec is not None \
@@ -377,26 +325,12 @@ def _config_from_namespace(ns: argparse.Namespace) -> CliConfig:
         raise UsageError(f"--terms must be <= {MAX_TERMS}, got {ns.terms}")
     if ns.tolerance is not None and not (ns.tolerance > 0.0):
         raise UsageError(f"--tolerance must be > 0, got {ns.tolerance}")
-    fmt = ns.format
-    if fmt is None:
-        fmt = "csv" if ns.command == "table" else "plain"
-    check_name = getattr(ns, "check_name", None)
-    if check_name is None:
-        check_name = "residual" if ns.family is not None \
-            and ns.command == "check" else "all"
-    return CliConfig(
-        command=ns.command,
-        family=ns.family,
-        order=ns.order,
-        alpha=ns.alpha,
-        x=ns.x,
-        range_spec=range_spec,
-        terms=ns.terms,
-        format=fmt,
-        tolerance=ns.tolerance,
-        output_path=ns.output_path,
-        check_name=check_name,
-    )
+    if ns.command == "check" and ns.check_name is None:
+        ns.check_name = "residual" if ns.family is not None else "all"
+    if range_spec is not None:
+        ns.xs = linspace(*range_spec)
+    else:
+        ns.xs = None if ns.x is None else [ns.x]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -406,12 +340,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _config_from_namespace(ns)
-        if cfg.command == "eval":
-            return run_eval(cfg)
-        if cfg.command == "table":
-            return run_table(cfg)
-        return run_check(cfg)
+        _validate(ns)
+        if ns.command == "check":
+            return run_check(ns)
+        return run_points(ns)
     except (UsageError, ConfBesselError) as exc:
         print(f"confbessel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -56,7 +56,7 @@ def test_half_order_closed_forms(capsys):
     worst = 0.0
     for a in ALPHAS_FOUR:
         report = check_half_order_closed_forms(a, HALF_ORDER_GRID,
-                                               tolerance=tol, n_terms=60)
+                                               tolerance=tol)
         worst = max(worst, report.max_abs_err)
     _verdict(capsys, 1, "half-order closed forms", worst <= tol,
              f"max |dev| = {worst:.3e} on 6 x-points x 4 alphas, "

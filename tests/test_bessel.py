@@ -347,6 +347,13 @@ class TestSecondSolutionOrderZero:
         sol = second_solution_order_zero(0.7)
         assert all(c == 0.0 for c in sol.plain_part.coeffs[1::2])
 
+    def test_overflowing_plain_part_is_a_domain_error(self):
+        # 1/(4 alpha) overflows; with two slots the plain part is all zeros
+        with pytest.raises(DomainError, match="alpha = 1e-310"):
+            second_solution_order_zero(1e-310)
+        assert second_solution_order_zero(1e-310, 2).plain_part.coeffs \
+            == (0.0, 0.0)
+
 
 class TestSecondSolutionIntegerOrder:
     def test_m1_alpha1_exact_dyadic_coefficients(self):
@@ -633,14 +640,20 @@ class TestFrozenReference:
     @example(family=3, p=149.0, alpha=1e-6, n_terms=3)  # b_0 overflows
     @example(family=1, p=141.5, alpha=1.0, n_terms=120)
     @example(family=0, p=171.0, alpha=1.0, n_terms=1)
+    @example(family=2, p=0.0, alpha=5e-324, n_terms=3)  # 1/(4 alpha) overflows
     def test_coefficients_and_errors_match_bit_for_bit(self, family, p,
                                                        alpha, n_terms):
         build, ref = FAMILIES[family]
         got = _outcome(build, p, alpha, n_terms)
+        want = _outcome(ref, p, alpha, n_terms)
         if p == 150.0 and family in (0, 3):
-            # the one intended change: c0 = 1.2e-308 is subnormal
+            # an intended change: c0 = 1.2e-308 is subnormal
             assert got[0] is DomainError
             assert isinstance(_outcome(ref_bessel_j_series, p, alpha, n_terms),
                               bytes)
+        elif family == 2 and want == (ValueError, "non-finite coefficient inf"):
+            # the other: at alpha below about 1.4e-309 the plain part of
+            # y2zero overflows, which is now a DomainError
+            assert got[0] is DomainError
         else:
-            assert got == _outcome(ref, p, alpha, n_terms)
+            assert got == want

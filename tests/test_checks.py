@@ -179,10 +179,13 @@ class TestResidual:
         assert r.max_rel_err > 1e-2
 
     def test_nan_residual_fails(self):
-        # at x = 1e10 the series sums inf - inf; max() alone would skip NaN
-        r = check_ode_residual(1.0, 1.0, bessel_j_series(1.0, 1.0), [1e10])
-        assert not r.passed
-        assert r.max_abs_err == r.max_rel_err == math.inf
+        # at x = 1e10 the series sums inf - inf; max() alone would skip NaN,
+        # and inf <= inf would pass it at an infinite tolerance
+        for tolerance in (None, math.inf):
+            r = check_ode_residual(1.0, 1.0, bessel_j_series(1.0, 1.0),
+                                   [1e10], tolerance)
+            assert not r.passed
+            assert r.max_abs_err == r.max_rel_err == math.inf
 
     def test_overflowing_operator_is_a_domain_error(self):
         with pytest.raises(DomainError):

@@ -174,10 +174,12 @@ class TestCheck:
         assert "FAIL" in out
 
     def test_nan_residual_sets_exit_one(self, capsys):
-        code, out, _ = run(capsys, "check", "--name", "residual", "--family",
-                           "J", "--order", "1", "--alpha", "1", "--x", "1e10")
-        assert code == EXIT_CHECK_FAILED
-        assert out.startswith("FAIL ")
+        for tolerance in ([], ["--tolerance", "inf"]):
+            code, out, _ = run(capsys, "check", "--name", "residual",
+                               "--family", "J", "--order", "1", "--alpha",
+                               "1", "--x", "1e10", *tolerance)
+            assert code == EXIT_CHECK_FAILED
+            assert out.startswith("FAIL ")
 
     def test_family_narrows_to_residual(self, capsys):
         code, out, _ = run(capsys, "check", "--name", "residual", "--family",
@@ -278,6 +280,9 @@ class TestExitCodeMatrix:
         ["table", "--order", "0", "--range", "1e150:1e200:3"],
         ["eval", "--family", "y2zero", "--x", "1e200"],
         ["eval", "--family", "K", "--order", "1", "--x", "1e200"],
+        # coefficients that overflow at a subnormal alpha
+        ["eval", "--family", "y2zero", "--alpha", "1e-310", "--x", "2"],
+        ["check", "--family", "y2zero", "--alpha", "1e-309"],
         # sizes above the caps, refused before anything is allocated
         ["eval", "--x", "1", "--terms", "100000000"],
         ["table", "--range", "1:2:100000000"],

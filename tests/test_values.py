@@ -2,9 +2,9 @@
 
 The validated values (``Alpha``, ``FracSeries``, ``LogSolution``,
 ``DiffConfig``) are plain classes on one immutable base; the plain records
-(``EvalResult``, ``BesselOrder``, ``CheckReport``, ``CliConfig``) are named
-tuples.  Both kinds keep the repr text, hash and field order the package's
-earlier frozen records had, and both reject assignment.
+(``EvalResult``, ``BesselOrder``, ``CheckReport``) are named tuples.  Both
+kinds keep the repr text, hash and field order the package's earlier frozen
+records had, and both reject assignment.
 """
 
 import pytest
@@ -19,7 +19,6 @@ from confbessel import (
     LogSolution,
     OrderKind,
 )
-from confbessel.cli import CliConfig
 
 
 def _log_solution(scale=2.0):
@@ -67,13 +66,6 @@ CASES = {
         "passed=True)",
         ("check_name", "grid", "max_abs_err", "max_rel_err", "tolerance",
          "mode", "passed")),
-    "CliConfig": (
-        lambda: CliConfig("eval", x=2.0), lambda: CliConfig("eval", x=3.0),
-        "CliConfig(command='eval', family='J', order=0.0, alpha=1.0, x=2.0, "
-        "range_spec=None, terms=60, format='plain', tolerance=None, "
-        "output_path=None, check_name='all')",
-        ("command", "family", "order", "alpha", "x", "range_spec", "terms",
-         "format", "tolerance", "output_path", "check_name")),
 }
 
 
