@@ -17,7 +17,6 @@ from .series import (
     conformable_diff_exact,
     eval_log_solution,
     eval_series,
-    series_add,
     series_rebase,
     series_scale,
     series_shift,
@@ -41,16 +40,11 @@ from .bessel import (
 _LAZY = {
     "CheckReport": "checks",
     "all_suites": "checks",
-    "check_derivative_lower": "checks",
-    "check_derivative_raise": "checks",
-    "check_derivative_weighted_lower": "checks",
-    "check_derivative_weighted_raise": "checks",
     "check_half_order_closed_forms": "checks",
-    "check_negative_order_reflection": "checks",
+    "check_identity": "checks",
     "check_ode_residual": "checks",
     "check_second_solution_scaling": "checks",
     "check_series_vs_quadrature": "checks",
-    "check_three_term_recurrence": "checks",
     "classical_bessel_j": "checks",
     "half_order_suite": "checks",
     "identity_suite": "checks",
@@ -84,47 +78,25 @@ def kernel_backend() -> str:
 __all__ = [
     "Alpha",
     "BesselOrder",
-    "CheckReport",
-    "DiffConfig",
     "EvalResult",
     "FracSeries",
     "LogSolution",
     "OrderKind",
-    "all_suites",
     "bessel_j_neg_integer_series",
     "bessel_j_neg_series",
     "bessel_j_series",
-    "check_derivative_lower",
-    "check_derivative_raise",
-    "check_derivative_weighted_lower",
-    "check_derivative_weighted_raise",
-    "check_half_order_closed_forms",
-    "check_negative_order_reflection",
-    "check_ode_residual",
-    "check_second_solution_scaling",
-    "check_series_vs_quadrature",
-    "check_three_term_recurrence",
-    "classical_bessel_j",
     "classify_order",
-    "conformable_diff2_numeric",
     "conformable_diff_exact",
-    "conformable_diff_numeric",
     "eval_log_solution",
     "eval_series",
     "gamma",
-    "half_order_suite",
     "harmonic",
-    "identity_suite",
     "kernel_backend",
-    "random_residual_suite",
-    "residual_suite",
-    "scaling_suite",
     "second_solution_integer_order",
     "second_solution_order_zero",
-    "solution_corpus",
-    "series_add",
     "series_rebase",
     "series_scale",
     "series_shift",
     "__version__",
+    *_LAZY,
 ]

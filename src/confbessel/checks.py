@@ -2,8 +2,11 @@ r"""Identity and residual verification for the constructed solutions.
 
 Every check returns a :class:`CheckReport` carrying the grid it ran on, the
 worst absolute and relative deviations, and a pass flag against its
-tolerance.  Every check reports through one of two primitives, which hold
-the only max-error loops in the module:
+tolerance.  The six identities (weighted lowering and raising, lowering,
+raising, the three-term recurrence and the reflection) are the rows of one
+table, ``IDENTITIES``, run by :func:`check_identity`.  Every check reports
+through one of two primitives, which hold the only max-error loops in the
+module:
 
 * ``_coefficientwise`` ("rel" mode): two series that should be equal term
   by term are aligned to a common offset and compared coefficient against
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bessel import (
@@ -64,12 +68,7 @@ __all__ = [
     "linspace",
     "classical_bessel_j",
     "check_ode_residual",
-    "check_derivative_weighted_lower",
-    "check_derivative_weighted_raise",
-    "check_derivative_lower",
-    "check_derivative_raise",
-    "check_three_term_recurrence",
-    "check_negative_order_reflection",
+    "check_identity",
     "check_half_order_closed_forms",
     "check_series_vs_quadrature",
     "check_second_solution_scaling",
@@ -85,7 +84,8 @@ __all__ = [
 
 # Default verification grids.  Fixed and deterministic: the suites must
 # produce identical reports on every run.
-IDENTITY_ORDERS = (1, 2, 3)
+# p = 0 comes last: only the identities that admit it run there
+IDENTITY_ORDERS = (1, 2, 3, 0)
 IDENTITY_ALPHAS = (0.3, 0.5, 0.75, 1.0)
 IDENTITY_X = (0.5, 1.0, 2.0, 4.0)
 HALF_ORDER_X = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
@@ -143,7 +143,8 @@ def _report(name: str, grid: Sequence[tuple[float, float, float]],
 
 def _pointwise(name: str, rows: Sequence[tuple[float, float, float]],
                deviation: Callable[[float, float, float], tuple[float, float]],
-               tolerance: float, mode: str) -> CheckReport:
+               tolerance: float | None = None, mode: str = "abs"
+               ) -> CheckReport:
     """Report the worst of ``deviation(p, alpha, x) -> (diff, ref)`` over rows.
 
     The absolute column is the worst ``|diff|``, the relative column the
@@ -161,19 +162,21 @@ def _pointwise(name: str, rows: Sequence[tuple[float, float, float]],
             d = rel = math.inf
         max_abs = max(max_abs, d)
         max_rel = max(max_rel, rel)
-    return _report(name, rows, max_abs, max_rel, tolerance, mode)
+    return _report(name, rows, max_abs, max_rel,
+                   POINT_TOL if tolerance is None else tolerance, mode)
 
 
 def _coefficientwise(name: str, rows: Sequence[tuple[float, float, float]],
-                     lhs: FracSeries, rhs: FracSeries,
-                     tolerance: float) -> CheckReport:
-    """Gate two series that should agree term by term ("rel" mode).
+                     sides: tuple[FracSeries, FracSeries],
+                     tolerance: float | None = None) -> CheckReport:
+    """Gate two series ``(lhs, rhs)`` that should agree term by term.
 
-    The relative column is the worst per-coefficient relative difference
+    The gauge ("rel" mode) is the worst per-coefficient relative difference
     over the first ``N_COEFF_COMPARE`` slots, with ``rhs`` aligned to the
     offset of ``lhs``.  The absolute column records the pointwise spot
     deviations ``|lhs(x) - rhs(x)|`` at the rows' x (NaN counts as infinite).
     """
+    lhs, rhs = sides
     aligned = series_rebase(rhs, lhs.offset)
     max_rel = 0.0
     for i in range(N_COEFF_COMPARE):
@@ -186,7 +189,8 @@ def _coefficientwise(name: str, rows: Sequence[tuple[float, float, float]],
     for _, _, x in rows:
         d = abs(eval_series(lhs, x).value - eval_series(rhs, x).value)
         max_abs = max(max_abs, d if d == d else math.inf)
-    return _report(name, rows, max_abs, max_rel, tolerance, "rel")
+    return _report(name, rows, max_abs, max_rel,
+                   COEFF_TOL if tolerance is None else tolerance, "rel")
 
 
 def classical_bessel_j(n: int, z: float, panels: int | None = None) -> float:
@@ -234,10 +238,13 @@ def _rows(p: float, alpha: Alpha | float, grid: Iterable[float]
     return al, [(p, al.value, x) for x in xs]
 
 
-def _series_lhs_operator(s: FracSeries, p: float) -> Callable[[float], float]:
+def _series_lhs_operator(s: FracSeries, p: float
+                         ) -> Callable[[float], tuple[float, float, float]]:
     """Left side of the Bessel equation on a plain series, as a function of x.
 
-    The two derivatives are built once, not at every point.
+    The function returns ``(L[y](x), y(x), T(y)(x))``, so a caller needs no
+    further evaluation of ``y`` or ``T(y)``.  The two derivatives are built
+    once, not at every point.
     """
     a = s.alpha.value
     d1 = conformable_diff_exact(s)
@@ -250,11 +257,10 @@ def _series_lhs_operator(s: FracSeries, p: float) -> Callable[[float], float]:
             raise DomainError(f"x = {x:g} is too large for the residual: "
                               "x**(2*alpha) overflows a double") from None
         xa = x ** a
-        return (
-            x2a * eval_series(d2, x).value
-            + a * xa * eval_series(d1, x).value
-            + a * a * (x2a - p * p) * eval_series(s, x).value
-        )
+        y = eval_series(s, x).value
+        ty = eval_series(d1, x).value
+        return (x2a * eval_series(d2, x).value + a * xa * ty
+                + a * a * (x2a - p * p) * y, y, ty)
 
     return lhs
 
@@ -287,138 +293,118 @@ def check_ode_residual(p: float, alpha: Alpha | float,
         lhs = _series_lhs_operator(solution, p)
 
         def deviation(p, a, x):
-            return lhs(x), eval_series(solution, x).value
+            residual, y, _ = lhs(x)
+            return residual, y
     else:
         op_u = _series_lhs_operator(solution.log_part, p)
         op_v = _series_lhs_operator(solution.plain_part, p)
-        du = conformable_diff_exact(solution.log_part)
 
         def deviation(p, a, x):
-            lu, lv = op_u(x), op_v(x)
-            cross = 2.0 * x ** a * eval_series(du, x).value
-            return (lu * math.log(x) + cross + lv,
-                    eval_log_solution(solution, x).value)
+            (lu, u, tu), (lv, v, _) = op_u(x), op_v(x)
+            lnx = math.log(x)
+            return lu * lnx + 2.0 * x ** a * tu + lv, u * lnx + v
 
     return _pointwise(name or f"residual[p={p:g} alpha={al.value:g}]",
                       rows, deviation, tolerance, "rel")
 
 
-def check_derivative_weighted_lower(p: int, alpha: Alpha | float,
-                                    grid: Iterable[float],
-                                    tolerance: float = COEFF_TOL
-                                    ) -> CheckReport:
-    """T(x**(p*alpha) * J_p) equals alpha * x**(p*alpha) * J_{p-1}.
+class _Identity(NamedTuple):
+    """A row of ``IDENTITIES``; ``symbol`` names the order in the report."""
 
-    Integer p >= 1.  Coefficient-wise gate; the report's absolute column
-    records the pointwise spot deviations on the grid.
+    least: int
+    what: str
+    primitive: Callable[..., CheckReport]
+    build: Callable[[int, Alpha], object]
+    symbol: str = "p"
+
+
+def _weighted(p: int, al: Alpha, s: int) -> tuple[FracSeries, FracSeries]:
+    """T(x**(s*p*alpha) J_p) equals s*alpha * x**(s*p*alpha) J_{p-s}.
+
+    s = 1 lowers the order, s = -1 raises it.  Both sides are whole series;
+    at p = 0 the raising form is the bare statement T(J_0) = -alpha J_1.
     """
-    _require_integer(p, 1, "weighted lowering identity")
-    al, rows = _rows(p, alpha, grid)
-    lhs = conformable_diff_exact(series_shift(bessel_j_series(p, al), p))
-    rhs = series_scale(series_shift(bessel_j_series(p - 1, al), p),
-                       al.value)
-    return _coefficientwise(
-        f"derivative-weighted-lower[p={p} alpha={al.value:g}]",
-        rows, lhs, rhs, tolerance)
+    w = s * p
+    return (conformable_diff_exact(series_shift(bessel_j_series(p, al), w)),
+            series_scale(series_shift(bessel_j_series(p - s, al), w),
+                         s * al.value))
 
 
-def check_derivative_weighted_raise(p: int, alpha: Alpha | float,
-                                    grid: Iterable[float],
-                                    tolerance: float = COEFF_TOL
-                                    ) -> CheckReport:
-    """T(x**(-p*alpha) * J_p) equals -alpha * x**(-p*alpha) * J_{p+1}.
+def _unweighted(p: int, al: Alpha, s: int):
+    """T(J_p) equals s*(alpha J_{p-s} - (alpha*p/x**alpha) J_p), pointwise.
 
-    Integer p >= 0; the weight cancels the offset, so at p = 0 this is the
-    bare statement T(J_0) = -alpha * J_1.
+    s = 1 lowers the order, s = -1 raises it.  The x**-alpha weight makes
+    these pointwise identities, not aligned coefficient identities.
     """
-    _require_integer(p, 0, "weighted raising identity")
-    al, rows = _rows(p, alpha, grid)
-    lhs = conformable_diff_exact(series_shift(bessel_j_series(p, al), -p))
-    rhs = series_scale(series_shift(bessel_j_series(p + 1, al), -float(p)),
-                       -al.value)
-    return _coefficientwise(
-        f"derivative-weighted-raise[p={p} alpha={al.value:g}]",
-        rows, lhs, rhs, tolerance)
-
-
-def check_derivative_lower(p: int, alpha: Alpha | float,
-                           grid: Iterable[float],
-                           tolerance: float = POINT_TOL) -> CheckReport:
-    """T(J_p) equals alpha*J_{p-1} - (alpha*p/x**alpha)*J_p, pointwise.
-
-    The x**-alpha weight makes this a pointwise identity, not an aligned
-    coefficient identity.  Integer p >= 1.
-    """
-    _require_integer(p, 1, "lowering identity")
-    al, rows = _rows(p, alpha, grid)
     jp = bessel_j_series(p, al)
-    jm = bessel_j_series(p - 1, al)
+    jo = bessel_j_series(p - s, al)
     djp = conformable_diff_exact(jp)
 
     def deviation(p, a, x):
-        lhs = eval_series(djp, x).value
-        rhs = (a * eval_series(jm, x).value
-               - (a * p / x ** a) * eval_series(jp, x).value)
-        return lhs - rhs, rhs
+        rhs = s * (a * eval_series(jo, x).value
+                   - (a * p / x ** a) * eval_series(jp, x).value)
+        return eval_series(djp, x).value - rhs, rhs
 
-    return _pointwise(f"derivative-lower[p={p} alpha={al.value:g}]",
-                      rows, deviation, tolerance, "abs")
+    return deviation
 
 
-def check_derivative_raise(p: int, alpha: Alpha | float,
-                           grid: Iterable[float],
-                           tolerance: float = POINT_TOL) -> CheckReport:
-    """T(J_p) equals (alpha*p/x**alpha)*J_p - alpha*J_{p+1}, pointwise."""
-    _require_integer(p, 0, "raising identity")
-    al, rows = _rows(p, alpha, grid)
-    jp = bessel_j_series(p, al)
-    jn = bessel_j_series(p + 1, al)
-    djp = conformable_diff_exact(jp)
-
-    def deviation(p, a, x):
-        lhs = eval_series(djp, x).value
-        rhs = ((a * p / x ** a) * eval_series(jp, x).value
-               - a * eval_series(jn, x).value)
-        return lhs - rhs, rhs
-
-    return _pointwise(f"derivative-raise[p={p} alpha={al.value:g}]",
-                      rows, deviation, tolerance, "abs")
-
-
-def check_three_term_recurrence(p: int, alpha: Alpha | float,
-                                grid: Iterable[float],
-                                tolerance: float = POINT_TOL
-                                ) -> CheckReport:
-    """J_{p+1} equals (2p/x**alpha)*J_p - J_{p-1}, pointwise, integer p >= 1."""
-    _require_integer(p, 1, "three-term recurrence")
-    al, rows = _rows(p, alpha, grid)
+def _three_term(p: int, al: Alpha):
+    """J_{p+1} equals (2p/x**alpha)*J_p - J_{p-1}, pointwise."""
     jm = bessel_j_series(p - 1, al)
     jp = bessel_j_series(p, al)
     jn = bessel_j_series(p + 1, al)
 
     def deviation(p, a, x):
-        lhs = eval_series(jn, x).value
         rhs = (2.0 * p / x ** a) * eval_series(jp, x).value \
             - eval_series(jm, x).value
-        return lhs - rhs, rhs
+        return eval_series(jn, x).value - rhs, rhs
 
-    return _pointwise(f"three-term-recurrence[p={p} alpha={al.value:g}]",
-                      rows, deviation, tolerance, "abs")
+    return deviation
 
 
-def check_negative_order_reflection(m: int, alpha: Alpha | float,
-                                    grid: Iterable[float] = (1.0,),
-                                    tolerance: float = COEFF_TOL
-                                    ) -> CheckReport:
+def _reflection(m: int, al: Alpha) -> tuple[FracSeries, FracSeries]:
     """Order -m equals (-1)**m times order m, coefficient for coefficient."""
-    _require_integer(m, 0, "reflection check")
-    al, rows = _rows(m, alpha, grid)
-    lhs = bessel_j_neg_integer_series(m, al)
-    sign = -1.0 if m % 2 else 1.0
-    rhs = series_scale(bessel_j_series(m, al), sign)
-    return _coefficientwise(
-        f"negative-order-reflection[m={m} alpha={al.value:g}]",
-        rows, lhs, rhs, tolerance)
+    return (bessel_j_neg_integer_series(m, al),
+            series_scale(bessel_j_series(m, al), -1.0 if m % 2 else 1.0))
+
+
+#: The derivative and recurrence identities of the first-kind series, by
+#: report name, in the order the suite runs them.  ``build(p, al)`` makes
+#: what the primitive compares: the two sides as series for
+#: ``_coefficientwise``, a deviation function for ``_pointwise``.  The rows
+#: look the constructors and the series operations up in this module when
+#: they run, so a tracer that rebinds those names sees every call.
+IDENTITIES = {
+    "derivative-weighted-lower": _Identity(
+        1, "weighted lowering identity", _coefficientwise,
+        partial(_weighted, s=1)),
+    "derivative-weighted-raise": _Identity(
+        0, "weighted raising identity", _coefficientwise,
+        partial(_weighted, s=-1)),
+    "derivative-lower": _Identity(
+        1, "lowering identity", _pointwise, partial(_unweighted, s=1)),
+    "derivative-raise": _Identity(
+        0, "raising identity", _pointwise, partial(_unweighted, s=-1)),
+    "three-term-recurrence": _Identity(
+        1, "three-term recurrence", _pointwise, _three_term),
+    "negative-order-reflection": _Identity(
+        0, "reflection check", _coefficientwise, _reflection, "m"),
+}
+
+
+def check_identity(name: str, p: int, alpha: Alpha | float,
+                   grid: Iterable[float],
+                   tolerance: float | None = None) -> CheckReport:
+    """The identity ``IDENTITIES[name]`` at integer order ``p`` on ``grid``.
+
+    ``tolerance`` defaults to the primitive's: ``COEFF_TOL`` coefficient by
+    coefficient, ``POINT_TOL`` pointwise.
+    """
+    row = IDENTITIES[name]
+    _require_integer(p, row.least, row.what)
+    al, rows = _rows(p, alpha, grid)
+    return row.primitive(f"{name}[{row.symbol}={p} alpha={al.value:g}]",
+                         rows, row.build(p, al), tolerance)
 
 
 def check_half_order_closed_forms(alpha: Alpha | float,
@@ -528,23 +514,11 @@ def residual_suite(tolerance: float | None = None) -> list[CheckReport]:
 
 
 def identity_suite(tolerance: float | None = None) -> list[CheckReport]:
-    """All six derivative/recurrence identities on the standard grid."""
-    point_tol = tolerance if tolerance is not None else POINT_TOL
-    coeff_tol = tolerance if tolerance is not None else COEFF_TOL
-    reports = []
-    for a in IDENTITY_ALPHAS:
-        for p in IDENTITY_ORDERS:
-            reports.append(check_derivative_weighted_lower(p, a, IDENTITY_X, coeff_tol))
-            reports.append(check_derivative_weighted_raise(p, a, IDENTITY_X, coeff_tol))
-            reports.append(check_derivative_lower(p, a, IDENTITY_X, point_tol))
-            reports.append(check_derivative_raise(p, a, IDENTITY_X, point_tol))
-            reports.append(check_three_term_recurrence(p, a, IDENTITY_X, point_tol))
-            reports.append(check_negative_order_reflection(p, a, IDENTITY_X, coeff_tol))
-        # the raising identities and the reflection also make sense at p = 0
-        reports.append(check_derivative_weighted_raise(0, a, IDENTITY_X, coeff_tol))
-        reports.append(check_derivative_raise(0, a, IDENTITY_X, point_tol))
-        reports.append(check_negative_order_reflection(0, a, IDENTITY_X, coeff_tol))
-    return reports
+    """Every identity at every order it admits, on the standard grid."""
+    return [check_identity(name, p, a, IDENTITY_X, tolerance)
+            for a in IDENTITY_ALPHAS
+            for p in IDENTITY_ORDERS
+            for name, row in IDENTITIES.items() if p >= row.least]
 
 
 def half_order_suite(tolerance: float | None = None) -> list[CheckReport]:

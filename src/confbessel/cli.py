@@ -325,6 +325,10 @@ def _validate(ns: argparse.Namespace) -> None:
         raise UsageError(f"--terms must be <= {MAX_TERMS}, got {ns.terms}")
     if ns.tolerance is not None and not (ns.tolerance > 0.0):
         raise UsageError(f"--tolerance must be > 0, got {ns.tolerance}")
+    for flag, value in (("--x", ns.x), ("--range", ns.range_spec)):
+        if ns.command == "check" and ns.family is None and value is not None:
+            raise UsageError(f"check takes {flag} only with --family: the "
+                             "suites run on their own grids")
     if ns.command == "check" and ns.check_name is None:
         ns.check_name = "residual" if ns.family is not None else "all"
     if range_spec is not None:

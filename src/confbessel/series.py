@@ -36,7 +36,6 @@ __all__ = [
     "FracSeries",
     "LogSolution",
     "EvalResult",
-    "series_add",
     "series_scale",
     "series_shift",
     "series_rebase",
@@ -143,17 +142,6 @@ class FracSeries(ImmutableValue):
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __add__(self, other: "FracSeries") -> "FracSeries":
-        return series_add(self, other)
-
-    def __mul__(self, k: float) -> "FracSeries":
-        return series_scale(self, k)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "FracSeries":
-        return series_scale(self, -1.0)
-
 
 class LogSolution(ImmutableValue):
     """Solution of the form ``log_part(x) * ln(x) + plain_part(x)``, x > 0."""
@@ -196,30 +184,6 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
         return [start]
     step = (stop - start) / (num - 1)
     return [i * step + start for i in range(num - 1)] + [stop]
-
-
-def _check_combinable(a: FracSeries, b: FracSeries) -> None:
-    if abs(a.alpha.value - b.alpha.value) > OFFSET_TOL:
-        raise AlignmentError(
-            f"alpha mismatch: {a.alpha.value} vs {b.alpha.value}"
-        )
-    if abs(a.offset - b.offset) > OFFSET_TOL:
-        raise AlignmentError(
-            f"offset mismatch: {a.offset} vs {b.offset}; "
-            "re-represent one side with series_rebase first"
-        )
-
-
-def series_add(a: FracSeries, b: FracSeries) -> FracSeries:
-    """Coefficient-wise sum of two series with equal alpha and offset.
-
-    The shorter coefficient list is padded with zeros on the right.
-    """
-    _check_combinable(a, b)
-    n = max(len(a.coeffs), len(b.coeffs))
-    ca = a.coeffs + (0.0,) * (n - len(a.coeffs))
-    cb = b.coeffs + (0.0,) * (n - len(b.coeffs))
-    return FracSeries(a.alpha, a.offset, tuple(x + y for x, y in zip(ca, cb)))
 
 
 def series_scale(a: FracSeries, k: float) -> FracSeries:

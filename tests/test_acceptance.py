@@ -19,22 +19,16 @@ from confbessel import (
     LogSolution,
     bessel_j_neg_series,
     bessel_j_series,
-    check_derivative_lower,
-    check_derivative_raise,
-    check_derivative_weighted_lower,
-    check_derivative_weighted_raise,
     check_half_order_closed_forms,
-    check_negative_order_reflection,
+    check_identity,
     check_ode_residual,
     check_second_solution_scaling,
     check_series_vs_quadrature,
-    check_three_term_recurrence,
     conformable_diff_exact,
     conformable_diff_numeric,
     eval_log_solution,
     eval_series,
     second_solution_integer_order,
-    series_add,
     solution_corpus,
 )
 from confbessel.cli import main as cli_main
@@ -111,20 +105,21 @@ def test_derivative_and_recurrence_identities(capsys):
     worst_point = 0.0
     for a in ALPHAS_FOUR:
         for p in (1, 2, 3):
-            for check in (check_derivative_weighted_lower,
-                          check_derivative_weighted_raise):
-                r = check(p, a, HALF_ORDER_GRID, tolerance=coeff_tol)
+            for name in ("derivative-weighted-lower",
+                         "derivative-weighted-raise",
+                         "negative-order-reflection"):
+                r = check_identity(name, p, a, HALF_ORDER_GRID,
+                                   tolerance=coeff_tol)
                 worst_coeff = max(worst_coeff, r.max_rel_err)
-            r = check_negative_order_reflection(p, a, HALF_ORDER_GRID,
-                                                tolerance=coeff_tol)
-            worst_coeff = max(worst_coeff, r.max_rel_err)
-            for check in (check_derivative_lower, check_derivative_raise,
-                          check_three_term_recurrence):
-                r = check(p, a, HALF_ORDER_GRID, tolerance=point_tol)
+            for name in ("derivative-lower", "derivative-raise",
+                         "three-term-recurrence"):
+                r = check_identity(name, p, a, HALF_ORDER_GRID,
+                                   tolerance=point_tol)
                 worst_point = max(worst_point, r.max_abs_err)
-        for check in (check_derivative_weighted_raise,
-                      check_negative_order_reflection):
-            r = check(0, a, HALF_ORDER_GRID, tolerance=coeff_tol)
+        for name in ("derivative-weighted-raise",
+                     "negative-order-reflection"):
+            r = check_identity(name, 0, a, HALF_ORDER_GRID,
+                               tolerance=coeff_tol)
             worst_coeff = max(worst_coeff, r.max_rel_err)
     ok = worst_coeff <= coeff_tol and worst_point <= point_tol
     _verdict(capsys, 4, "derivative and recurrence identities", ok,
@@ -248,13 +243,12 @@ def test_pivot_normalization_regression(capsys):
     pivot_slot = 2 * m
     pivot = adopted.plain_part.coeffs[pivot_slot]
     bump = (1.0 / math.factorial(m) - 1.0) * pivot
-    delta = FracSeries(
-        alpha=Alpha.of(a), offset=adopted.plain_part.offset,
-        coeffs=tuple([0.0] * pivot_slot + [bump]),
-    )
+    coeffs = list(adopted.plain_part.coeffs)
+    coeffs[pivot_slot] += bump
     alternative = LogSolution(
         log_part=adopted.log_part,
-        plain_part=series_add(adopted.plain_part, delta),
+        plain_part=FracSeries(Alpha.of(a), adopted.plain_part.offset,
+                              coeffs),
     )
     bad = check_ode_residual(float(m), a, alternative, (x,), tol)
 

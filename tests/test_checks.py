@@ -18,16 +18,11 @@ from confbessel import (
     LogSolution,
     all_suites,
     bessel_j_series,
-    check_derivative_lower,
-    check_derivative_raise,
-    check_derivative_weighted_lower,
-    check_derivative_weighted_raise,
     check_half_order_closed_forms,
-    check_negative_order_reflection,
+    check_identity,
     check_ode_residual,
     check_second_solution_scaling,
     check_series_vs_quadrature,
-    check_three_term_recurrence,
     classical_bessel_j,
     eval_series,
     half_order_suite,
@@ -38,7 +33,8 @@ from confbessel import (
     second_solution_integer_order,
     second_solution_order_zero,
 )
-from confbessel.checks import (LOG_RESIDUAL_X, ORACLE_MAX_ARG, RESIDUAL_X,
+from confbessel.checks import (COEFF_TOL, IDENTITIES, LOG_RESIDUAL_X,
+                               ORACLE_MAX_ARG, POINT_TOL, RESIDUAL_X,
                                SCALING_X, linspace)
 from confbessel.errors import DomainError
 
@@ -148,10 +144,10 @@ class TestReportInvariants:
             check_ode_residual(0.0, 1.0, bessel_j_series(0.0, 1.0),
                                [1.0, -2.0])
 
-    @pytest.mark.parametrize("check", [check_three_term_recurrence,
-                                       check_derivative_lower])
-    def test_nan_fails_abs_mode_anywhere_on_the_grid(self, check):
-        r = check(1, 1.0, [1.0, 1e10, 2.0])
+    @pytest.mark.parametrize("name", ["three-term-recurrence",
+                                      "derivative-lower"])
+    def test_nan_fails_abs_mode_anywhere_on_the_grid(self, name):
+        r = check_identity(name, 1, 1.0, [1.0, 1e10, 2.0])
         assert not r.passed
         assert r.max_abs_err == math.inf
 
@@ -195,18 +191,18 @@ class TestResidual:
 class TestIdentityChecks:
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_weighted_lowering(self, p):
-        r = check_derivative_weighted_lower(p, 0.5, GRID)
+        r = check_identity("derivative-weighted-lower", p, 0.5, GRID)
         assert r.passed
         assert r.max_rel_err <= 1e-15
 
     @pytest.mark.parametrize("p", [0, 1, 2])
     def test_weighted_raising(self, p):
-        r = check_derivative_weighted_raise(p, 0.75, GRID)
+        r = check_identity("derivative-weighted-raise", p, 0.75, GRID)
         assert r.passed
 
     def test_lowering_pointwise_matches_oracle_combination(self):
         # at p=1, alpha=1, x=1 both sides equal J_0(1) - J_1(1)
-        r = check_derivative_lower(1, 1.0, (1.0,))
+        r = check_identity("derivative-lower", 1, 1.0, (1.0,))
         assert r.passed
         jp = bessel_j_series(1.0, 1.0)
         jm = bessel_j_series(0.0, 1.0)
@@ -219,34 +215,43 @@ class TestIdentityChecks:
         dj0 = conformable_diff_exact(bessel_j_series(0.0, 1.0))
         assert eval_series(dj0, 1.0).value == pytest.approx(-J1_AT_1,
                                                             rel=1e-12)
-        assert check_derivative_raise(0, 1.0, (1.0,)).passed
+        assert check_identity("derivative-raise", 0, 1.0, (1.0,)).passed
 
     def test_three_term_recurrence_value(self):
         # J_2(1) = 2 J_1(1) - J_0(1)
         assert J2_AT_1 == pytest.approx(2.0 * J1_AT_1 - J0_AT_1, rel=1e-12)
-        assert check_three_term_recurrence(1, 1.0, (1.0,)).passed
+        assert check_identity("three-term-recurrence", 1, 1.0, (1.0,)).passed
 
     def test_recurrence_scaling_structure(self):
         # the alpha=0.5 identity at x=4 is the alpha=1 identity at x**alpha=2
-        r_half = check_three_term_recurrence(1, 0.5, (4.0,))
-        r_one = check_three_term_recurrence(1, 1.0, (2.0,))
+        r_half = check_identity("three-term-recurrence", 1, 0.5, (4.0,))
+        r_one = check_identity("three-term-recurrence", 1, 1.0, (2.0,))
         assert r_half.passed and r_one.passed
         assert r_half.max_abs_err == pytest.approx(r_one.max_abs_err,
                                                    abs=1e-12)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
     def test_reflection_is_exact(self, m):
-        r = check_negative_order_reflection(m, 0.5, GRID)
+        r = check_identity("negative-order-reflection", m, 0.5, GRID)
         assert r.max_rel_err == 0.0
         assert r.max_abs_err == 0.0
 
     def test_integer_preconditions(self):
-        with pytest.raises(ValueError):
-            check_derivative_weighted_lower(0, 0.5, GRID)
-        with pytest.raises(ValueError):
-            check_three_term_recurrence(0, 0.5, GRID)
-        with pytest.raises(ValueError):
-            check_derivative_lower(1.5, 0.5, GRID)
+        with pytest.raises(ValueError, match="weighted lowering identity"):
+            check_identity("derivative-weighted-lower", 0, 0.5, GRID)
+        with pytest.raises(ValueError, match="three-term recurrence"):
+            check_identity("three-term-recurrence", 0, 0.5, GRID)
+        with pytest.raises(ValueError, match="lowering identity"):
+            check_identity("derivative-lower", 1.5, 0.5, GRID)
+
+    @pytest.mark.parametrize("name", list(IDENTITIES))
+    def test_default_tolerance_comes_from_the_primitive(self, name):
+        r = check_identity(name, 1, 0.5, GRID)
+        assert r.passed
+        if r.mode == "rel":
+            assert r.tolerance == COEFF_TOL
+        else:
+            assert r.tolerance == POINT_TOL
 
 
 class TestHalfOrderAndScaling:

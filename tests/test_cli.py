@@ -199,6 +199,19 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert "residual" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["check", "--name", "halforder", "--x", "1.5"], "--x"),
+        (["check", "--range", "1:2:2"], "--range"),
+        (["check", "--name", "identities", "--x", "1", "--range", "1:2:2"],
+         "--x"),
+    ])
+    def test_points_without_family_rejected(self, capsys, argv, flag):
+        # the suites run on their own grids and would ignore the points
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"check takes {flag} only with --family" in err
+
     def test_json_reports_are_parseable(self, capsys):
         code, out, _ = run(capsys, "check", "--name", "halforder", "--format",
                            "json")

@@ -97,3 +97,42 @@ def test_kernel_counters_match_the_while_loop():
     assert tracer.counts["kernels.terms_summed"] == terms
     assert tracer.counts["kernels.early_stops"] == stops
     assert 0 < stops < len(parts) * len(xs)
+
+
+def test_identity_rows_call_through_the_traced_names():
+    """The identity table builds its series through ``checks``' globals.
+
+    Under the tracer, one ``identity_suite()`` call must record every
+    constructor and series-algebra call its rows make, as direct children
+    of the ``checks`` span of the report.  A row that captured those
+    functions when the module loaded would record fewer.  The counts per
+    report: constructor calls, and shift/scale calls plus the one rebase
+    of a coefficient-wise comparison.
+    """
+    per_report = {
+        "derivative-weighted-lower": (2, 2 + 1 + 1),
+        "derivative-weighted-raise": (2, 2 + 1 + 1),
+        "derivative-lower": (2, 0),
+        "derivative-raise": (2, 0),
+        "three-term-recurrence": (3, 0),
+        "negative-order-reflection": (2, 1 + 1),
+    }
+    spans = _load_spans()
+    from confbessel import checks
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        reports = checks.identity_suite()
+    finally:
+        tracer.uninstall()
+    recorded = list(tracer.spans())
+    direct = {"bessel": 0, "series.algebra": 0}
+    for name, _, _, parent in recorded:
+        if name in direct and parent >= 0 and recorded[parent][0] == "checks":
+            direct[name] += 1
+
+    rows = [per_report[r.check_name.split("[")[0]] for r in reports]
+    assert direct == {"bessel": sum(b for b, _ in rows),
+                      "series.algebra": sum(a for _, a in rows)}
+    assert tracer.counts["checks.reports"] == len(reports)
