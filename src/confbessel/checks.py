@@ -409,12 +409,13 @@ def check_identity(name: str, p: int, alpha: Alpha | float,
 
 def check_half_order_closed_forms(alpha: Alpha | float,
                                   grid: Iterable[float],
-                                  tolerance: float = HALF_ORDER_TOL
+                                  tolerance: float | None = None
                                   ) -> CheckReport:
     """Orders +-1/2 against their sine and cosine closed forms.
 
     ``J_{1/2}(x) = sqrt(2/(pi*x**alpha)) * sin(x**alpha)`` and the order
-    -1/2 function is the same envelope times cos.
+    -1/2 function is the same envelope times cos.  ``tolerance`` defaults
+    to ``HALF_ORDER_TOL``.
     """
     al, rows = _rows(0.5, alpha, grid)
     plus = bessel_j_series(0.5, al)
@@ -431,18 +432,21 @@ def check_half_order_closed_forms(alpha: Alpha | float,
 
     return _pointwise(f"half-order[alpha={al.value:g}]",
                       [(s * p, a, x) for p, a, x in rows for s in (1.0, -1.0)],
-                      deviation, tolerance, "abs")
+                      deviation,
+                      HALF_ORDER_TOL if tolerance is None else tolerance,
+                      "abs")
 
 
 def check_series_vs_quadrature(p: int, alpha: Alpha | float,
                                grid: Iterable[float],
-                               tolerance: float = ORACLE_TOL
+                               tolerance: float | None = None
                                ) -> CheckReport:
     """Series evaluation against the quadrature oracle at argument x**alpha.
 
     Exercises both the series engine and the alpha-scaling structure: the
     conformable function of order p at x must match the classical function
-    at x**alpha, computed by an entirely independent method.
+    at x**alpha, computed by an entirely independent method.  ``tolerance``
+    defaults to ``ORACLE_TOL``.
     """
     _require_integer(p, 0, "oracle comparison")
     al, rows = _rows(p, alpha, grid)
@@ -453,19 +457,21 @@ def check_series_vs_quadrature(p: int, alpha: Alpha | float,
         return eval_series(series, x).value - ref, ref
 
     return _pointwise(f"series-vs-quadrature[p={p} alpha={al.value:g}]",
-                      rows, deviation, tolerance, "abs")
+                      rows, deviation,
+                      ORACLE_TOL if tolerance is None else tolerance, "abs")
 
 
 def check_second_solution_scaling(alpha: Alpha | float,
                                   grid: Iterable[float],
                                   m: int | None = None,
-                                  tolerance: float = SCALING_TOL
+                                  tolerance: float | None = None
                                   ) -> CheckReport:
     """Second solutions at alpha vs the rescaled alpha = 1 instance.
 
     The alpha-instance evaluated at x must equal ``1/alpha`` times the
     alpha = 1 instance evaluated at x**alpha.  ``m = None`` checks the
     order-zero logarithmic solution, ``m >= 1`` the integer-order one.
+    ``tolerance`` defaults to ``SCALING_TOL``.
     """
     if m is None:
         al, rows = _rows(0.0, alpha, grid)
@@ -485,7 +491,8 @@ def check_second_solution_scaling(alpha: Alpha | float,
         return lhs - rhs, rhs
 
     return _pointwise(f"second-solution-scaling[{label} alpha={al.value:g}]",
-                      rows, deviation, tolerance, "abs")
+                      rows, deviation,
+                      SCALING_TOL if tolerance is None else tolerance, "abs")
 
 
 def solution_corpus(alpha: Alpha | float):
@@ -522,8 +529,7 @@ def identity_suite(tolerance: float | None = None) -> list[CheckReport]:
 
 
 def half_order_suite(tolerance: float | None = None) -> list[CheckReport]:
-    tol = tolerance if tolerance is not None else HALF_ORDER_TOL
-    return [check_half_order_closed_forms(a, HALF_ORDER_X, tol)
+    return [check_half_order_closed_forms(a, HALF_ORDER_X, tolerance)
             for a in IDENTITY_ALPHAS]
 
 
@@ -533,14 +539,12 @@ def scaling_suite(tolerance: float | None = None) -> list[CheckReport]:
     for a in ORACLE_ALPHAS:
         xs = [x for x in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 64.0)
               if x ** a <= 8.0]
-        tol = tolerance if tolerance is not None else ORACLE_TOL
         for p in (0, 1, 2):
-            reports.append(check_series_vs_quadrature(p, a, xs, tol))
-    stol = tolerance if tolerance is not None else SCALING_TOL
+            reports.append(check_series_vs_quadrature(p, a, xs, tolerance))
     for a in SCALING_ALPHAS:
-        reports.append(check_second_solution_scaling(a, SCALING_X, None, stol))
-        for m in (1, 2):
-            reports.append(check_second_solution_scaling(a, SCALING_X, m, stol))
+        for m in (None, 1, 2):
+            reports.append(
+                check_second_solution_scaling(a, SCALING_X, m, tolerance))
     return reports
 
 

@@ -265,17 +265,17 @@ def _add_common(sub: argparse.ArgumentParser, *, family_default,
                 format_default: str) -> None:
     sub.add_argument("--family", choices=FAMILIES, default=family_default,
                      help="solution family (default %(default)s)")
-    sub.add_argument("--order", type=float, default=0.0,
-                     help="order p (default %(default)s)")
-    sub.add_argument("--alpha", type=float, default=1.0,
-                     help="derivative order in (0, 1] (default %(default)s)")
+    sub.add_argument("--order", type=float, default=None,
+                     help="order p (default 0.0)")
+    sub.add_argument("--alpha", type=float, default=None,
+                     help="derivative order in (0, 1] (default 1.0)")
     sub.add_argument("--x", type=float, default=None,
                      help="evaluation point, must be > 0")
     sub.add_argument("--range", dest="range_spec", default=None,
                      metavar="a:b:n",
                      help="inclusive linear grid start:stop:count")
-    sub.add_argument("--terms", type=int, default=DEFAULT_TERMS,
-                     help="series length (default %(default)s)")
+    sub.add_argument("--terms", type=int, default=None,
+                     help=f"series length (default {DEFAULT_TERMS})")
     sub.add_argument("--format", choices=("csv", "json", "plain"),
                      default=format_default, help="output format")
     sub.add_argument("--tolerance", type=float, default=None,
@@ -309,8 +309,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _validate(ns: argparse.Namespace) -> None:
     """Refuse malformed flags, then fill what depends on them.
 
-    Sets ``ns.xs``: the ``--range`` points, else ``[--x]``, else None.
+    Fills the defaults of ``--order``, ``--alpha`` and ``--terms`` (None
+    until here, so that ``check`` can tell them from given values) and sets
+    ``ns.xs``: the ``--range`` points, else ``[--x]``, else None.
     """
+    given = [flag for flag, value in (
+        ("--x", ns.x), ("--range", ns.range_spec), ("--order", ns.order),
+        ("--alpha", ns.alpha), ("--terms", ns.terms)) if value is not None]
+    ns.order = 0.0 if ns.order is None else ns.order
+    ns.alpha = 1.0 if ns.alpha is None else ns.alpha
+    ns.terms = DEFAULT_TERMS if ns.terms is None else ns.terms
     if ns.command == "eval" and ns.range_spec is not None:
         raise UsageError("eval takes --x, not --range")
     range_spec = parse_range(ns.range_spec) if ns.range_spec is not None \
@@ -325,10 +333,9 @@ def _validate(ns: argparse.Namespace) -> None:
         raise UsageError(f"--terms must be <= {MAX_TERMS}, got {ns.terms}")
     if ns.tolerance is not None and not (ns.tolerance > 0.0):
         raise UsageError(f"--tolerance must be > 0, got {ns.tolerance}")
-    for flag, value in (("--x", ns.x), ("--range", ns.range_spec)):
-        if ns.command == "check" and ns.family is None and value is not None:
-            raise UsageError(f"check takes {flag} only with --family: the "
-                             "suites run on their own grids")
+    if ns.command == "check" and ns.family is None and given:
+        raise UsageError(f"check takes {given[0]} only with --family: the "
+                         "suites run on their own grids")
     if ns.command == "check" and ns.check_name is None:
         ns.check_name = "residual" if ns.family is not None else "all"
     if range_spec is not None:

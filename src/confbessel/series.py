@@ -18,9 +18,9 @@ differentiation exact on this representation.  Numerical evaluation goes
 through the one summation kernel, :func:`eval_series_kernel`, which uses
 compensated summation because the coefficient sequences of interest
 alternate in sign and pass through large intermediate terms before factorial
-decay sets in.  Every constructed family holds only even powers past its
-leading exponent, so the kernel sums such a series over its even slots
-alone, with the same roundings in the same order.
+decay sets in.  Its one loop walks the even, the odd or every slot, as the
+series recorded at construction (:class:`FracSeries`), with the roundings
+of a step through every slot in the same order.
 """
 
 from __future__ import annotations
@@ -115,10 +115,11 @@ class Alpha(ImmutableValue):
 class FracSeries(ImmutableValue):
     """Truncated series ``sum(c_n * x**((n + offset) * alpha))``.
 
-    Besides its fields a series records ``_evens``, derived once here: the
-    even slots ``coeffs[::2]`` when every odd slot is zero, else ``None``.
-    The kernel then walks only those slots.  It is not a field, so equality,
-    hash and repr ignore it.
+    Besides its fields a series records ``_walk = (slots, first, stride)``
+    for :func:`eval_series_kernel`, derived once here: ``slots`` is
+    ``coeffs[first::stride]``, the even slots (0, 2) when every odd slot is
+    zero, else the odd slots (1, 2) when every even slot is zero, else every
+    slot (0, 1).  It is not a field, so equality, hash and repr ignore it.
     """
 
     _fields = ("alpha", "offset", "coeffs")
@@ -134,10 +135,12 @@ class FracSeries(ImmutableValue):
         if not all(map(math.isfinite, coeffs)):
             bad = next(c for c in coeffs if not math.isfinite(c))
             raise ValueError(f"non-finite coefficient {bad!r}")
-        # any() is false when every odd slot is 0.0 or -0.0
-        self.__dict__.update(
-            alpha=alpha, offset=float(offset), coeffs=coeffs,
-            _evens=None if any(coeffs[1::2]) else coeffs[::2])
+        # any() reads 0.0 and -0.0 as false
+        walk = ((coeffs[::2], 0, 2) if not any(coeffs[1::2])
+                else (coeffs[1::2], 1, 2) if not any(coeffs[::2])
+                else (coeffs, 0, 1))
+        self.__dict__.update(alpha=alpha, offset=float(offset),
+                             coeffs=coeffs, _walk=walk)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -254,49 +257,32 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
 
 
 def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
-                       stop_rel: float,
-                       evens=None) -> tuple[float, int, float]:
-    """Sum ``c_n * x**((n+offset)*alpha)`` over a coefficient tuple or list.
+                       stop_rel: float, walk) -> tuple[float, int, float]:
+    """Sum ``c_n * x**((n+offset)*alpha)`` over the slots ``walk`` names.
 
-    Terms are accumulated in ascending n with Kahan-compensated summation.
-    The loop stops early once a nonzero-coefficient term drops below
-    ``stop_rel`` times the magnitude of the partial sum; zero coefficients are
-    skipped and never trigger the stop test.
+    ``walk`` is ``(slots, first, stride)`` as in ``FracSeries._walk``, over
+    a coefficient tuple or list.  Terms are accumulated in ascending n with
+    Kahan-compensated summation.  The loop stops early once a
+    nonzero-coefficient term drops below ``stop_rel`` times the magnitude of
+    the partial sum; zero coefficients never trigger the stop test.  The
+    power starts at slot ``first`` and steps as ``power * xa * xb``, with
+    ``xb`` = ``xa`` at stride 2 and the exact 1.0 at stride 1: the roundings
+    of ``power *= xa`` through every slot, in the same order.
 
     Returns ``(value, terms_used, tail)`` where ``terms_used`` counts the
-    coefficients consumed and ``tail`` is the magnitude of the last nonzero
-    term that was added (0.0 if every coefficient was zero).  On an early
-    stop the count comes from the iterator's exact remaining length.
-
-    ``evens``, if given, must be ``coeffs[::2]`` of a tuple whose odd slots
-    are all zero (``FracSeries._evens``).  A separate loop then walks only
-    those slots and steps the power as ``power * xa * xa``, which rounds
-    twice in the same order as two ``power *= xa``; the result, counted in
-    slots of ``coeffs``, is the same bit for bit.
+    slots of ``coeffs`` consumed and ``tail`` is the magnitude of the last
+    nonzero term that was added (0.0 if every coefficient was zero).  On an
+    early stop the count comes from the iterator's exact remaining length.
     """
+    slots, first, stride = walk
     xa = x ** alpha
     power = x ** (offset * alpha)
+    if first:
+        power *= xa
+    xb = xa if stride == 2 else 1.0
 
     total = carry = tail = 0.0
-    if evens is not None:
-        rest = iter(evens)
-        for c in rest:
-            if c != 0.0:
-                term = c * power
-                # Kahan step
-                yk = term - carry
-                t = total + yk
-                carry = (t - total) - yk
-                total = t
-                tail = term if term >= 0.0 else -term
-                if tail < stop_rel * (total if total >= 0.0 else -total):
-                    # slot j of ``evens`` is slot 2j of ``coeffs``
-                    used = 2 * (len(evens) - length_hint(rest)) - 1
-                    return total, used, tail
-            power = power * xa * xa
-        return total, len(coeffs), tail
-
-    rest = iter(coeffs)
+    rest = iter(slots)
     for c in rest:
         if c != 0.0:
             term = c * power
@@ -307,8 +293,10 @@ def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
             total = t
             tail = term if term >= 0.0 else -term
             if tail < stop_rel * (total if total >= 0.0 else -total):
-                return total, len(coeffs) - length_hint(rest), tail
-        power *= xa
+                # walked index i is slot first + stride * i of ``coeffs``
+                i = len(slots) - length_hint(rest) - 1
+                return total, first + stride * i + 1, tail
+        power = power * xa * xb
     return total, len(coeffs), tail
 
 
@@ -348,7 +336,7 @@ def eval_series(a: FracSeries, x: float, stop_rel: float = STOP_REL) -> EvalResu
     # can rebind it
     try:
         return _result(EvalResult, eval_series_kernel(
-            a.coeffs, a.alpha.value, a.offset, x, stop_rel, a._evens))
+            a.coeffs, a.alpha.value, a.offset, x, stop_rel, a._walk))
     except OverflowError:
         raise _overflow(x) from None
 
@@ -368,9 +356,9 @@ def eval_log_solution(s: LogSolution, x: float,
     pp = s.plain_part
     try:
         lg, lg_used, lg_tail = eval_series_kernel(
-            lp.coeffs, lp.alpha.value, lp.offset, x, stop_rel, lp._evens)
+            lp.coeffs, lp.alpha.value, lp.offset, x, stop_rel, lp._walk)
         pl, pl_used, pl_tail = eval_series_kernel(
-            pp.coeffs, pp.alpha.value, pp.offset, x, stop_rel, pp._evens)
+            pp.coeffs, pp.alpha.value, pp.offset, x, stop_rel, pp._walk)
     except OverflowError:
         raise _overflow(x) from None
     lnx = math.log(x)

@@ -33,9 +33,10 @@ from confbessel import (
     second_solution_integer_order,
     second_solution_order_zero,
 )
-from confbessel.checks import (COEFF_TOL, IDENTITIES, LOG_RESIDUAL_X,
-                               ORACLE_MAX_ARG, POINT_TOL, RESIDUAL_X,
-                               SCALING_X, linspace)
+from confbessel.checks import (COEFF_TOL, HALF_ORDER_TOL, IDENTITIES,
+                               LOG_RESIDUAL_X, ORACLE_MAX_ARG, ORACLE_TOL,
+                               POINT_TOL, RESIDUAL_X, SCALING_TOL, SCALING_X,
+                               linspace)
 from confbessel.errors import DomainError
 
 # frozen quadrature-oracle values
@@ -277,6 +278,19 @@ class TestHalfOrderAndScaling:
         r = check_second_solution_scaling(0.5, (0.5, 1.0, 2.0, 3.0), m)
         assert r.passed
         assert r.max_abs_err <= 1e-11
+
+    @pytest.mark.parametrize("check, args, default", [
+        (check_half_order_closed_forms, (0.5, (1.0, 2.0)), HALF_ORDER_TOL),
+        (check_series_vs_quadrature, (1, 0.5, (1.0, 2.0)), ORACLE_TOL),
+        (check_second_solution_scaling, (0.5, (1.0, 2.0)), SCALING_TOL),
+        (check_second_solution_scaling, (0.5, (1.0, 2.0), 2), SCALING_TOL),
+    ])
+    def test_tolerance_none_means_the_documented_default(self, check, args,
+                                                          default):
+        # an explicit None is the default, not _pointwise's POINT_TOL
+        assert check(*args).tolerance == default
+        assert check(*args, tolerance=None).tolerance == default
+        assert check(*args, tolerance=1e-3).tolerance == 1e-3
 
     def test_scaling_identity_spelled_out(self):
         # the alpha-instance equals (1/alpha) times the classical instance

@@ -52,7 +52,9 @@ def run_table():
 def test_reports_are_unchanged():
     golden = json.loads(TABLE.read_text(encoding="utf-8"))
     got = run_table()
-    assert sorted(got) == sorted(golden), "report list and table differ"
+    added, removed = sorted(got.keys() - golden), sorted(golden.keys() - got)
+    assert not (added or removed), \
+        f"report list and table differ: added {added}, removed {removed}"
     changed = [k for k in got if got[k] != golden[k]]
     assert not changed, f"{len(changed)} reports moved: {changed}"
 

@@ -204,9 +204,15 @@ class TestCheck:
         (["check", "--range", "1:2:2"], "--range"),
         (["check", "--name", "identities", "--x", "1", "--range", "1:2:2"],
          "--x"),
+        (["check", "--order", "5", "--terms", "3", "--alpha", "0.5",
+          "--name", "halforder"], "--order"),
+        (["check", "--alpha", "1"], "--alpha"),
+        (["check", "--terms", "60", "--name", "scaling"], "--terms"),
     ])
     def test_points_without_family_rejected(self, capsys, argv, flag):
-        # the suites run on their own grids and would ignore the points
+        # the suites run on their own grids of points, orders and alphas,
+        # with their own series lengths, and would ignore these flags; a
+        # flag given at its default value is refused too
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert out == ""

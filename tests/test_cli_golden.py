@@ -67,6 +67,12 @@ MALFORMED = [
     ["check", "--name", "scaling", "--family", "J", "--x", "1"],
     ["check", "--family", "K", "--order", "0.5", "--name", "identities"],
     ["check", "--family", "K", "--order", "0.5"],
+    ["check", "--order", "5", "--terms", "3", "--alpha", "0.5", "--name",
+     "halforder"],
+    ["check", "--alpha", "0.5"],
+    ["check", "--terms", "3", "--name", "residual"],
+    ["check", "--order", "0"],
+    ["check", "--terms", "0", "--order", "1"],
     ["eval", "--order", "nan", "--x", "1"],
     ["eval", "--order", "inf", "--x", "1"],
     ["eval", "--order", "200", "--x", "1"],
@@ -168,7 +174,9 @@ def test_output_bytes_are_unchanged(monkeypatch):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     golden = json.loads(TABLE.read_text(encoding="utf-8"))
     got = run_matrix()
-    assert sorted(got) == sorted(golden), "argv matrix and table differ"
+    added, removed = sorted(got.keys() - golden), sorted(golden.keys() - got)
+    assert not (added or removed), \
+        f"argv matrix and table differ: added {added}, removed {removed}"
     changed = [k for k in got if got[k] != golden[k]]
     assert not changed, f"{len(changed)} argvs print other bytes: {changed}"
 

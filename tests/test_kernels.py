@@ -15,6 +15,7 @@ from confbessel import (
     kernel_backend,
     second_solution_integer_order,
     second_solution_order_zero,
+    series_shift,
 )
 from confbessel.series import eval_series_kernel
 
@@ -23,8 +24,8 @@ def while_loop_kernel(coeffs, alpha, offset, x, stop_rel):
     """The indexed ``while`` loop the kernel replaced, kept as the oracle.
 
     ``eval_series_kernel`` must return the same ``(value, terms_used, tail)``
-    bit for bit: same Kahan step, same stop test, same order of the
-    ``power *= xa`` multiplications.
+    bit for bit over every walk: same Kahan step, same stop test, same order
+    of the ``power *= xa`` multiplications.
     """
     xa = x ** alpha
     power = x ** (offset * alpha)
@@ -61,12 +62,26 @@ def bits(result):
     return struct.pack("d", value), used, struct.pack("d", tail)
 
 
+def walks(coeffs):
+    """Every walk the kernel may take over ``coeffs``: all of its slots, and
+    its even or odd slots when every other slot is 0.0 or -0.0."""
+    out = [(coeffs, 0, 1)]
+    for first in (0, 1):
+        if not any(coeffs[1 - first::2]):
+            out.append((coeffs[first::2], first, 2))
+    return out
+
+
 def assert_bit_identical(coeffs, alpha, offset, x, stop_rel):
+    """The kernel over every walk of ``coeffs``, as a tuple and as a list,
+    against the while-loop oracle."""
     expected = bits(while_loop_kernel(coeffs, alpha, offset, x, stop_rel))
-    assert bits(eval_series_kernel(coeffs, alpha, offset, x, stop_rel)) \
-        == expected
-    assert bits(eval_series_kernel(list(coeffs), alpha, offset, x,
-                                   stop_rel)) == expected
+    for slots, first, stride in walks(coeffs):
+        assert bits(eval_series_kernel(coeffs, alpha, offset, x, stop_rel,
+                                       (slots, first, stride))) == expected
+        assert bits(eval_series_kernel(list(coeffs), alpha, offset, x,
+                                       stop_rel, (list(slots), first,
+                                                  stride))) == expected
 
 
 class TestPythonKernel:
@@ -75,7 +90,8 @@ class TestPythonKernel:
 
     def test_early_stop_and_tail(self):
         j0 = bessel_j_series(0.0, 1.0, 60)
-        value, used, tail = eval_series_kernel(j0.coeffs, 1.0, 0.0, 0.5, 1e-18)
+        value, used, tail = eval_series_kernel(j0.coeffs, 1.0, 0.0, 0.5,
+                                               1e-18, j0._walk)
         assert used < 60
         assert tail >= 0.0
         assert value == pytest.approx(0.93846980724081283, rel=1e-12)
@@ -83,8 +99,9 @@ class TestPythonKernel:
     def test_zero_coefficients_do_not_trigger_stop(self):
         # odd slots are zero; a zero term must not satisfy the relative
         # stop test or every series would stop after its first gap
+        coeffs = (1.0, 0.0, 1.0, 0.0, 1.0)
         value, used, _ = eval_series_kernel(
-            (1.0, 0.0, 1.0, 0.0, 1.0), 1.0, 0.0, 1.0, 1e-18)
+            coeffs, 1.0, 0.0, 1.0, 1e-18, (coeffs, 0, 1))
         assert used == 5
         assert value == pytest.approx(3.0)
 
@@ -96,14 +113,36 @@ slot = st.one_of(
 )
 
 
+@st.composite
+def even_parity(draw):
+    """A tuple of 1-130 slots whose odd slots are all 0.0 or -0.0."""
+    n = draw(st.integers(min_value=1, max_value=130))
+    out = [None] * n
+    out[::2] = draw(st.lists(slot, min_size=(n + 1) // 2,
+                             max_size=(n + 1) // 2))
+    out[1::2] = draw(st.lists(st.sampled_from([0.0, -0.0]),
+                              min_size=n // 2, max_size=n // 2))
+    return tuple(out)
+
+
+def odd_parity():
+    """A tuple of 2-131 slots whose even slots are all 0.0 or -0.0: a zero
+    slot before an even-parity tuple."""
+    return st.tuples(st.sampled_from([0.0, -0.0]), even_parity()).map(
+        lambda zero_and_rest: (zero_and_rest[0],) + zero_and_rest[1])
+
+
 class TestBitIdentity:
-    @settings(max_examples=400, deadline=None)
+    """The kernel over all three walks against the while-loop oracle."""
+
+    @settings(max_examples=600, deadline=None)
     @given(
-        coeffs=st.lists(slot, min_size=1, max_size=40).map(tuple),
+        coeffs=st.one_of(st.lists(slot, min_size=1, max_size=40).map(tuple),
+                         even_parity(), odd_parity()),
         alpha=st.floats(min_value=0.05, max_value=1.0),
         offset=st.floats(min_value=-3.0, max_value=3.0),
         x=st.floats(min_value=1e-3, max_value=30.0),
-        stop_rel=st.sampled_from([0.0, 1e-18, 1e-12, 1e-6, 0.5]),
+        stop_rel=st.sampled_from([0.0, 1e-18, 1e-12, 1e-6, 0.5, 1.0]),
     )
     @example(coeffs=(0.0,), alpha=1.0, offset=0.0, x=2.0, stop_rel=1e-18)
     @example(coeffs=(0.0,) * 7, alpha=0.5, offset=-1.5, x=0.3, stop_rel=1e-18)
@@ -114,6 +153,17 @@ class TestBitIdentity:
     # the stop test is strict: at n = 1 the tail equals stop_rel * |total|
     @example(coeffs=(1.0, 1.0, 1.0), alpha=1.0, offset=0.0, x=1.0,
              stop_rel=0.5)
+    @example(coeffs=(2.5,), alpha=0.5, offset=0.5, x=3.0, stop_rel=0.0)
+    @example(coeffs=(1.0, -0.0), alpha=1.0, offset=0.0, x=0.5, stop_rel=1.0)
+    @example(coeffs=(0.0, -0.0, 0.0, 0.0), alpha=0.3, offset=-1.0, x=7.0,
+             stop_rel=1e-18)
+    # slot 2 sits on the stop test's equality (1 == 0.5 * 2) and must not
+    # stop; slot 4 stops, so terms_used is 5 of 7
+    @example(coeffs=(1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), alpha=1.0,
+             offset=0.0, x=1.0, stop_rel=0.5)
+    # the same on the odd slots: slot 3 does not stop, slot 5 does (6 of 7)
+    @example(coeffs=(0.0, 1.0, -0.0, 1.0, 0.0, 1.0, 0.0), alpha=1.0,
+             offset=0.0, x=1.0, stop_rel=0.5)
     def test_matches_while_loop(self, coeffs, alpha, offset, x, stop_rel):
         assert_bit_identical(coeffs, alpha, offset, x, stop_rel)
 
@@ -122,7 +172,9 @@ class TestBitIdentity:
         ((1.0, 0.0, 1.0), -2.0, 0.5, 3),        # runs out of coefficients
     ])
     def test_both_returns(self, coeffs, offset, x, used):
-        assert eval_series_kernel(coeffs, 1.0, offset, x, 1e-18)[1] == used
+        for walk in walks(coeffs):
+            assert eval_series_kernel(coeffs, 1.0, offset, x, 1e-18,
+                                      walk)[1] == used
         assert_bit_identical(coeffs, 1.0, offset, x, 1e-18)
 
     @pytest.mark.parametrize("alpha", [0.35, 0.8, 1.0])
@@ -136,23 +188,13 @@ class TestBitIdentity:
         for log_solution in (second_solution_order_zero(alpha, n_terms),
                              second_solution_integer_order(2, alpha, n_terms)):
             parts += [log_solution.log_part, log_solution.plain_part]
+        parts.append(series_shift(parts[0], 1))  # odd slots only
         for part in parts:
+            assert part._walk in walks(part.coeffs)
             for t in (0.01, 0.5, 1.0, 3.3, 9.0, 20.0):
                 x = t ** (1.0 / alpha)
                 assert_bit_identical(part.coeffs, part.alpha.value,
                                      part.offset, x, 1e-18)
-
-
-@st.composite
-def even_parity(draw):
-    """A tuple of 1-130 slots whose odd slots are all 0.0 or -0.0."""
-    n = draw(st.integers(min_value=1, max_value=130))
-    out = [None] * n
-    out[::2] = draw(st.lists(slot, min_size=(n + 1) // 2,
-                             max_size=(n + 1) // 2))
-    out[1::2] = draw(st.lists(st.sampled_from([0.0, -0.0]),
-                              min_size=n // 2, max_size=n // 2))
-    return tuple(out)
 
 
 def log_solution_bits(sol, x):
@@ -169,41 +211,21 @@ def log_solution_bits(sol, x):
 
 
 class TestEvenSlots:
-    """The kernel's even-slot loop against the while-loop oracle."""
-
-    @settings(max_examples=250, deadline=None)
-    @given(
-        coeffs=even_parity(),
-        alpha=st.floats(min_value=0.05, max_value=1.0),
-        offset=st.floats(min_value=-3.0, max_value=3.0),
-        x=st.floats(min_value=1e-3, max_value=30.0),
-        stop_rel=st.sampled_from([0.0, 1e-18, 1e-12, 1e-6, 0.5, 1.0]),
-    )
-    @example(coeffs=(0.0,), alpha=1.0, offset=0.0, x=2.0, stop_rel=1e-18)
-    @example(coeffs=(2.5,), alpha=0.5, offset=0.5, x=3.0, stop_rel=0.0)
-    @example(coeffs=(1.0, -0.0), alpha=1.0, offset=0.0, x=0.5, stop_rel=1.0)
-    @example(coeffs=(0.0, -0.0, 0.0, 0.0), alpha=0.3, offset=-1.0, x=7.0,
-             stop_rel=1e-18)
-    # slot 2 sits on the stop test's equality (1 == 0.5 * 2) and must not
-    # stop; slot 4 stops, so terms_used is 5 of 7
-    @example(coeffs=(1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), alpha=1.0,
-             offset=0.0, x=1.0, stop_rel=0.5)
-    def test_matches_while_loop(self, coeffs, alpha, offset, x, stop_rel):
-        expected = bits(while_loop_kernel(coeffs, alpha, offset, x, stop_rel))
-        assert bits(eval_series_kernel(coeffs, alpha, offset, x, stop_rel,
-                                       coeffs[::2])) == expected
-        # the general loop, on the same tuple
-        assert bits(eval_series_kernel(coeffs, alpha, offset, x,
-                                       stop_rel)) == expected
+    """The stride-2 walks: slot counts, and through the evaluators every
+    family (each part walks its even slots) and J shifted by one slot (it
+    walks its odd slots)."""
 
     @pytest.mark.parametrize("coeffs, used", [
         ((1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), 5),  # early stop at slot 4
         ((1.0, 0.0, 1.0, 0.0), 4),                  # runs out, even length
         ((1.0, 0.0, 1.0), 3),                       # runs out, odd length
+        ((0.0, 1.0, -0.0, 1.0, 0.0, 1.0, 0.0), 6),  # early stop at slot 5
+        ((0.0, 1.0, 0.0, 1.0), 4),                  # runs out, odd slots
     ])
     def test_terms_used_counts_slots_of_the_full_tuple(self, coeffs, used):
-        result = eval_series_kernel(coeffs, 1.0, 0.0, 1.0, 0.5, coeffs[::2])
-        assert result[1] == used
+        for walk in walks(coeffs):
+            assert eval_series_kernel(coeffs, 1.0, 0.0, 1.0, 0.5,
+                                      walk)[1] == used
 
     @pytest.mark.parametrize("n_terms", [30, 60, 120])
     @pytest.mark.parametrize("alpha", [0.35, 0.8, 1.0])
@@ -214,7 +236,8 @@ class TestEvenSlots:
         logs = [second_solution_order_zero(alpha, n_terms),
                 second_solution_integer_order(2, alpha, n_terms)]
         for part in plain:
-            assert part._evens is not None
+            assert part._walk == (part.coeffs[::2], 0, 2)
+        plain.append(series_shift(plain[0], 1))
         for t in (1e-3, 0.01, 0.5, 1.0, 3.3, 9.0, 14.5, 20.0):
             x = t ** (1.0 / alpha)
             for part in plain:

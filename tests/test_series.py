@@ -76,7 +76,9 @@ class TestFracSeries:
 
 
 class TestEvenSlots:
-    """``FracSeries._evens``: the even slots, kept when every odd slot is 0."""
+    """``FracSeries._walk``: the even, the odd or every slot, whichever
+    holds every nonzero coefficient, as ``(coeffs[first::stride], first,
+    stride)``."""
 
     def test_list_and_tuple_build_equal_values(self):
         coeffs = [1.0, 0.0, -0.25, -0.0, 1 / 64]
@@ -85,14 +87,17 @@ class TestEvenSlots:
         assert a == b
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
-        assert "_evens" not in repr(a)
-        assert a._evens == b._evens == (1.0, -0.25, 1 / 64)
+        assert "_walk" not in repr(a)
+        assert a._walk == b._walk == ((1.0, -0.25, 1 / 64), 0, 2)
 
-    def test_none_when_an_odd_slot_is_nonzero(self):
-        assert FracSeries(1, 0, [1, 1])._evens is None
+    def test_odd_or_every_slot_when_an_odd_slot_is_nonzero(self):
+        assert FracSeries(1, 0, [1, 1])._walk == ((1.0, 1.0), 0, 1)
+        assert FracSeries(1, 0, [0, 1, -0.0, 2])._walk == ((1.0, 2.0), 1, 2)
+        assert FracSeries(1, 0, [0, -0.0, 0])._walk == ((0.0, 0.0), 0, 2)
         j = bessel_j_series(0.0, 0.5, 10)
-        assert j._evens == j.coeffs[::2]
-        assert series_shift(j, 1)._evens is None
+        assert j._walk == (j.coeffs[::2], 0, 2)
+        assert series_shift(j, 1)._walk == (j.coeffs[::2], 1, 2)
+        assert series_shift(j, 2)._walk == ((0.0,) + j.coeffs[::2], 0, 2)
 
     def test_every_family_records_its_even_slots(self):
         parts = [bessel_j_series(2.5, 0.8, 30),
@@ -101,16 +106,16 @@ class TestEvenSlots:
                     second_solution_integer_order(2, 0.8, 30)):
             parts += [sol.log_part, sol.plain_part]
         for part in parts:
-            assert part._evens == part.coeffs[::2]
+            assert part._walk == (part.coeffs[::2], 0, 2)
 
     def test_assignment_still_raises(self):
         a = S(1.0, 0.0, [1.0, 0.0, 2.0])
-        for name in ("coeffs", "_evens"):
+        for name in ("coeffs", "_walk"):
             with pytest.raises(AttributeError):
                 setattr(a, name, (3.0,))
             with pytest.raises(AttributeError):
                 delattr(a, name)
-        assert a._evens == (1.0, 2.0)
+        assert a._walk == ((1.0, 2.0), 0, 2)
 
 
 class TestSeriesScale:
@@ -399,9 +404,9 @@ class TestLogSolution:
         eval_series(sol.plain_part, 1.5)
         assert len(calls) == 3
 
-    def test_evaluators_pass_the_even_slots(self, monkeypatch):
-        # every part of a family is even-parity, so the kernel gets its
-        # even-slot record; a series with a nonzero odd slot gets None
+    def test_evaluators_pass_the_walk(self, monkeypatch):
+        # every part of a family walks its even slots; shifted by one slot,
+        # a family walks its odd slots
         calls = []
         kernel = series.eval_series_kernel
 
@@ -415,7 +420,9 @@ class TestLogSolution:
         odd = series_shift(bessel_j_series(0.0, 0.5), 1)
         eval_series(odd, 1.5)
         assert [args[-1] for args in calls] == [
-            sol.log_part.coeffs[::2], sol.plain_part.coeffs[::2], None]
+            (sol.log_part.coeffs[::2], 0, 2),
+            (sol.plain_part.coeffs[::2], 0, 2),
+            (odd.coeffs[1::2], 1, 2)]
 
 
 coeff_lists = st.lists(
