@@ -215,6 +215,31 @@ class TestEvenSlots:
     family (each part walks its even slots) and J shifted by one slot (it
     walks its odd slots)."""
 
+    @settings(max_examples=250, deadline=None)
+    @given(
+        coeffs=st.one_of(even_parity(), odd_parity()),
+        alpha=st.floats(min_value=0.05, max_value=1.0),
+        offset=st.floats(min_value=-3.0, max_value=3.0),
+        x=st.floats(min_value=1e-3, max_value=30.0),
+        stop_rel=st.sampled_from([0.0, 1e-18, 1e-12, 1e-6, 0.5, 1.0]),
+    )
+    @example(coeffs=(0.0,), alpha=1.0, offset=0.0, x=2.0, stop_rel=1e-18)
+    @example(coeffs=(2.5,), alpha=0.5, offset=0.5, x=3.0, stop_rel=0.0)
+    @example(coeffs=(1.0, -0.0), alpha=1.0, offset=0.0, x=0.5, stop_rel=1.0)
+    @example(coeffs=(0.0, -0.0, 0.0, 0.0), alpha=0.3, offset=-1.0, x=7.0,
+             stop_rel=1e-18)
+    @example(coeffs=(1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), alpha=1.0,
+             offset=0.0, x=1.0, stop_rel=0.5)
+    @example(coeffs=(0.0, 1.0, -0.0, 1.0, 0.0, 1.0, 0.0), alpha=1.0,
+             offset=0.0, x=1.0, stop_rel=0.5)
+    def test_matches_while_loop(self, coeffs, alpha, offset, x, stop_rel):
+        expected = bits(while_loop_kernel(coeffs, alpha, offset, x, stop_rel))
+        stride_2 = [walk for walk in walks(coeffs) if walk[2] == 2]
+        assert stride_2  # every drawn tuple has an even or odd walk
+        for walk in stride_2:
+            assert bits(eval_series_kernel(coeffs, alpha, offset, x,
+                                           stop_rel, walk)) == expected
+
     @pytest.mark.parametrize("coeffs, used", [
         ((1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), 5),  # early stop at slot 4
         ((1.0, 0.0, 1.0, 0.0), 4),                  # runs out, even length
