@@ -22,14 +22,12 @@ from .series import (
     series_shift,
 )
 from .bessel import (
-    BesselOrder,
-    OrderKind,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
-    classify_order,
     gamma,
     harmonic,
+    integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
 )
@@ -77,20 +75,18 @@ def kernel_backend() -> str:
 
 __all__ = [
     "Alpha",
-    "BesselOrder",
     "EvalResult",
     "FracSeries",
     "LogSolution",
-    "OrderKind",
     "bessel_j_neg_integer_series",
     "bessel_j_neg_series",
     "bessel_j_series",
-    "classify_order",
     "conformable_diff_exact",
     "eval_log_solution",
     "eval_series",
     "gamma",
     "harmonic",
+    "integer_order",
     "kernel_backend",
     "second_solution_integer_order",
     "second_solution_order_zero",

@@ -30,10 +30,8 @@ and weight them by harmonic numbers, as in the classical Y_n series.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
-from typing import NamedTuple
 
 from .errors import DomainError, OrderCaseError, PoleError
 from .series import DEFAULT_TERMS, Alpha, FracSeries, LogSolution, series_scale
@@ -41,9 +39,7 @@ from .series import DEFAULT_TERMS, Alpha, FracSeries, LogSolution, series_scale
 __all__ = [
     "gamma",
     "harmonic",
-    "OrderKind",
-    "BesselOrder",
-    "classify_order",
+    "integer_order",
     "bessel_j_series",
     "bessel_j_neg_series",
     "bessel_j_neg_integer_series",
@@ -123,47 +119,20 @@ def harmonic(n: int) -> float:
     return sum(1.0 / k for k in range(1, n + 1))
 
 
-class OrderKind(enum.Enum):
-    """Case classification of a real order p."""
+def integer_order(p: float) -> int | None:
+    """The integer m >= 0 within ``INTEGER_TOL`` of ``p``, else None.
 
-    ZERO = "zero"
-    GENERIC = "generic"
-    #: 2p is a positive integer while p is not an integer (p = 1/2, 3/2, ...).
-    #: The indicial roots differ by an integer, yet the order -p series still
-    #: exists because its even recurrence never hits the bad denominator.
-    HALF_ODD_INTEGER = "half-odd-integer"
-    POSITIVE_INTEGER = "positive-integer"
-
-
-class BesselOrder(NamedTuple):
-    """A real order together with its case classification.
-
-    ``m`` holds the integer value when ``kind`` is POSITIVE_INTEGER and is
-    None otherwise.
-    """
-
-    p: float
-    kind: OrderKind
-    m: int | None = None
-
-
-def classify_order(p: float) -> BesselOrder:
-    """Classify a real order, snapping to integers within 1e-9.
-
-    A non-finite order raises :class:`DomainError`.
+    Only these orders need the integer-order constructions (the sign
+    reduction of order -m and the logarithmic second solution); every other
+    p, half-odd integers included, takes the gamma leading coefficient and
+    has a valid order -p series.  A non-finite order raises
+    :class:`DomainError`.
     """
     p = float(p)
     if not math.isfinite(p):
         raise DomainError(f"order must be finite, got {p}")
-    if abs(p) <= INTEGER_TOL:
-        return BesselOrder(p, OrderKind.ZERO)
-    nearest = round(p)
-    if abs(p - nearest) <= INTEGER_TOL and nearest >= 1:
-        return BesselOrder(p, OrderKind.POSITIVE_INTEGER, int(nearest))
-    nearest2 = round(2.0 * p)
-    if abs(2.0 * p - nearest2) <= INTEGER_TOL and nearest2 >= 1:
-        return BesselOrder(p, OrderKind.HALF_ODD_INTEGER)
-    return BesselOrder(p, OrderKind.GENERIC)
+    m = round(p)
+    return m if m >= 0 and abs(p - m) <= INTEGER_TOL else None
 
 
 def _even_series(alpha: Alpha | float, r: float, c0: float,
@@ -202,19 +171,16 @@ def bessel_j_series(p: float, alpha: Alpha | float,
         )
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive, got {n_terms}")
-    order = classify_order(p)
+    m = integer_order(p)
     # integer orders snap and use the exact factorial leading coefficient;
     # gamma only enters for genuinely fractional orders.  Both are evaluated
     # before 2.0**p: they raise DomainError well below the orders at which
     # 2.0**p would raise OverflowError.
-    if order.kind is OrderKind.ZERO:
-        p = 0.0
-        c0 = 1.0
-    elif order.kind is OrderKind.POSITIVE_INTEGER:
-        p = float(order.m)
-        c0 = 1.0 / (_factorial(order.m) * 2.0 ** order.m)
-    else:
+    if m is None:
         c0 = 1.0 / (gamma(p + 1.0) * 2.0 ** p)
+    else:
+        p = float(m)
+        c0 = 1.0 / (_factorial(m) * 2.0 ** m)
     return _even_series(alpha, p, c0, n_terms)
 
 
@@ -229,8 +195,7 @@ def bessel_j_neg_series(p: float, alpha: Alpha | float,
     """
     if p <= 0.0:
         raise OrderCaseError(f"negative-order series needs p > 0, got {p}")
-    order = classify_order(p)
-    if order.kind is OrderKind.POSITIVE_INTEGER:
+    if integer_order(p):  # m = 0, from 0 < p <= INTEGER_TOL, is built
         raise OrderCaseError(
             f"order -{p} with integer p reduces to a signed first-kind "
             "series; use bessel_j_neg_integer_series"

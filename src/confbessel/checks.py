@@ -41,11 +41,10 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bessel import (
-    OrderKind,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
-    classify_order,
+    integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
 )
@@ -576,9 +575,9 @@ def random_residual_suite(seed: int, cases: int = 8,
             p = float(rng.randrange(0, 4))
         xs = sorted(rng.uniform(0.3, 4.0) for _ in range(5))
         if rng.random() < 0.3 and p > 0.0:
-            kind = classify_order(p)
-            if kind.kind is OrderKind.POSITIVE_INTEGER:
-                solution = bessel_j_neg_integer_series(kind.m, a)
+            m = integer_order(p)
+            if m:
+                solution = bessel_j_neg_integer_series(m, a)
             else:
                 solution = bessel_j_neg_series(p, a)
             label = f"Jneg[p={p:g}]"

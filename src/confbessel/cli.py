@@ -24,11 +24,10 @@ import sys
 from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from .bessel import (
-    OrderKind,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
-    classify_order,
+    integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
 )
@@ -105,24 +104,27 @@ def build_solution(family: str, order: float, alpha: float,
 
     ``Jneg`` at an integer order routes through the sign-reduction to the
     positive-order series instead of the (undefined) negative-order
-    recurrence.  ``K`` insists on integer order >= 1; ``y2zero`` ignores
-    the order flag.
+    recurrence.  ``K`` insists on integer order >= 1; ``y2zero`` exists at
+    order 0 only and refuses any other order.
     """
     if family == "J":
         return bessel_j_series(order, alpha, terms)
     if family == "Jneg":
-        kind = classify_order(order)
-        if kind.kind in (OrderKind.ZERO, OrderKind.POSITIVE_INTEGER):
-            return bessel_j_neg_integer_series(kind.m or 0, alpha, terms)
+        m = integer_order(order)
+        if m is not None:
+            return bessel_j_neg_integer_series(m, alpha, terms)
         return bessel_j_neg_series(order, alpha, terms)
     if family == "y2zero":
+        if integer_order(order) != 0:
+            raise UsageError(
+                f"family y2zero takes --order 0 only, got {order:g}")
         return second_solution_order_zero(alpha, terms)
     if family == "K":
-        kind = classify_order(order)
-        if kind.kind is not OrderKind.POSITIVE_INTEGER:
+        m = integer_order(order)
+        if not m:
             raise UsageError(
                 f"family K requires an integer order >= 1, got {order:g}")
-        return second_solution_integer_order(kind.m, alpha, terms)
+        return second_solution_integer_order(m, alpha, terms)
     raise UsageError(f"unknown family {family!r}")
 
 
@@ -233,7 +235,7 @@ def _collect_reports(ns: argparse.Namespace) -> list[CheckReport]:
     if ns.family == "y2zero":
         p = 0.0
     elif ns.family == "K":
-        p = float(classify_order(ns.order).m)
+        p = float(integer_order(ns.order))
     else:
         p = ns.order
     return [checks.check_ode_residual(

@@ -1,7 +1,9 @@
 """Tests for the solution-family constructors and order classification."""
 
+import enum
 import math
 import struct
+from typing import NamedTuple
 
 import mpmath
 import pytest
@@ -12,21 +14,86 @@ from confbessel import (
     Alpha,
     FracSeries,
     LogSolution,
-    OrderKind,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
-    classify_order,
     conformable_diff_exact,
     eval_series,
     gamma,
     harmonic,
+    integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
 )
+from confbessel.bessel import INTEGER_TOL
+from confbessel.cli import UsageError, build_solution
 from confbessel.errors import DomainError, OrderCaseError
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+# Frozen reference: the four-way order classification that integer_order
+# replaced, kept verbatim.  integer_order must give m exactly where this
+# said ZERO (m = 0) or POSITIVE_INTEGER (m), and None otherwise.
+
+class OrderKind(enum.Enum):
+    """Case classification of a real order p."""
+
+    ZERO = "zero"
+    GENERIC = "generic"
+    #: 2p is a positive integer while p is not an integer (p = 1/2, 3/2, ...).
+    #: The indicial roots differ by an integer, yet the order -p series still
+    #: exists because its even recurrence never hits the bad denominator.
+    HALF_ODD_INTEGER = "half-odd-integer"
+    POSITIVE_INTEGER = "positive-integer"
+
+
+class BesselOrder(NamedTuple):
+    """A real order together with its case classification.
+
+    ``m`` holds the integer value when ``kind`` is POSITIVE_INTEGER and is
+    None otherwise.
+    """
+
+    p: float
+    kind: OrderKind
+    m: int | None = None
+
+
+def classify_order(p: float) -> BesselOrder:
+    """Classify a real order, snapping to integers within 1e-9.
+
+    A non-finite order raises :class:`DomainError`.
+    """
+    p = float(p)
+    if not math.isfinite(p):
+        raise DomainError(f"order must be finite, got {p}")
+    if abs(p) <= INTEGER_TOL:
+        return BesselOrder(p, OrderKind.ZERO)
+    nearest = round(p)
+    if abs(p - nearest) <= INTEGER_TOL and nearest >= 1:
+        return BesselOrder(p, OrderKind.POSITIVE_INTEGER, int(nearest))
+    nearest2 = round(2.0 * p)
+    if abs(2.0 * p - nearest2) <= INTEGER_TOL and nearest2 >= 1:
+        return BesselOrder(p, OrderKind.HALF_ODD_INTEGER)
+    return BesselOrder(p, OrderKind.GENERIC)
+
+
+def ref_integer_order(p):
+    """integer_order's answer, read off the frozen classification.
+
+    Below about -8.99e307 the classification overflowed forming
+    ``round(2.0 * p)``; integer_order answers None there, as for every
+    other negative order.
+    """
+    try:
+        order = classify_order(p)
+    except OverflowError:
+        assert p < 0.0
+        return None
+    if order.kind is OrderKind.ZERO:
+        return 0
+    return order.m
 
 
 def indicial_value(series, p):
@@ -52,46 +119,77 @@ def root_series(p, alpha):
     At p = 0 the root is double and both are the order-zero series (the log
     part of y2zero); at integer m the -m root leads the plain part of K.
     """
-    order = classify_order(p)
+    m = integer_order(p)
     plus = bessel_j_series(p, alpha)
-    if order.kind is OrderKind.ZERO:
+    if m == 0:
         return plus, second_solution_order_zero(alpha).log_part
-    if order.kind is OrderKind.POSITIVE_INTEGER:
-        return plus, second_solution_integer_order(order.m, alpha).plain_part
+    if m is not None:
+        return plus, second_solution_integer_order(m, alpha).plain_part
     return plus, bessel_j_neg_series(p, alpha)
+
+
+#: Orders at and just past the snapping tolerance, on both sides of 0.
+EDGE_ORDERS = [
+    0.0, -0.0, 5e-10, -5e-10, INTEGER_TOL, -INTEGER_TOL,
+    2 * INTEGER_TOL, -2 * INTEGER_TOL,
+    *(m + d for m in (1, 2, 7, 170) for d in
+      (INTEGER_TOL, -INTEGER_TOL, 2 * INTEGER_TOL, -2 * INTEGER_TOL)),
+    -1.0, -2.0, -7.0, -1.0 + 5e-10,
+    5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+    1e300, -1e300, 0.5, 1.5, 2.0 - 1e-10, 3.0 + 1e-6,
+]
 
 
 class TestClassifyOrder:
     def test_zero_and_near_zero(self):
-        assert classify_order(0.0).kind is OrderKind.ZERO
-        assert classify_order(5e-10).kind is OrderKind.ZERO
+        assert integer_order(0.0) == 0
+        assert integer_order(5e-10) == 0
+        assert integer_order(-5e-10) == 0
 
     def test_positive_integers_carry_m(self):
         for p in (1.0, 2.0, 7.0):
-            order = classify_order(p)
-            assert order.kind is OrderKind.POSITIVE_INTEGER
-            assert order.m == int(p)
+            assert integer_order(p) == int(p)
 
     def test_near_integer_snaps(self):
-        order = classify_order(3.0 - 1e-10)
-        assert order.kind is OrderKind.POSITIVE_INTEGER
-        assert order.m == 3
+        assert integer_order(3.0 - 1e-10) == 3
 
     @pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 7.5])
     def test_half_odd_integers(self, p):
-        assert classify_order(p).kind is OrderKind.HALF_ODD_INTEGER
+        assert integer_order(p) is None
 
     @pytest.mark.parametrize("p", [0.3, 1.0 / 3.0, 2.7, math.pi])
     def test_generic_orders(self, p):
-        assert classify_order(p).kind is OrderKind.GENERIC
+        assert integer_order(p) is None
 
     def test_beyond_tolerance_is_generic(self):
-        assert classify_order(3.0 + 1e-6).kind is OrderKind.GENERIC
+        assert integer_order(3.0 + 1e-6) is None
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
     def test_non_finite_orders_rejected(self, p):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError) as got:
+            integer_order(p)
+        with pytest.raises(DomainError) as want:
             classify_order(p)
+        assert str(got.value) == str(want.value)
+        assert str(got.value) == f"order must be finite, got {p}"
+
+    @pytest.mark.parametrize("p", EDGE_ORDERS)
+    def test_edges_match_frozen_classification(self, p):
+        assert integer_order(p) == ref_integer_order(p)
+
+    @settings(max_examples=400, deadline=None)
+    @given(p=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.builds(lambda m, d: m + d, st.integers(-5, 200),
+                  st.floats(-3 * INTEGER_TOL, 3 * INTEGER_TOL)),
+        st.builds(lambda m, d: m / 2 + d, st.integers(-5, 400),
+                  st.floats(-3 * INTEGER_TOL, 3 * INTEGER_TOL))))
+    @example(p=-1e308)
+    @example(p=-1.7976931348623157e308)
+    def test_matches_frozen_classification(self, p):
+        got = integer_order(p)
+        assert got == ref_integer_order(p)
+        assert got is None or type(got) is int
 
 
 class TestIndicial:
@@ -453,13 +551,8 @@ class TestProperties:
     def test_first_kind_recurrence_everywhere(self, p, alpha):
         # near-integer orders snap, so state the recurrence at the
         # effective order the constructor actually used
-        order = classify_order(p)
-        if order.kind is OrderKind.ZERO:
-            p_eff = 0.0
-        elif order.kind is OrderKind.POSITIVE_INTEGER:
-            p_eff = float(order.m)
-        else:
-            p_eff = p
+        m = integer_order(p)
+        p_eff = p if m is None else float(m)
         s = bessel_j_series(p, alpha, 24)
         for k in range(2, 24, 2):
             residue = s.coeffs[k] * k * (k + 2.0 * p_eff) + s.coeffs[k - 2]
@@ -655,5 +748,42 @@ class TestFrozenReference:
             # the other: at alpha below about 1.4e-309 the plain part of
             # y2zero overflows, which is now a DomainError
             assert got[0] is DomainError
+        else:
+            assert got == want
+
+
+def ref_build_solution(family, order, alpha, terms):
+    """``cli.build_solution`` as it stood, on the frozen classification."""
+    if family == "J":
+        return ref_bessel_j_series(order, alpha, terms)
+    if family == "Jneg":
+        kind = classify_order(order)
+        if kind.kind in (OrderKind.ZERO, OrderKind.POSITIVE_INTEGER):
+            return bessel_j_neg_integer_series(kind.m or 0, alpha, terms)
+        return ref_bessel_j_neg_series(order, alpha, terms)
+    if family == "y2zero":
+        return ref_second_solution_order_zero(alpha, terms)
+    if family == "K":
+        kind = classify_order(order)
+        if kind.kind is not OrderKind.POSITIVE_INTEGER:
+            raise UsageError(
+                f"family K requires an integer order >= 1, got {order:g}")
+        return ref_second_solution_integer_order(kind.m, alpha, terms)
+    raise UsageError(f"unknown family {family!r}")
+
+
+class TestCliRouting:
+    @pytest.mark.parametrize("family", ["J", "Jneg", "y2zero", "K"])
+    @pytest.mark.parametrize("order", [
+        0.0, 5e-10, -5e-10, 1.0, 2.0 - 1e-10, 0.5, 2.5, 3.0 + 1e-6, -1.0,
+        170.5])
+    def test_build_solution_matches_frozen_routing(self, family, order):
+        got = _outcome(build_solution, family, order, 0.7, 40)
+        want = _outcome(ref_build_solution, family, order, 0.7, 40)
+        if family == "y2zero" and ref_integer_order(order) != 0:
+            # the one intended change: y2zero used to ignore the order
+            assert isinstance(want[0], bytes)
+            assert got == (UsageError, "family y2zero takes --order 0 only, "
+                                       f"got {order:g}")
         else:
             assert got == want

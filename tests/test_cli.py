@@ -6,9 +6,11 @@ import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import confbessel
 from confbessel.cli import (
     CSV_HEADER,
     EXIT_CHECK_FAILED,
@@ -22,6 +24,12 @@ from confbessel.cli import (
     UsageError,
 )
 from confbessel import LogSolution, eval_series
+
+#: Environment for ``python -m confbessel`` in a child process: it imports
+#: the package under test, whatever sys.path pytest was given.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    p for p in (str(Path(confbessel.__file__).resolve().parent.parent),
+                os.environ.get("PYTHONPATH")) if p)}
 
 
 def run(capsys, *argv):
@@ -63,6 +71,42 @@ class TestBuildSolution:
     def test_k_requires_integer_order(self):
         with pytest.raises(UsageError):
             build_solution("K", 0.5, 0.5, 60)
+
+
+class TestY2zeroOrder:
+    """y2zero exists at order 0 only: any other ``--order`` is refused."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--family", "y2zero", "--order", "5", "--x", "1"],
+        ["eval", "--family", "y2zero", "--order", "2e-9", "--x", "1"],
+        ["table", "--family", "y2zero", "--order", "0.5", "--range", "1:2:2"],
+        ["table", "--family", "y2zero", "--order=-1", "--x", "1"],
+        ["check", "--family", "y2zero", "--order", "5"],
+        ["check", "--name", "residual", "--family", "y2zero", "--order", "1",
+         "--alpha", "0.6"],
+    ])
+    def test_nonzero_order_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("confbessel: error: family y2zero takes "
+                              "--order 0 only, got ")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--family", "y2zero", "--alpha", "0.5", "--x", "1.5"],
+        ["table", "--family", "y2zero", "--range", "0.5:3:4"],
+    ])
+    def test_orders_that_snap_to_zero_keep_the_bytes(self, capsys, argv):
+        want = run(capsys, *argv)
+        assert want[0] == EXIT_OK
+        for order in ("0", "5e-10", "-5e-10"):
+            assert run(capsys, *argv, f"--order={order}") == want
+
+    def test_check_at_order_snapping_to_zero_passes(self, capsys):
+        code, out, err = run(capsys, "check", "--family", "y2zero",
+                             "--order", "5e-10")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("PASS residual[y2zero order=5e-10 alpha=1] ")
 
 
 class TestEval:
@@ -305,6 +349,9 @@ class TestExitCodeMatrix:
         # sizes above the caps, refused before anything is allocated
         ["eval", "--x", "1", "--terms", "100000000"],
         ["table", "--range", "1:2:100000000"],
+        # an order so negative that 2p overflows a double
+        ["eval", "--family", "K", "--order=-1e308", "--x", "1"],
+        ["check", "--family", "K", "--order=-1.7976931348623157e308"],
     ])
     def test_usage_and_domain_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -361,7 +408,7 @@ class TestWriteErrors:
         # closes
         proc = subprocess.Popen(
             [sys.executable, "-m", "confbessel", "table",
-             "--range", "1:2:100000"],
+             "--range", "1:2:100000"], env=CHILD_ENV,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         assert proc.stdout.readline() == CSV_HEADER + "\n"
         proc.stdout.close()
@@ -387,6 +434,6 @@ class TestConsoleScript:
     def test_module_invocation(self):
         out = subprocess.run([sys.executable, "-m", "confbessel", "table",
                               "--family", "J", "--range", "1:2:2"],
-                             capture_output=True, text=True)
+                             env=CHILD_ENV, capture_output=True, text=True)
         assert out.returncode == 0
         assert out.stdout.splitlines()[0] == CSV_HEADER

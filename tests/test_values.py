@@ -2,22 +2,20 @@
 
 The validated values (``Alpha``, ``FracSeries``, ``LogSolution``,
 ``DiffConfig``) are plain classes on one immutable base; the plain records
-(``EvalResult``, ``BesselOrder``, ``CheckReport``) are named tuples.  Both
-kinds keep the repr text, hash and field order the package's earlier frozen
-records had, and both reject assignment.
+(``EvalResult``, ``CheckReport``) are named tuples.  Both kinds keep the
+repr text, hash and field order the package's earlier frozen records had,
+and both reject assignment.
 """
 
 import pytest
 
 from confbessel import (
     Alpha,
-    BesselOrder,
     CheckReport,
     DiffConfig,
     EvalResult,
     FracSeries,
     LogSolution,
-    OrderKind,
 )
 
 
@@ -50,12 +48,6 @@ CASES = {
         lambda: EvalResult(1.5, 3, 2e-17), lambda: EvalResult(1.5, 4, 2e-17),
         "EvalResult(value=1.5, terms_used=3, tail_estimate=2e-17)",
         ("value", "terms_used", "tail_estimate")),
-    "BesselOrder": (
-        lambda: BesselOrder(0.5, OrderKind.HALF_ODD_INTEGER),
-        lambda: BesselOrder(2.0, OrderKind.POSITIVE_INTEGER, 2),
-        "BesselOrder(p=0.5, kind=<OrderKind.HALF_ODD_INTEGER: "
-        "'half-odd-integer'>, m=None)",
-        ("p", "kind", "m")),
     "CheckReport": (
         lambda: CheckReport("residual[J]", ((0.0, 1.0, 0.5),), 1e-12, 2e-12,
                             1e-08, "rel", True),
