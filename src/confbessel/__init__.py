@@ -10,7 +10,6 @@ identity-verification suite, and a CLI (``confbessel``).
 import importlib
 
 from .series import (
-    Alpha,
     EvalResult,
     FracSeries,
     LogSolution,
@@ -74,7 +73,6 @@ def kernel_backend() -> str:
 
 
 __all__ = [
-    "Alpha",
     "EvalResult",
     "FracSeries",
     "LogSolution",

@@ -34,7 +34,8 @@ import math
 import sys
 
 from .errors import DomainError, OrderCaseError, PoleError
-from .series import DEFAULT_TERMS, Alpha, FracSeries, LogSolution, series_scale
+from .series import (DEFAULT_TERMS, FracSeries, LogSolution, checked_alpha,
+                     series_scale)
 
 __all__ = [
     "gamma",
@@ -135,7 +136,7 @@ def integer_order(p: float) -> int | None:
     return m if m >= 0 and abs(p - m) <= INTEGER_TOL else None
 
 
-def _even_series(alpha: Alpha | float, r: float, c0: float,
+def _even_series(alpha: float, r: float, c0: float,
                  n_terms: int) -> FracSeries:
     """Series at the indicial root ``r`` with leading coefficient ``c0``.
 
@@ -152,10 +153,10 @@ def _even_series(alpha: Alpha | float, r: float, c0: float,
     coeffs[0] = c0
     for k in range(2, n_terms, 2):
         coeffs[k] = -coeffs[k - 2] / (k * (k + 2.0 * r))
-    return FracSeries(Alpha.of(alpha), float(r), tuple(coeffs))
+    return FracSeries(alpha, float(r), tuple(coeffs))
 
 
-def bessel_j_series(p: float, alpha: Alpha | float,
+def bessel_j_series(p: float, alpha: float,
                     n_terms: int = DEFAULT_TERMS) -> FracSeries:
     """First-kind solution of order ``p >= 0`` as a FracSeries.
 
@@ -184,7 +185,7 @@ def bessel_j_series(p: float, alpha: Alpha | float,
     return _even_series(alpha, p, c0, n_terms)
 
 
-def bessel_j_neg_series(p: float, alpha: Alpha | float,
+def bessel_j_neg_series(p: float, alpha: float,
                         n_terms: int = DEFAULT_TERMS) -> FracSeries:
     """Solution of order ``-p`` for ``p > 0`` not an integer.
 
@@ -206,7 +207,7 @@ def bessel_j_neg_series(p: float, alpha: Alpha | float,
     return _even_series(alpha, -p, 2.0 ** p / g, n_terms)
 
 
-def bessel_j_neg_integer_series(m: int, alpha: Alpha | float,
+def bessel_j_neg_integer_series(m: int, alpha: float,
                                 n_terms: int = DEFAULT_TERMS) -> FracSeries:
     """Order ``-m`` for integer ``m >= 0``: ``(-1)**m`` times the order-m series.
 
@@ -220,7 +221,7 @@ def bessel_j_neg_integer_series(m: int, alpha: Alpha | float,
     return series_scale(bessel_j_series(float(m), alpha, n_terms), sign)
 
 
-def second_solution_order_zero(alpha: Alpha | float,
+def second_solution_order_zero(alpha: float,
                                n_terms: int = DEFAULT_TERMS) -> LogSolution:
     """Logarithmic second solution at order zero.
 
@@ -231,21 +232,21 @@ def second_solution_order_zero(alpha: Alpha | float,
     coefficient, ``1 / (4*alpha)`` at n = 1, overflows a double for alpha
     below about 1.4e-309; that raises DomainError.
     """
-    al = Alpha.of(alpha)
-    log_part = bessel_j_series(0.0, al, n_terms)
+    alpha = checked_alpha(alpha)
+    log_part = bessel_j_series(0.0, alpha, n_terms)
     c = log_part.coeffs
     coeffs = [0.0] * n_terms
     h = 0.0
     for n in range(1, (n_terms + 1) // 2):
         h += 1.0 / n
-        coeffs[2 * n] = -c[2 * n] * h / al.value
+        coeffs[2 * n] = -c[2 * n] * h / alpha
     if n_terms > 2 and math.isinf(coeffs[2]):
-        raise DomainError(f"alpha = {al.value:g} is too small: the plain "
+        raise DomainError(f"alpha = {alpha:g} is too small: the plain "
                           "part's coefficients overflow a double")
-    return LogSolution(log_part, FracSeries(al, 0.0, tuple(coeffs)))
+    return LogSolution(log_part, FracSeries(alpha, 0.0, tuple(coeffs)))
 
 
-def second_solution_integer_order(m: int, alpha: Alpha | float,
+def second_solution_integer_order(m: int, alpha: float,
                                   n_terms: int = DEFAULT_TERMS) -> LogSolution:
     """Logarithmic second solution at positive integer order m.
 
@@ -260,23 +261,24 @@ def second_solution_integer_order(m: int, alpha: Alpha | float,
       ``-c_0 * H_m / (2*alpha)``, is the pivot.
 
     The pivot choice is what makes the tail close under the recurrence; see
-    the regression test for the rejected alternative normalization.
+    the regression test for the rejected alternative normalization.  ``b_0``
+    overflows a double for alpha below about 5.6e-309 at m = 1, or 5e-6 at
+    m = 149, the highest order the log part admits; that raises DomainError.
     """
     if m < 1 or m != int(m):
         raise OrderCaseError(
             f"integer-order second solution needs integer m >= 1, got {m}"
         )
     m = int(m)
-    al = Alpha.of(alpha)
-    a = al.value
-    log_part = bessel_j_series(float(m), al, n_terms)
+    a = checked_alpha(alpha)
+    log_part = bessel_j_series(float(m), a, n_terms)
     c = log_part.coeffs
     coeffs = [0.0] * (2 * m + n_terms)
 
     b0 = -2.0 ** (m - 1) * _factorial(m - 1) / a
     if not math.isfinite(b0):
-        raise DomainError(f"order {m} too large: the leading coefficient "
-                          "overflows a double")
+        raise DomainError(f"alpha = {a:g} is too small for order {m}: the "
+                          "leading coefficient overflows a double")
     coeffs[0] = b0
     ratio = 1.0
     for j in range(1, m):
@@ -290,4 +292,4 @@ def second_solution_integer_order(m: int, alpha: Alpha | float,
         h_n += 1.0 / (n + 1)
         h_mn += 1.0 / (m + n + 1)
 
-    return LogSolution(log_part, FracSeries(al, -float(m), tuple(coeffs)))
+    return LogSolution(log_part, FracSeries(a, -float(m), tuple(coeffs)))

@@ -50,9 +50,9 @@ from .bessel import (
 )
 from .errors import DomainError
 from .series import (
-    Alpha,
     FracSeries,
     LogSolution,
+    checked_alpha,
     conformable_diff_exact,
     eval_log_solution,
     eval_series,
@@ -226,15 +226,15 @@ def _require_integer(n: float, least: int, what: str) -> None:
         raise ValueError(f"{what} needs an integer order >= {least}, got {n}")
 
 
-def _rows(p: float, alpha: Alpha | float, grid: Iterable[float]
-          ) -> tuple[Alpha, list[tuple[float, float, float]]]:
+def _rows(p: float, alpha: float, grid: Iterable[float]
+          ) -> tuple[float, list[tuple[float, float, float]]]:
     """Validated alpha and the report rows ``(p, alpha, x)``, one per x."""
-    al = Alpha.of(alpha)
+    alpha = checked_alpha(alpha)
     xs = tuple(float(x) for x in grid)
     for x in xs:
         if x <= 0.0:
             raise DomainError(f"grid points must be positive, got {x}")
-    return al, [(p, al.value, x) for x in xs]
+    return alpha, [(p, alpha, x) for x in xs]
 
 
 def _series_lhs_operator(s: FracSeries, p: float
@@ -245,7 +245,7 @@ def _series_lhs_operator(s: FracSeries, p: float
     further evaluation of ``y`` or ``T(y)``.  The two derivatives are built
     once, not at every point.
     """
-    a = s.alpha.value
+    a = s.alpha
     d1 = conformable_diff_exact(s)
     d2 = conformable_diff_exact(d1)
 
@@ -264,7 +264,7 @@ def _series_lhs_operator(s: FracSeries, p: float
     return lhs
 
 
-def check_ode_residual(p: float, alpha: Alpha | float,
+def check_ode_residual(p: float, alpha: float,
                        solution: FracSeries | LogSolution,
                        grid: Iterable[float] | None = None,
                        tolerance: float | None = None,
@@ -286,7 +286,7 @@ def check_ode_residual(p: float, alpha: Alpha | float,
         grid = LOG_RESIDUAL_X if log else RESIDUAL_X
     if tolerance is None:
         tolerance = LOG_RESIDUAL_TOL if log else RESIDUAL_TOL
-    al, rows = _rows(p, alpha, grid)
+    alpha, rows = _rows(p, alpha, grid)
 
     if not log:
         lhs = _series_lhs_operator(solution, p)
@@ -303,7 +303,7 @@ def check_ode_residual(p: float, alpha: Alpha | float,
             lnx = math.log(x)
             return lu * lnx + 2.0 * x ** a * tu + lv, u * lnx + v
 
-    return _pointwise(name or f"residual[p={p:g} alpha={al.value:g}]",
+    return _pointwise(name or f"residual[p={p:g} alpha={alpha:g}]",
                       rows, deviation, tolerance, "rel")
 
 
@@ -313,30 +313,30 @@ class _Identity(NamedTuple):
     least: int
     what: str
     primitive: Callable[..., CheckReport]
-    build: Callable[[int, Alpha], object]
+    build: Callable[[int, float], object]
     symbol: str = "p"
 
 
-def _weighted(p: int, al: Alpha, s: int) -> tuple[FracSeries, FracSeries]:
+def _weighted(p: int, alpha: float, s: int) -> tuple[FracSeries, FracSeries]:
     """T(x**(s*p*alpha) J_p) equals s*alpha * x**(s*p*alpha) J_{p-s}.
 
     s = 1 lowers the order, s = -1 raises it.  Both sides are whole series;
     at p = 0 the raising form is the bare statement T(J_0) = -alpha J_1.
     """
     w = s * p
-    return (conformable_diff_exact(series_shift(bessel_j_series(p, al), w)),
-            series_scale(series_shift(bessel_j_series(p - s, al), w),
-                         s * al.value))
+    return (conformable_diff_exact(series_shift(bessel_j_series(p, alpha), w)),
+            series_scale(series_shift(bessel_j_series(p - s, alpha), w),
+                         s * alpha))
 
 
-def _unweighted(p: int, al: Alpha, s: int):
+def _unweighted(p: int, alpha: float, s: int):
     """T(J_p) equals s*(alpha J_{p-s} - (alpha*p/x**alpha) J_p), pointwise.
 
     s = 1 lowers the order, s = -1 raises it.  The x**-alpha weight makes
     these pointwise identities, not aligned coefficient identities.
     """
-    jp = bessel_j_series(p, al)
-    jo = bessel_j_series(p - s, al)
+    jp = bessel_j_series(p, alpha)
+    jo = bessel_j_series(p - s, alpha)
     djp = conformable_diff_exact(jp)
 
     def deviation(p, a, x):
@@ -347,11 +347,11 @@ def _unweighted(p: int, al: Alpha, s: int):
     return deviation
 
 
-def _three_term(p: int, al: Alpha):
+def _three_term(p: int, alpha: float):
     """J_{p+1} equals (2p/x**alpha)*J_p - J_{p-1}, pointwise."""
-    jm = bessel_j_series(p - 1, al)
-    jp = bessel_j_series(p, al)
-    jn = bessel_j_series(p + 1, al)
+    jm = bessel_j_series(p - 1, alpha)
+    jp = bessel_j_series(p, alpha)
+    jn = bessel_j_series(p + 1, alpha)
 
     def deviation(p, a, x):
         rhs = (2.0 * p / x ** a) * eval_series(jp, x).value \
@@ -361,14 +361,14 @@ def _three_term(p: int, al: Alpha):
     return deviation
 
 
-def _reflection(m: int, al: Alpha) -> tuple[FracSeries, FracSeries]:
+def _reflection(m: int, alpha: float) -> tuple[FracSeries, FracSeries]:
     """Order -m equals (-1)**m times order m, coefficient for coefficient."""
-    return (bessel_j_neg_integer_series(m, al),
-            series_scale(bessel_j_series(m, al), -1.0 if m % 2 else 1.0))
+    return (bessel_j_neg_integer_series(m, alpha),
+            series_scale(bessel_j_series(m, alpha), -1.0 if m % 2 else 1.0))
 
 
 #: The derivative and recurrence identities of the first-kind series, by
-#: report name, in the order the suite runs them.  ``build(p, al)`` makes
+#: report name, in the order the suite runs them.  ``build(p, alpha)`` makes
 #: what the primitive compares: the two sides as series for
 #: ``_coefficientwise``, a deviation function for ``_pointwise``.  The rows
 #: look the constructors and the series operations up in this module when
@@ -391,7 +391,7 @@ IDENTITIES = {
 }
 
 
-def check_identity(name: str, p: int, alpha: Alpha | float,
+def check_identity(name: str, p: int, alpha: float,
                    grid: Iterable[float],
                    tolerance: float | None = None) -> CheckReport:
     """The identity ``IDENTITIES[name]`` at integer order ``p`` on ``grid``.
@@ -401,12 +401,12 @@ def check_identity(name: str, p: int, alpha: Alpha | float,
     """
     row = IDENTITIES[name]
     _require_integer(p, row.least, row.what)
-    al, rows = _rows(p, alpha, grid)
-    return row.primitive(f"{name}[{row.symbol}={p} alpha={al.value:g}]",
-                         rows, row.build(p, al), tolerance)
+    alpha, rows = _rows(p, alpha, grid)
+    return row.primitive(f"{name}[{row.symbol}={p} alpha={alpha:g}]",
+                         rows, row.build(p, alpha), tolerance)
 
 
-def check_half_order_closed_forms(alpha: Alpha | float,
+def check_half_order_closed_forms(alpha: float,
                                   grid: Iterable[float],
                                   tolerance: float | None = None
                                   ) -> CheckReport:
@@ -416,9 +416,9 @@ def check_half_order_closed_forms(alpha: Alpha | float,
     -1/2 function is the same envelope times cos.  ``tolerance`` defaults
     to ``HALF_ORDER_TOL``.
     """
-    al, rows = _rows(0.5, alpha, grid)
-    plus = bessel_j_series(0.5, al)
-    minus = bessel_j_neg_series(0.5, al)
+    alpha, rows = _rows(0.5, alpha, grid)
+    plus = bessel_j_series(0.5, alpha)
+    minus = bessel_j_neg_series(0.5, alpha)
 
     def deviation(p, a, x):
         xa = x ** a
@@ -429,14 +429,14 @@ def check_half_order_closed_forms(alpha: Alpha | float,
             series, ref = minus, envelope * math.cos(xa)
         return eval_series(series, x).value - ref, ref
 
-    return _pointwise(f"half-order[alpha={al.value:g}]",
+    return _pointwise(f"half-order[alpha={alpha:g}]",
                       [(s * p, a, x) for p, a, x in rows for s in (1.0, -1.0)],
                       deviation,
                       HALF_ORDER_TOL if tolerance is None else tolerance,
                       "abs")
 
 
-def check_series_vs_quadrature(p: int, alpha: Alpha | float,
+def check_series_vs_quadrature(p: int, alpha: float,
                                grid: Iterable[float],
                                tolerance: float | None = None
                                ) -> CheckReport:
@@ -448,19 +448,19 @@ def check_series_vs_quadrature(p: int, alpha: Alpha | float,
     defaults to ``ORACLE_TOL``.
     """
     _require_integer(p, 0, "oracle comparison")
-    al, rows = _rows(p, alpha, grid)
-    series = bessel_j_series(p, al)
+    alpha, rows = _rows(p, alpha, grid)
+    series = bessel_j_series(p, alpha)
 
     def deviation(p, a, x):
         ref = classical_bessel_j(p, x ** a)
         return eval_series(series, x).value - ref, ref
 
-    return _pointwise(f"series-vs-quadrature[p={p} alpha={al.value:g}]",
+    return _pointwise(f"series-vs-quadrature[p={p} alpha={alpha:g}]",
                       rows, deviation,
                       ORACLE_TOL if tolerance is None else tolerance, "abs")
 
 
-def check_second_solution_scaling(alpha: Alpha | float,
+def check_second_solution_scaling(alpha: float,
                                   grid: Iterable[float],
                                   m: int | None = None,
                                   tolerance: float | None = None
@@ -473,14 +473,14 @@ def check_second_solution_scaling(alpha: Alpha | float,
     ``tolerance`` defaults to ``SCALING_TOL``.
     """
     if m is None:
-        al, rows = _rows(0.0, alpha, grid)
-        mine = second_solution_order_zero(al)
+        alpha, rows = _rows(0.0, alpha, grid)
+        mine = second_solution_order_zero(alpha)
         classical = second_solution_order_zero(1.0)
         label = "zero"
     else:
         _require_integer(m, 1, "integer-order scaling check")
-        al, rows = _rows(float(m), alpha, grid)
-        mine = second_solution_integer_order(m, al)
+        alpha, rows = _rows(float(m), alpha, grid)
+        mine = second_solution_integer_order(m, alpha)
         classical = second_solution_integer_order(m, 1.0)
         label = f"m={m}"
 
@@ -489,26 +489,25 @@ def check_second_solution_scaling(alpha: Alpha | float,
         rhs = eval_log_solution(classical, x ** a).value / a
         return lhs - rhs, rhs
 
-    return _pointwise(f"second-solution-scaling[{label} alpha={al.value:g}]",
+    return _pointwise(f"second-solution-scaling[{label} alpha={alpha:g}]",
                       rows, deviation,
                       SCALING_TOL if tolerance is None else tolerance, "abs")
 
 
-def solution_corpus(alpha: Alpha | float):
+def solution_corpus(alpha: float):
     """The fixed family of constructed solutions used by the suites.
 
     Yields ``(label, order, solution)`` triples: first-kind series at
     p in {0, 1/2, 1, 5/2, 3}, negative orders -1/2 and -5/2, and the two
     kinds of logarithmic second solutions.
     """
-    al = Alpha.of(alpha)
     for p in (0.0, 0.5, 1.0, 2.5, 3.0):
-        yield f"J[p={p:g}]", p, bessel_j_series(p, al)
+        yield f"J[p={p:g}]", p, bessel_j_series(p, alpha)
     for p in (0.5, 2.5):
-        yield f"Jneg[p={p:g}]", p, bessel_j_neg_series(p, al)
-    yield "y2zero", 0.0, second_solution_order_zero(al)
+        yield f"Jneg[p={p:g}]", p, bessel_j_neg_series(p, alpha)
+    yield "y2zero", 0.0, second_solution_order_zero(alpha)
     for m in (1, 2):
-        yield f"K[m={m}]", float(m), second_solution_integer_order(m, al)
+        yield f"K[m={m}]", float(m), second_solution_integer_order(m, alpha)
 
 
 def residual_suite(tolerance: float | None = None) -> list[CheckReport]:

@@ -20,6 +20,7 @@ import contextlib
 import json
 import math
 import os
+import re
 import sys
 from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
@@ -67,6 +68,10 @@ REPORT_CSV_HEADER = "check_name,passed,max_abs_err,max_rel_err,tolerance,mode"
 #: allocated eagerly, so an unchecked value could exhaust memory.
 MAX_TERMS = 10_000
 MAX_POINTS = 100_000
+
+#: argparse's negative-number pattern, ``-5`` or ``-.5``, with an exponent
+#: form added: without it ``--order -5e-10`` reads as an unknown flag.
+_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+([eE][+-]?\d+)?$")
 
 
 class UsageError(Exception):
@@ -232,12 +237,9 @@ def _collect_reports(ns: argparse.Namespace) -> list[CheckReport]:
         raise UsageError("--family narrows the residual check only; drop "
                          "--family or use --name residual")
     solution = build_solution(ns.family, ns.order, ns.alpha, ns.terms)
-    if ns.family == "y2zero":
-        p = 0.0
-    elif ns.family == "K":
-        p = float(integer_order(ns.order))
-    else:
-        p = ns.order
+    # y2zero and K are built at the snapped order: their log part's offset
+    p = (solution.log_part.offset if isinstance(solution, LogSolution)
+         else ns.order)
     return [checks.check_ode_residual(
         p, ns.alpha, solution, ns.xs, ns.tolerance,
         name=f"residual[{ns.family} order={ns.order:g} alpha={ns.alpha:g}]")]
@@ -305,6 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default=None,
                          help="which suite to run (default: all, or residual "
                               "when --family is given)")
+    for p in (parser, p_eval, p_table, p_check):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

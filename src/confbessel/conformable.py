@@ -13,7 +13,7 @@ import math
 from typing import Callable
 
 from .errors import DomainError, EvaluationError
-from .series import Alpha, ImmutableValue
+from .series import ImmutableValue, checked_alpha
 
 __all__ = ["DiffConfig", "conformable_diff_numeric", "conformable_diff2_numeric"]
 
@@ -28,8 +28,8 @@ class DiffConfig(ImmutableValue):
 
     _fields = ("alpha", "step_scale")
 
-    def __init__(self, alpha: Alpha | float, step_scale: float = 1e-6):
-        alpha = Alpha.of(alpha)
+    def __init__(self, alpha: float, step_scale: float = 1e-6):
+        alpha = checked_alpha(alpha)
         if not (math.isfinite(step_scale) and step_scale > 0.0):
             raise ValueError(f"step_scale must be positive, got {step_scale!r}")
         self.__dict__.update(alpha=alpha, step_scale=step_scale)
@@ -51,7 +51,7 @@ def conformable_diff_numeric(f: Callable[[float], float], x: float,
     if x <= 0.0:
         raise DomainError(f"conformable derivative requires x > 0, got {x}")
     h = cfg.step_scale * max(x, 1.0)
-    return x ** (1.0 - cfg.alpha.value) * _central_difference(f, x, h)
+    return x ** (1.0 - cfg.alpha) * _central_difference(f, x, h)
 
 
 def conformable_diff2_numeric(f: Callable[[float], float], x: float,

@@ -32,7 +32,6 @@ from typing import NamedTuple
 from .errors import AlignmentError, DomainError
 
 __all__ = [
-    "Alpha",
     "FracSeries",
     "LogSolution",
     "EvalResult",
@@ -50,7 +49,7 @@ __all__ = [
 #: absolute tolerance is safe.
 OFFSET_TOL = 1e-12
 
-#: Default relative threshold for the early stop in series evaluation.
+#: Relative threshold for the early stop in series evaluation.
 STOP_REL = 1e-18
 
 #: Default number of coefficient slots in constructed solutions.  Factorial
@@ -61,12 +60,14 @@ DEFAULT_TERMS = 60
 class ImmutableValue:
     """Base of the validated values: fields fixed at construction.
 
-    A subclass lists its fields in ``_fields`` and stores them in
-    ``__init__`` through ``self.__dict__``; assignment and deletion raise
-    ``AttributeError``.  Equality and hash compare the field tuple of two
-    values of the same class, and the repr is ``Name(field=value, ...)``.
-    There are no ``__slots__``: the benchmark's span recorder reads
-    ``vars()`` of a series.
+    The subclasses, :class:`FracSeries`, :class:`LogSolution` and
+    ``conformable.DiffConfig``, hold alpha as a plain float that
+    :func:`checked_alpha` has checked.  A subclass lists its fields in
+    ``_fields`` and stores them in ``__init__`` through ``self.__dict__``;
+    assignment and deletion raise ``AttributeError``.  Equality and hash
+    compare the field tuple of two values of the same class, and the repr
+    is ``Name(field=value, ...)``.  There are no ``__slots__``: the
+    benchmark's span recorder reads ``vars()`` of a series.
     """
 
     _fields: tuple[str, ...] = ()
@@ -93,25 +94,6 @@ class ImmutableValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Alpha(ImmutableValue):
-    """Derivative order, restricted to the interval (0, 1]."""
-
-    _fields = ("value",)
-
-    def __init__(self, value: float):
-        if not (isinstance(value, (int, float)) and math.isfinite(value)):
-            raise DomainError(
-                f"alpha must be a finite real number, got {value!r}")
-        if not 0.0 < value <= 1.0:
-            raise DomainError(f"alpha must lie in (0, 1], got {value}")
-        self.__dict__.update(value=float(value))
-
-    @classmethod
-    def of(cls, a: "Alpha | float") -> "Alpha":
-        """Coerce a plain float (or an Alpha) into an Alpha."""
-        return a if isinstance(a, cls) else cls(float(a))
-
-
 class FracSeries(ImmutableValue):
     """Truncated series ``sum(c_n * x**((n + offset) * alpha))``.
 
@@ -124,9 +106,9 @@ class FracSeries(ImmutableValue):
 
     _fields = ("alpha", "offset", "coeffs")
 
-    def __init__(self, alpha: Alpha | float, offset: float,
+    def __init__(self, alpha: float, offset: float,
                  coeffs: tuple[float, ...]):
-        alpha = Alpha.of(alpha)
+        alpha = checked_alpha(alpha)
         if not math.isfinite(offset):
             raise ValueError(f"offset must be finite, got {offset!r}")
         coeffs = tuple(map(float, coeffs))
@@ -152,11 +134,10 @@ class LogSolution(ImmutableValue):
     _fields = ("log_part", "plain_part")
 
     def __init__(self, log_part: FracSeries, plain_part: FracSeries):
-        da = abs(log_part.alpha.value - plain_part.alpha.value)
-        if da > OFFSET_TOL:
+        if abs(log_part.alpha - plain_part.alpha) > OFFSET_TOL:
             raise AlignmentError(
                 "log_part and plain_part must share the same alpha "
-                f"({log_part.alpha.value} vs {plain_part.alpha.value})"
+                f"({log_part.alpha} vs {plain_part.alpha})"
             )
         self.__dict__.update(log_part=log_part, plain_part=plain_part)
 
@@ -247,7 +228,7 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
     ``alpha*(n+r)*c_n * x**((n+r-1)*alpha)``; the result keeps the
     coefficient count and carries offset ``r - 1``.
     """
-    al = a.alpha.value
+    al = a.alpha
     r = a.offset
     return FracSeries(
         a.alpha,
@@ -309,6 +290,16 @@ _result = tuple.__new__
 _INF = math.inf
 
 
+def checked_alpha(alpha: float) -> float:
+    """``alpha`` as a float, or DomainError unless it lies in (0, 1]."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    return alpha
+
+
 def _checked_x(x: float) -> float:
     if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise DomainError(f"x must be a finite real number, got {x!r}")
@@ -322,11 +313,11 @@ def _overflow(x: float) -> DomainError:
                        "overflows a double")
 
 
-def eval_series(a: FracSeries, x: float, stop_rel: float = STOP_REL) -> EvalResult:
+def eval_series(a: FracSeries, x: float) -> EvalResult:
     """Evaluate the series at ``x > 0``.
 
     Terms are summed in ascending order with compensated summation; the sum
-    stops early once a nonzero term falls below ``stop_rel`` times the
+    stops early once a nonzero term falls below ``STOP_REL`` times the
     running total.  ``x`` is validated once and one :class:`EvalResult` is
     built per point.
     """
@@ -336,13 +327,12 @@ def eval_series(a: FracSeries, x: float, stop_rel: float = STOP_REL) -> EvalResu
     # can rebind it
     try:
         return _result(EvalResult, eval_series_kernel(
-            a.coeffs, a.alpha.value, a.offset, x, stop_rel, a._walk))
+            a.coeffs, a.alpha, a.offset, x, STOP_REL, a._walk))
     except OverflowError:
         raise _overflow(x) from None
 
 
-def eval_log_solution(s: LogSolution, x: float,
-                      stop_rel: float = STOP_REL) -> EvalResult:
+def eval_log_solution(s: LogSolution, x: float) -> EvalResult:
     """Evaluate ``log_part(x) * ln(x) + plain_part(x)`` at ``x > 0``.
 
     ``terms_used`` is the larger of the two parts' counts and the tail
@@ -356,9 +346,9 @@ def eval_log_solution(s: LogSolution, x: float,
     pp = s.plain_part
     try:
         lg, lg_used, lg_tail = eval_series_kernel(
-            lp.coeffs, lp.alpha.value, lp.offset, x, stop_rel, lp._walk)
+            lp.coeffs, lp.alpha, lp.offset, x, STOP_REL, lp._walk)
         pl, pl_used, pl_tail = eval_series_kernel(
-            pp.coeffs, pp.alpha.value, pp.offset, x, stop_rel, pp._walk)
+            pp.coeffs, pp.alpha, pp.offset, x, STOP_REL, pp._walk)
     except OverflowError:
         raise _overflow(x) from None
     lnx = math.log(x)

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from confbessel import (
-    Alpha,
     DiffConfig,
     FracSeries,
     LogSolution,
@@ -148,7 +147,7 @@ def test_numeric_operator_cross_check(capsys):
     xs = (0.5, 1.0, 2.0, 3.0)
     worst = 0.0
     for a in (0.4, 1.0):
-        cfg = DiffConfig(Alpha.of(a))
+        cfg = DiffConfig(a)
         for label, p, sol in solution_corpus(a):
             if isinstance(sol, LogSolution):
                 du = conformable_diff_exact(sol.log_part)
@@ -172,8 +171,7 @@ def test_numeric_operator_cross_check(capsys):
             for x in xs:
                 worst = max(worst, abs(conformable_diff_numeric(func, x, cfg)
                                        - exact(x)))
-    spot = conformable_diff_numeric(lambda t: t * t, 4.0,
-                                    DiffConfig(Alpha.of(0.5)))
+    spot = conformable_diff_numeric(lambda t: t * t, 4.0, DiffConfig(0.5))
     spot_dev = abs(spot - 16.0)
     ok = worst <= tol and spot_dev <= spot_tol
     _verdict(capsys, 6, "numeric vs exact operator", ok,
@@ -247,8 +245,7 @@ def test_pivot_normalization_regression(capsys):
     coeffs[pivot_slot] += bump
     alternative = LogSolution(
         log_part=adopted.log_part,
-        plain_part=FracSeries(Alpha.of(a), adopted.plain_part.offset,
-                              coeffs),
+        plain_part=FracSeries(a, adopted.plain_part.offset, coeffs),
     )
     bad = check_ode_residual(float(m), a, alternative, (x,), tol)
 

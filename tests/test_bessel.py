@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confbessel import (
-    Alpha,
     FracSeries,
     LogSolution,
     bessel_j_neg_integer_series,
@@ -28,6 +27,7 @@ from confbessel import (
 from confbessel.bessel import INTEGER_TOL
 from confbessel.cli import UsageError, build_solution
 from confbessel.errors import DomainError, OrderCaseError
+from confbessel.series import checked_alpha
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -108,7 +108,7 @@ def indicial_value(series, p):
     lead = FracSeries(series.alpha, series.offset, (series.coeffs[0],))
     d1 = conformable_diff_exact(lead)
     d2 = conformable_diff_exact(d1)
-    a = series.alpha.value
+    a = series.alpha
     return (d2.coeffs[0] + a * d1.coeffs[0]
             - a * a * p * p * lead.coeffs[0]) / lead.coeffs[0]
 
@@ -209,7 +209,7 @@ class TestIndicial:
 
     def test_polynomial_shape(self):
         # I(r) = alpha**2 (r**2 - p**2)
-        monomial = FracSeries(Alpha(0.5), 3.0, (1.0,))
+        monomial = FracSeries(0.5, 3.0, (1.0,))
         assert indicial_value(monomial, 2.0) == pytest.approx(0.25 * (9.0 - 4.0))
 
     def test_negative_p_rejected(self):
@@ -609,7 +609,7 @@ def ref_bessel_j_series(p, alpha, n_terms):
     coeffs[0] = _ref_leading(c0, p)
     for k in range(2, n_terms, 2):
         coeffs[k] = -coeffs[k - 2] / (k * (k + 2.0 * p))
-    return FracSeries(Alpha.of(alpha), float(p), tuple(coeffs))
+    return FracSeries(alpha, float(p), tuple(coeffs))
 
 
 def ref_bessel_j_neg_series(p, alpha, n_terms):
@@ -628,11 +628,11 @@ def ref_bessel_j_neg_series(p, alpha, n_terms):
     coeffs[0] = _ref_leading(2.0 ** p / g, -p)
     for k in range(2, n_terms, 2):
         coeffs[k] = -coeffs[k - 2] / (k * (k - 2.0 * p))
-    return FracSeries(Alpha.of(alpha), -float(p), tuple(coeffs))
+    return FracSeries(alpha, -float(p), tuple(coeffs))
 
 
 def ref_second_solution_order_zero(alpha, n_terms):
-    al = Alpha.of(alpha)
+    al = checked_alpha(alpha)
     log_part = ref_bessel_j_series(0.0, al, n_terms)
     coeffs = [0.0] * n_terms
     scale = 1.0
@@ -641,7 +641,7 @@ def ref_second_solution_order_zero(alpha, n_terms):
     for n in range(1, (n_terms - 1) // 2 + 1):
         scale /= 4.0 * n * n
         h += 1.0 / n
-        coeffs[2 * n] = sign * h * scale / al.value
+        coeffs[2 * n] = sign * h * scale / al
         sign = -sign
     return LogSolution(log_part, FracSeries(al, 0.0, tuple(coeffs)))
 
@@ -652,8 +652,7 @@ def ref_second_solution_integer_order(m, alpha, n_terms):
             f"integer-order second solution needs integer m >= 1, got {m}"
         )
     m = int(m)
-    al = Alpha.of(alpha)
-    a = al.value
+    a = al = checked_alpha(alpha)
     log_part = ref_bessel_j_series(float(m), al, n_terms)
 
     # second_solution_params(m, al, log_coeff=1.0)
@@ -731,6 +730,7 @@ class TestFrozenReference:
     @given(family=st.sampled_from(range(len(FAMILIES))), p=orders,
            alpha=alphas, n_terms=term_counts)
     @example(family=3, p=149.0, alpha=1e-6, n_terms=3)  # b_0 overflows
+    @example(family=3, p=1.0, alpha=1e-310, n_terms=3)  # and at m = 1
     @example(family=1, p=141.5, alpha=1.0, n_terms=120)
     @example(family=0, p=171.0, alpha=1.0, n_terms=1)
     @example(family=2, p=0.0, alpha=5e-324, n_terms=3)  # 1/(4 alpha) overflows
@@ -745,9 +745,17 @@ class TestFrozenReference:
             assert isinstance(_outcome(ref_bessel_j_series, p, alpha, n_terms),
                               bytes)
         elif family == 2 and want == (ValueError, "non-finite coefficient inf"):
-            # the other: at alpha below about 1.4e-309 the plain part of
+            # another: at alpha below about 1.4e-309 the plain part of
             # y2zero overflows, which is now a DomainError
             assert got[0] is DomainError
+        elif family == 3 and want == (
+                DomainError, f"order {p:g} too large: the leading "
+                             "coefficient overflows a double"):
+            # and a third: b_0 overflows only through a small alpha at the
+            # orders that reach it, so the message names alpha as well
+            assert got == (DomainError, f"alpha = {alpha:g} is too small for "
+                                        f"order {p:g}: the leading "
+                                        "coefficient overflows a double")
         else:
             assert got == want
 

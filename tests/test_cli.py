@@ -109,6 +109,42 @@ class TestY2zeroOrder:
         assert out.startswith("PASS residual[y2zero order=5e-10 alpha=1] ")
 
 
+class TestNegativeExponentValues:
+    """A negative value written with an exponent is a value, not a flag."""
+
+    @pytest.mark.parametrize("family", ["y2zero", "Jneg"])
+    @pytest.mark.parametrize("points", [
+        ["eval", "--x", "1.5"],
+        ["table", "--range", "0.5:3:4"],
+        ["check", "--x", "1.5"],
+    ])
+    def test_spaced_order_prints_the_joined_bytes(self, capsys, family,
+                                                 points):
+        argv = [points[0], "--family", family, *points[1:]]
+        want = run(capsys, *argv, "--order=-5e-10")
+        assert want[0] == EXIT_OK
+        assert run(capsys, *argv, "--order", "-5e-10") == want
+
+    def test_alpha_reaches_its_check(self, capsys):
+        code, out, err = run(capsys, "eval", "--alpha", "-1e-3", "--x", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("confbessel: error: alpha must lie in (0, 1], "
+                       "got -0.001\n")
+
+    def test_k_order_reaches_its_check(self, capsys):
+        code, out, err = run(capsys, "eval", "--family", "K", "--order",
+                             "-1e308", "--x", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("confbessel: error: family K requires an integer "
+                       "order >= 1, got -1e+308\n")
+
+    def test_range_without_exponent_is_still_a_flag(self, capsys):
+        code, out, err = run(capsys, "table", "--range", "-1:2:3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("error: argument --range: expected one "
+                            "argument\n")
+
+
 class TestEval:
     def test_half_order_example(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "J", "--order", "0.5",
@@ -358,6 +394,14 @@ class TestExitCodeMatrix:
         assert code == EXIT_USAGE
         assert err != ""
         assert "Traceback" not in err
+
+    def test_k_leading_coefficient_overflow_names_alpha(self, capsys):
+        code, out, err = run(capsys, "eval", "--family", "K", "--order", "1",
+                             "--alpha", "1e-310", "--x", "1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("confbessel: error: alpha = 1e-310 is too small for "
+                       "order 1: the leading coefficient overflows a "
+                       "double\n")
 
     @pytest.mark.parametrize("argv, limit", [
         (["eval", "--x", "1", "--terms", "100000000"], MAX_TERMS),

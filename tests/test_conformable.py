@@ -5,7 +5,6 @@ import math
 import pytest
 
 from confbessel import (
-    Alpha,
     DiffConfig,
     bessel_j_series,
     conformable_diff2_numeric,
@@ -19,17 +18,18 @@ from confbessel.errors import DomainError, EvaluationError
 
 class TestDiffConfig:
     def test_holds_alpha_and_step(self):
-        cfg = DiffConfig(Alpha(0.5), 1e-5)
-        assert cfg.alpha.value == 0.5
+        cfg = DiffConfig(0.5, 1e-5)
+        assert cfg.alpha == 0.5
         assert cfg.step_scale == 1e-5
 
     def test_coerces_float_alpha(self):
-        assert DiffConfig(0.5).alpha == Alpha(0.5)
+        alpha = DiffConfig(1).alpha
+        assert alpha == 1.0 and type(alpha) is float
 
     @pytest.mark.parametrize("bad", [0.0, -1e-6, float("nan")])
     def test_rejects_bad_step(self, bad):
         with pytest.raises(ValueError):
-            DiffConfig(Alpha(0.5), bad)
+            DiffConfig(0.5, bad)
 
 
 class TestFirstDerivative:

@@ -193,17 +193,17 @@ class TestBitIdentity:
             assert part._walk in walks(part.coeffs)
             for t in (0.01, 0.5, 1.0, 3.3, 9.0, 20.0):
                 x = t ** (1.0 / alpha)
-                assert_bit_identical(part.coeffs, part.alpha.value,
+                assert_bit_identical(part.coeffs, part.alpha,
                                      part.offset, x, 1e-18)
 
 
 def log_solution_bits(sol, x):
     """``eval_log_solution``'s result, summed by the while-loop oracle."""
     lg, lg_used, lg_tail = while_loop_kernel(
-        sol.log_part.coeffs, sol.log_part.alpha.value, sol.log_part.offset,
+        sol.log_part.coeffs, sol.log_part.alpha, sol.log_part.offset,
         x, 1e-18)
     pl, pl_used, pl_tail = while_loop_kernel(
-        sol.plain_part.coeffs, sol.plain_part.alpha.value,
+        sol.plain_part.coeffs, sol.plain_part.alpha,
         sol.plain_part.offset, x, 1e-18)
     lnx = math.log(x)
     return bits((lg * lnx + pl, max(lg_used, pl_used),

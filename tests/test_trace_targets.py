@@ -79,7 +79,7 @@ def test_kernel_counters_match_the_while_loop():
     terms = stops = 0
     for part in parts:
         for x in xs:
-            used = while_loop_kernel(part.coeffs, part.alpha.value,
+            used = while_loop_kernel(part.coeffs, part.alpha,
                                      part.offset, x, series.STOP_REL)[1]
             terms += used
             stops += used < len(part)
