@@ -149,11 +149,12 @@ def _even_series(alpha: float, r: float, c0: float,
     if not sys.float_info.min <= abs(c0) < math.inf:
         raise DomainError(f"order {r:g} too large: the leading coefficient "
                           "is not representable as a double")
-    coeffs = [0.0] * n_terms
-    coeffs[0] = c0
+    two_r = 2.0 * r
+    slots = [c := c0]
     for k in range(2, n_terms, 2):
-        coeffs[k] = -coeffs[k - 2] / (k * (k + 2.0 * r))
-    return FracSeries(alpha, float(r), tuple(coeffs))
+        slots.append(c := -c / (k * (k + two_r)))
+    return FracSeries._walked(checked_alpha(alpha), float(r), n_terms,
+                              tuple(slots), 0, 2)
 
 
 def bessel_j_series(p: float, alpha: float,
@@ -234,16 +235,17 @@ def second_solution_order_zero(alpha: float,
     """
     alpha = checked_alpha(alpha)
     log_part = bessel_j_series(0.0, alpha, n_terms)
-    c = log_part.coeffs
-    coeffs = [0.0] * n_terms
+    c = log_part._walk[0]  # c_0, c_2, c_4, ...
+    slots = [0.0] * len(c)
     h = 0.0
-    for n in range(1, (n_terms + 1) // 2):
+    for n in range(1, len(c)):
         h += 1.0 / n
-        coeffs[2 * n] = -c[2 * n] * h / alpha
-    if n_terms > 2 and math.isinf(coeffs[2]):
+        slots[n] = -c[n] * h / alpha
+    if n_terms > 2 and math.isinf(slots[1]):
         raise DomainError(f"alpha = {alpha:g} is too small: the plain "
                           "part's coefficients overflow a double")
-    return LogSolution(log_part, FracSeries(alpha, 0.0, tuple(coeffs)))
+    return LogSolution(log_part, FracSeries._walked(
+        alpha, 0.0, n_terms, tuple(slots), 0, 2))
 
 
 def second_solution_integer_order(m: int, alpha: float,
@@ -272,24 +274,24 @@ def second_solution_integer_order(m: int, alpha: float,
     m = int(m)
     a = checked_alpha(alpha)
     log_part = bessel_j_series(float(m), a, n_terms)
-    c = log_part.coeffs
-    coeffs = [0.0] * (2 * m + n_terms)
+    c = log_part._walk[0]  # c_0, c_2, c_4, ...
 
     b0 = -2.0 ** (m - 1) * _factorial(m - 1) / a
     if not math.isfinite(b0):
         raise DomainError(f"alpha = {a:g} is too small for order {m}: the "
                           "leading coefficient overflows a double")
-    coeffs[0] = b0
+    slots = [b0]  # b_{2j} is slot j, b_{2m+2n} slot m + n
     ratio = 1.0
     for j in range(1, m):
         ratio /= 4.0 * j * (m - j)
-        coeffs[2 * j] = b0 * ratio
+        slots.append(b0 * ratio)
 
     h_n = 0.0
     h_mn = harmonic(m)
-    for n in range((n_terms + 1) // 2):
-        coeffs[2 * m + 2 * n] = -c[2 * n] * (h_n + h_mn) / (2.0 * a)
+    for n, c2n in enumerate(c):
+        slots.append(-c2n * (h_n + h_mn) / (2.0 * a))
         h_n += 1.0 / (n + 1)
         h_mn += 1.0 / (m + n + 1)
 
-    return LogSolution(log_part, FracSeries(a, -float(m), tuple(coeffs)))
+    return LogSolution(log_part, FracSeries._walked(
+        a, -float(m), 2 * m + n_terms, tuple(slots), 0, 2))

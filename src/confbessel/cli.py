@@ -69,9 +69,13 @@ REPORT_CSV_HEADER = "check_name,passed,max_abs_err,max_rel_err,tolerance,mode"
 MAX_TERMS = 10_000
 MAX_POINTS = 100_000
 
-#: argparse's negative-number pattern, ``-5`` or ``-.5``, with an exponent
-#: form added: without it ``--order -5e-10`` reads as an unknown flag.
-_NEGATIVE_NUMBER = re.compile(r"^-\d*\.?\d+([eE][+-]?\d+)?$")
+#: A negative value that ``float`` reads: argparse's pattern (``-5``,
+#: ``-.5``) with a trailing dot (``-5.``), an exponent (``-5e-10``) and
+#: ``-inf``, ``-infinity`` and ``-nan`` in any case added, so that each of
+#: them after ``--order`` is a value, as in ``--order=-5e-10``.
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
+    re.IGNORECASE)
 
 
 class UsageError(Exception):

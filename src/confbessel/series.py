@@ -20,7 +20,9 @@ compensated summation because the coefficient sequences of interest
 alternate in sign and pass through large intermediate terms before factorial
 decay sets in.  Its one loop walks the even, the odd or every slot, as the
 series recorded at construction (:class:`FracSeries`), with the roundings
-of a step through every slot in the same order.
+of a step through every slot in the same order.  :func:`series_scale`,
+:func:`conformable_diff_exact` and the constructors in
+:mod:`confbessel.bessel` compute only the walked slots of what they build.
 """
 
 from __future__ import annotations
@@ -94,14 +96,29 @@ class ImmutableValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _check_finite(values: tuple[float, ...]) -> None:
+    if not all(map(math.isfinite, values)):
+        bad = next(c for c in values if not math.isfinite(c))
+        raise ValueError(f"non-finite coefficient {bad!r}")
+
+
+def _walk_of(coeffs: tuple[float, ...]) -> tuple:
+    # any() reads 0.0 and -0.0 as false
+    return ((coeffs[::2], 0, 2) if not any(coeffs[1::2])
+            else (coeffs[1::2], 1, 2) if not any(coeffs[::2])
+            else (coeffs, 0, 1))
+
+
 class FracSeries(ImmutableValue):
     """Truncated series ``sum(c_n * x**((n + offset) * alpha))``.
 
     Besides its fields a series records ``_walk = (slots, first, stride)``
-    for :func:`eval_series_kernel`, derived once here: ``slots`` is
-    ``coeffs[first::stride]``, the even slots (0, 2) when every odd slot is
-    zero, else the odd slots (1, 2) when every even slot is zero, else every
-    slot (0, 1).  It is not a field, so equality, hash and repr ignore it.
+    for :func:`eval_series_kernel`: ``slots`` is ``coeffs[first::stride]``,
+    the even slots (0, 2) when every odd slot is zero, else the odd slots
+    (1, 2) when every even slot is zero, else every slot (0, 1).  It is not
+    a field, so equality, hash and repr ignore it.  This constructor
+    converts and checks every coefficient; :meth:`_walked` takes only the
+    walked slots.
     """
 
     _fields = ("alpha", "offset", "coeffs")
@@ -114,15 +131,27 @@ class FracSeries(ImmutableValue):
         coeffs = tuple(map(float, coeffs))
         if not coeffs:
             raise ValueError("coefficient list must be non-empty")
-        if not all(map(math.isfinite, coeffs)):
-            bad = next(c for c in coeffs if not math.isfinite(c))
-            raise ValueError(f"non-finite coefficient {bad!r}")
-        # any() reads 0.0 and -0.0 as false
-        walk = ((coeffs[::2], 0, 2) if not any(coeffs[1::2])
-                else (coeffs[1::2], 1, 2) if not any(coeffs[::2])
-                else (coeffs, 0, 1))
+        _check_finite(coeffs)
         self.__dict__.update(alpha=alpha, offset=float(offset),
-                             coeffs=coeffs, _walk=walk)
+                             coeffs=coeffs, _walk=_walk_of(coeffs))
+
+    @classmethod
+    def _walked(cls, alpha: float, offset: float, size: int,
+                slots: tuple[float, ...], first: int,
+                stride: int) -> FracSeries:
+        """The series of ``size`` slots, zero but for the floats ``slots``
+        at ``first::stride``; ``alpha`` and ``offset`` are already checked.
+        The walk is kept unless the rule above names another."""
+        _check_finite(slots)
+        coeffs = [0.0] * size
+        coeffs[first::stride] = slots
+        coeffs = tuple(coeffs)
+        walk = ((slots, first, 2) if stride == 2 and (not first or any(slots))
+                else _walk_of(coeffs))
+        self = object.__new__(cls)
+        self.__dict__.update(alpha=alpha, offset=offset, coeffs=coeffs,
+                             _walk=walk)
+        return self
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -162,10 +191,13 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 
     The formula of ``numpy.linspace``, so the points agree with it bit for
     bit: ``i*step + start`` with ``step = (stop - start)/(num - 1)``, and
-    ``stop`` itself as the last point.
+    ``stop`` itself as the last point.  As there, ``num = 0`` gives no
+    points and a negative ``num`` raises ValueError.
     """
-    if num == 1:
-        return [start]
+    if num < 0:
+        raise ValueError(f"Number of samples, {num}, must be non-negative.")
+    if num <= 1:
+        return [start] * num
     step = (stop - start) / (num - 1)
     return [i * step + start for i in range(num - 1)] + [stop]
 
@@ -174,7 +206,10 @@ def series_scale(a: FracSeries, k: float) -> FracSeries:
     """Multiply every coefficient by the finite scalar ``k``."""
     if not math.isfinite(k):
         raise ValueError(f"scale factor must be finite, got {k!r}")
-    return FracSeries(a.alpha, a.offset, tuple(k * c for c in a.coeffs))
+    k = float(k)
+    slots, first, stride = a._walk
+    return FracSeries._walked(a.alpha, a.offset, len(a.coeffs),
+                              tuple([k * c for c in slots]), first, stride)
 
 
 def series_shift(a: FracSeries, dr: float) -> FracSeries:
@@ -226,15 +261,18 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
 
     Each term ``c_n * x**((n+r)*alpha)`` maps to
     ``alpha*(n+r)*c_n * x**((n+r-1)*alpha)``; the result keeps the
-    coefficient count and carries offset ``r - 1``.
+    coefficient count and carries offset ``r - 1``.  Only the walked slots
+    are computed: the others stay zero.
     """
     al = a.alpha
     r = a.offset
-    return FracSeries(
-        a.alpha,
-        r - 1.0,
-        tuple(al * (n + r) * c for n, c in enumerate(a.coeffs)),
-    )
+    slots, first, stride = a._walk
+    size = len(a.coeffs)
+    return FracSeries._walked(
+        al, r - 1.0, size,
+        tuple([al * (n + r) * c
+               for n, c in zip(range(first, size, stride), slots)]),
+        first, stride)
 
 
 def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,

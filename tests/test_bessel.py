@@ -23,6 +23,8 @@ from confbessel import (
     integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
+    series_scale,
+    series_shift,
 )
 from confbessel.bessel import INTEGER_TOL
 from confbessel.cli import UsageError, build_solution
@@ -795,3 +797,156 @@ class TestCliRouting:
                                        f"got {order:g}")
         else:
             assert got == want
+
+
+# The series algebra as it stood before the producers built only their walked
+# slots: every slot computed, and the result validated by FracSeries.
+
+def ref_series_scale(a, k):
+    return FracSeries(a.alpha, a.offset, tuple(k * c for c in a.coeffs))
+
+
+def ref_conformable_diff_exact(a):
+    al = a.alpha
+    r = a.offset
+    return FracSeries(a.alpha, r - 1.0,
+                      tuple(al * (n + r) * c for n, c in enumerate(a.coeffs)))
+
+
+def _parts(solution):
+    if isinstance(solution, LogSolution):
+        return [solution.log_part, solution.plain_part]
+    return [solution]
+
+
+def ref_family(family, order, alpha, n_terms):
+    """The frozen build of ``build_solution(family, order, ...)``."""
+    if family == "J":
+        return ref_bessel_j_series(order, alpha, n_terms)
+    if family == "Jneg" and ref_integer_order(order) is None:
+        return ref_bessel_j_neg_series(order, alpha, n_terms)
+    if family == "Jneg":
+        m = ref_integer_order(order)
+        return ref_series_scale(ref_bessel_j_series(float(m), alpha, n_terms),
+                                -1.0 if m % 2 else 1.0)
+    if family == "y2zero":
+        return ref_second_solution_order_zero(alpha, n_terms)
+    return ref_second_solution_integer_order(int(order), alpha, n_terms)
+
+
+WALK_ORDERS = (0.0, 0.5, 1.0, 2.5, 3.0, 149.0)
+WALK_CASES = ([("J", p) for p in WALK_ORDERS]
+              + [("Jneg", p) for p in WALK_ORDERS]
+              + [("y2zero", 0.0)]
+              + [("K", p) for p in WALK_ORDERS if p >= 1 and p == int(p)])
+SCALES = (2.5, -1.0, -0.3, 0.0)
+
+
+def _algebra(series, diff, scale):
+    """The series itself, its derivative and its scalings by SCALES."""
+    return [series, diff(series)] + [scale(series, k) for k in SCALES]
+
+
+def assert_walk_built(got, want):
+    """``got`` holds ``want``'s walked slots bit for bit and +0.0 elsewhere,
+    and records the walk the validating constructor derives.
+
+    Only where every slot is zero can that walk differ from the one the
+    producer computed (the even walk for zeroed odd slots); the computed
+    slots then keep their bits.
+    """
+    slots, first, stride = got._walk
+    rebuilt = FracSeries(got.alpha, got.offset, got.coeffs)
+    assert got == rebuilt and got._walk == rebuilt._walk
+    assert (got.alpha, got.offset) == (want.alpha, want.offset)
+    assert len(got.coeffs) == len(want.coeffs)
+    walked = range(first, len(got.coeffs), stride)
+    assert ([c.hex() for c in slots] == [got.coeffs[n].hex() for n in walked]
+            == [want.coeffs[n].hex() for n in walked])
+    for n in range(len(got.coeffs)):
+        if n not in walked:
+            assert want.coeffs[n] == 0.0
+            assert got.coeffs[n].hex() == "0x0.0p+0" or (
+                not any(slots) and got.coeffs[n].hex() == want.coeffs[n].hex())
+
+
+class TestWalkBuilt:
+    """The constructors and the series algebra compute only the walked
+    slots; the result is the dense one of the frozen builders above."""
+
+    @pytest.mark.parametrize("family, order", WALK_CASES)
+    def test_matches_dense_formulas(self, family, order):
+        for alpha in (0.3, 0.8, 1.0):
+            for n_terms in (1, 2, 3, 30, 60, 121):
+                got = build_solution(family, order, alpha, n_terms)
+                want = ref_family(family, order, alpha, n_terms)
+                for g, w in zip(_parts(got), _parts(want), strict=True):
+                    for gs, ws in zip(
+                            _algebra(g, conformable_diff_exact, series_scale),
+                            _algebra(w, ref_conformable_diff_exact,
+                                     ref_series_scale)):
+                        assert_walk_built(gs, ws)
+
+    @pytest.mark.parametrize("series", [
+        FracSeries(1.0, 0.0, (1.0, 0.0, -2.0)),  # even walk
+        series_shift(FracSeries(0.5, 0.0, (1.0, 0.0, -2.0)), 1),  # odd walk
+        FracSeries(0.5, 0.0, (1.0, 3.0, -2.0, 0.0, 0.0)),  # every slot
+        FracSeries(0.5, -1.0, (1.0, 3.0, 0.0, 4.0)),  # n + r = 0 at n = 1
+    ], ids=["even", "odd", "every", "every-zeroed"])
+    def test_algebra_on_each_walk(self, series):
+        for got, want in zip(
+                _algebra(series, conformable_diff_exact, series_scale),
+                _algebra(series, ref_conformable_diff_exact,
+                         ref_series_scale)):
+            assert_walk_built(got, want)
+
+    def test_walk_follows_the_constructor_rule(self):
+        # n + r = 0 zeroes slot 0: every slot in, odd slots out
+        d = conformable_diff_exact(FracSeries(1.0, 0.0, (1.0, 2.0)))
+        assert d.coeffs == (0.0, 2.0) and d._walk == ((2.0,), 1, 2)
+        # k = 0 on an odd walk: the even walk, as the constructor derives
+        z = series_scale(series_shift(FracSeries(1.0, 0.0, (1.0,)), 1), 0.0)
+        assert z._walk == ((0.0,), 0, 2)
+
+    @pytest.mark.parametrize("series", [
+        FracSeries(1.0, 2.0, (1e308, 0.0, 1e308)),
+        series_shift(FracSeries(1.0, 2.0, (1e308,)), 1),
+        FracSeries(1.0, 2.0, (1e308, 1e308)),
+        FracSeries(1.0, 0.0, (1.0, 0.0, -1e308)),
+    ])
+    @pytest.mark.parametrize("op, ref_op", [
+        (conformable_diff_exact, ref_conformable_diff_exact),
+        (lambda s: series_scale(s, -1e10),
+         lambda s: ref_series_scale(s, -1e10)),
+    ], ids=["diff", "scale"])
+    def test_overflow_keeps_its_message(self, series, op, ref_op):
+        got = _outcome(op, series)
+        assert got[0] is ValueError
+        assert got == _outcome(ref_op, series)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: second_solution_order_zero(1e-310, 60),
+         "alpha = 1e-310 is too small: the plain part's coefficients "
+         "overflow a double"),
+        (lambda: second_solution_integer_order(1, 1e-310, 60),
+         "alpha = 1e-310 is too small for order 1: the leading coefficient "
+         "overflows a double"),
+        (lambda: second_solution_integer_order(3, 1e-310, 3),
+         "alpha = 1e-310 is too small for order 3: the leading coefficient "
+         "overflows a double"),
+    ])
+    def test_small_alpha_keeps_its_message(self, build, message):
+        assert _outcome(build) == (DomainError, message)
+
+    def test_producers_never_run_the_validating_init(self, monkeypatch):
+        inputs = [series_shift(FracSeries(1.0, 0.0, (1.0, 0.0, 2.0)), 1),
+                  FracSeries(1.0, 0.5, (1.0, 2.0))]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("FracSeries.__init__ ran")
+
+        monkeypatch.setattr(FracSeries, "__init__", refuse)
+        for family, order in WALK_CASES:
+            inputs += _parts(build_solution(family, order, 0.7, 30))
+        for s in inputs:
+            series_scale(conformable_diff_exact(s), -2.0)

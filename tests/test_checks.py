@@ -10,7 +10,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confbessel import (
@@ -397,6 +397,13 @@ class TestLinspace:
     @settings(max_examples=200, deadline=None)
     @given(a=st.floats(min_value=1e-6, max_value=1e6),
            b=st.floats(min_value=1e-6, max_value=1e6),
-           n=st.integers(min_value=1, max_value=64))
+           n=st.integers(min_value=-2, max_value=64))
+    @example(a=0.0, b=1.0, n=0)  # no points
+    @example(a=0.0, b=1.0, n=-2)  # ValueError
     def test_matches_numpy(self, a, b, n):
-        assert _bits(linspace(a, b, n)) == _bits(np.linspace(a, b, n))
+        def outcome(space):
+            try:
+                return _bits(space(a, b, n))
+            except ValueError as exc:
+                return str(exc)
+        assert outcome(linspace) == outcome(np.linspace)

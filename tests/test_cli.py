@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import confbessel
+from confbessel import cli
 from confbessel.cli import (
     CSV_HEADER,
     EXIT_CHECK_FAILED,
@@ -143,6 +145,25 @@ class TestNegativeExponentValues:
         assert (code, out) == (EXIT_USAGE, "")
         assert err.endswith("error: argument --range: expected one "
                             "argument\n")
+
+    @pytest.mark.parametrize("flag", ["--order", "--alpha", "--x"])
+    @pytest.mark.parametrize("value", [
+        "-inf", "-INF", "-Infinity", "-infinity", "-nan", "-NaN", "-5.",
+        "-5.e3", "-5.E-3", "-.5", "-5e-10"])
+    def test_spaced_value_prints_the_joined_bytes(self, capsys, flag, value):
+        argv = ["eval"] if flag == "--x" else ["eval", "--x", "1"]
+        want = run(capsys, *argv, f"{flag}={value}")
+        assert want[0] == EXIT_USAGE and "expected one argument" not in want[2]
+        assert run(capsys, *argv, flag, value) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["eval", "-h"], ["table", "--range", "-1:2:3"],
+        ["eval", "--order", "-e5", "--x", "1"]])
+    def test_non_numbers_keep_argparse_bytes(self, capsys, monkeypatch, argv):
+        want = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_NEGATIVE_NUMBER",
+                            re.compile(r"^-\d+$|^-\d*\.\d+$"))  # argparse's
+        assert run(capsys, *argv) == want
 
 
 class TestEval:
