@@ -117,7 +117,10 @@ def harmonic(n: int) -> float:
     """Harmonic number ``H_n = 1 + 1/2 + ... + 1/n`` with ``H_0 = 0``."""
     if n < 0:
         raise ValueError(f"harmonic number needs n >= 0, got {n}")
-    return sum(1.0 / k for k in range(1, n + 1))
+    h = 0.0
+    for k in range(1, n + 1):
+        h += 1.0 / k
+    return h
 
 
 def integer_order(p: float) -> int | None:
@@ -216,7 +219,7 @@ def bessel_j_neg_integer_series(m: int, alpha: float,
     (gamma blows up at non-positive integers) and the series collapses onto
     the first-kind series with an alternating sign.
     """
-    if m < 0 or m != int(m):
+    if m < 0 or not float(m).is_integer():
         raise OrderCaseError(f"integer reduction needs integer m >= 0, got {m}")
     sign = -1.0 if int(m) % 2 else 1.0
     return series_scale(bessel_j_series(float(m), alpha, n_terms), sign)
@@ -267,7 +270,7 @@ def second_solution_integer_order(m: int, alpha: float,
     overflows a double for alpha below about 5.6e-309 at m = 1, or 5e-6 at
     m = 149, the highest order the log part admits; that raises DomainError.
     """
-    if m < 1 or m != int(m):
+    if m < 1 or not float(m).is_integer():
         raise OrderCaseError(
             f"integer-order second solution needs integer m >= 1, got {m}"
         )

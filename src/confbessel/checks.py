@@ -4,9 +4,9 @@ Every check returns a :class:`CheckReport` carrying the grid it ran on, the
 worst absolute and relative deviations, and a pass flag against its
 tolerance.  The six identities (weighted lowering and raising, lowering,
 raising, the three-term recurrence and the reflection) are the rows of one
-table, ``IDENTITIES``, run by :func:`check_identity`.  Every check reports
-through one of two primitives, which hold the only max-error loops in the
-module:
+table, ``IDENTITIES``, run by :func:`check_identity`.  Every check forms
+its absolute and relative deviation columns through one of two primitives
+and hands them to ``_report``, the module's only max-error loop:
 
 * ``_coefficientwise`` ("rel" mode): two series that should be equal term
   by term are aligned to a common offset and compared coefficient against
@@ -27,10 +27,10 @@ integrand extends to an even 2*pi-periodic analytic function, so the rule
 converges geometrically (Trefethen & Weideman, SIAM Review 56(3), 2014):
 N panels on [0, pi] are the 2N-point periodic rule, whose error is of the
 order of J_{2N-n}(z), and J_m(z) is negligible once m exceeds z by a few
-dozen.  The default N = int(z) + n + 32 therefore reaches machine accuracy
-at every z and n the oracle accepts, with work that grows with z + n; that
-sum is capped at ORACLE_MAX_ARG.  The quadrature shares no code with the
-series engine; independence is the point.
+dozen.  The panel count N = int(z) + n + 32 therefore reaches machine
+accuracy at every z and n the oracle accepts, with work that grows with
+z + n; that sum is capped at ORACLE_MAX_ARG.  The quadrature shares no
+code with the series engine; independence is the point.
 """
 
 from __future__ import annotations
@@ -122,12 +122,18 @@ class CheckReport(NamedTuple):
 
 
 def _report(name: str, grid: Sequence[tuple[float, float, float]],
-            max_abs: float, max_rel: float, tolerance: float,
-            mode: str) -> CheckReport:
+            abs_devs: Iterable[float], rel_devs: Iterable[float],
+            tolerance: float, mode: str) -> CheckReport:
+    """The report of the absolute and relative deviation columns.
+
+    A column's error is its largest entry (0.0 if it is empty), a NaN
+    counting as infinite, so it fails at any tolerance (``max`` would drop
+    it).  The gauge is the absolute error in "abs" mode, else the relative.
+    """
     if not grid:
         raise ValueError(f"check {name!r} ran on an empty grid")
-    if mode not in ("abs", "rel"):
-        raise ValueError(f"unknown report mode {mode!r}")
+    max_abs, max_rel = [max([0.0, *[d if d == d else math.inf for d in devs]])
+                        for devs in (abs_devs, rel_devs)]
     gauge = max_abs if mode == "abs" else max_rel
     return CheckReport(
         check_name=name,
@@ -144,24 +150,18 @@ def _pointwise(name: str, rows: Sequence[tuple[float, float, float]],
                deviation: Callable[[float, float, float], tuple[float, float]],
                tolerance: float | None = None, mode: str = "abs"
                ) -> CheckReport:
-    """Report the worst of ``deviation(p, alpha, x) -> (diff, ref)`` over rows.
+    """Report ``deviation(p, alpha, x) -> (diff, ref)`` over rows.
 
-    The absolute column is the worst ``|diff|``, the relative column the
-    worst ``|diff| / (1 + |ref|)``.  A NaN deviation counts as infinite in
-    both columns, so it fails in either mode and at any tolerance (``max``
-    would drop it).
+    A row's absolute deviation is ``|diff|``, its relative deviation
+    ``|diff| / (1 + |ref|)``; a NaN relative deviation makes both infinite.
     """
-    max_abs = 0.0
-    max_rel = 0.0
+    abs_devs, rel_devs = [], []
     for p, a, x in rows:
         diff, ref = deviation(p, a, x)
-        d = abs(diff)
-        rel = d / (1.0 + abs(ref))
-        if rel != rel:
-            d = rel = math.inf
-        max_abs = max(max_abs, d)
-        max_rel = max(max_rel, rel)
-    return _report(name, rows, max_abs, max_rel,
+        rel = abs(diff) / (1.0 + abs(ref))
+        abs_devs.append(abs(diff) if rel == rel else math.inf)
+        rel_devs.append(rel)
+    return _report(name, rows, abs_devs, rel_devs,
                    POINT_TOL if tolerance is None else tolerance, mode)
 
 
@@ -170,34 +170,30 @@ def _coefficientwise(name: str, rows: Sequence[tuple[float, float, float]],
                      tolerance: float | None = None) -> CheckReport:
     """Gate two series ``(lhs, rhs)`` that should agree term by term.
 
-    The gauge ("rel" mode) is the worst per-coefficient relative difference
-    over the first ``N_COEFF_COMPARE`` slots, with ``rhs`` aligned to the
-    offset of ``lhs``.  The absolute column records the pointwise spot
-    deviations ``|lhs(x) - rhs(x)|`` at the rows' x (NaN counts as infinite).
+    The relative column holds the per-coefficient differences
+    ``|l - r| / max(|l|, |r|)`` over the first ``N_COEFF_COMPARE`` slots,
+    zero-padded, of ``lhs`` and of ``rhs`` aligned to the offset of
+    ``lhs``, skipping slots where both are zero; it is the gauge ("rel"
+    mode).  The absolute column holds the spot deviations
+    ``|lhs(x) - rhs(x)|`` at the rows' x.
     """
     lhs, rhs = sides
-    aligned = series_rebase(rhs, lhs.offset)
-    max_rel = 0.0
-    for i in range(N_COEFF_COMPARE):
-        l = lhs.coeffs[i] if i < len(lhs.coeffs) else 0.0
-        r = aligned.coeffs[i] if i < len(aligned.coeffs) else 0.0
-        scale = max(abs(l), abs(r))
-        if scale > 0.0:
-            max_rel = max(max_rel, abs(l - r) / scale)
-    max_abs = 0.0
-    for _, _, x in rows:
-        d = abs(eval_series(lhs, x).value - eval_series(rhs, x).value)
-        max_abs = max(max_abs, d if d == d else math.inf)
-    return _report(name, rows, max_abs, max_rel,
+    pad = (0.0,) * N_COEFF_COMPARE
+    slots = zip((lhs.coeffs + pad)[:N_COEFF_COMPARE],
+                series_rebase(rhs, lhs.offset).coeffs + pad)
+    rel_devs = [abs(l - r) / max(abs(l), abs(r)) for l, r in slots if l or r]
+    abs_devs = [abs(eval_series(lhs, x).value - eval_series(rhs, x).value)
+                for _, _, x in rows]
+    return _report(name, rows, abs_devs, rel_devs,
                    COEFF_TOL if tolerance is None else tolerance, "rel")
 
 
-def classical_bessel_j(n: int, z: float, panels: int | None = None) -> float:
+def classical_bessel_j(n: int, z: float) -> float:
     """Classical Bessel J_n(z) by trapezoidal quadrature of the cosine integral.
 
-    ``panels`` defaults to ``int(z) + n + 32``; see the module docstring.
+    The rule uses ``int(z) + n + 32`` panels; see the module docstring.
     """
-    if n < 0 or n != int(n):
+    if n < 0 or not float(n).is_integer():
         raise ValueError(f"oracle needs integer n >= 0, got {n}")
     if not math.isfinite(z):
         raise ValueError(f"oracle needs a finite z, got {z}")
@@ -207,11 +203,7 @@ def classical_bessel_j(n: int, z: float, panels: int | None = None) -> float:
         raise ValueError(f"oracle needs z + n <= {ORACLE_MAX_ARG:g}, "
                          f"got {z + n:g}")
     n = int(n)
-    if panels is None:
-        panels = int(z) + n + 32
-    elif panels < 1 or panels != int(panels):
-        raise ValueError(f"oracle needs an integer panels >= 1, got {panels}")
-    panels = int(panels)
+    panels = int(z) + n + 32
     h = math.pi / panels
     values = [math.cos(n * (k * h) - z * math.sin(k * h))
               for k in range(panels + 1)]
@@ -222,7 +214,7 @@ def classical_bessel_j(n: int, z: float, panels: int | None = None) -> float:
 
 def _require_integer(n: float, least: int, what: str) -> None:
     """ValueError unless ``n`` is an integer no smaller than ``least``."""
-    if n < least or n != int(n):
+    if n < least or not float(n).is_integer():
         raise ValueError(f"{what} needs an integer order >= {least}, got {n}")
 
 

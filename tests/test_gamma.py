@@ -101,3 +101,13 @@ class TestHarmonic:
     def test_negative_raises(self):
         with pytest.raises(ValueError):
             harmonic(-1)
+
+    def test_is_the_plain_running_sum(self):
+        # left to right, uncompensated, as the tail of K_m accumulates it;
+        # a compensated sum (the builtin sum() on Python 3.12+) moves the
+        # last bit of H_n, first at n = 4
+        h = 0.0
+        for n in range(201):
+            if n:
+                h += 1.0 / n
+            assert harmonic(n).hex() == h.hex(), n
