@@ -123,16 +123,24 @@ def harmonic(n: int) -> float:
     return h
 
 
+def _order_float(p: float) -> float:
+    """``float(p)``, with an int beyond float range as +-inf."""
+    try:
+        return float(p)
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
+
+
 def integer_order(p: float) -> int | None:
     """The integer m >= 0 within ``INTEGER_TOL`` of ``p``, else None.
 
     Only these orders need the integer-order constructions (the sign
     reduction of order -m and the logarithmic second solution); every other
     p, half-odd integers included, takes the gamma leading coefficient and
-    has a valid order -p series.  A non-finite order raises
-    :class:`DomainError`.
+    has a valid order -p series.  A non-finite order, or an int beyond
+    float range, raises :class:`DomainError`.
     """
-    p = float(p)
+    p = _order_float(p)
     if not math.isfinite(p):
         raise DomainError(f"order must be finite, got {p}")
     m = round(p)
@@ -157,7 +165,7 @@ def _even_series(alpha: float, r: float, c0: float,
     for k in range(2, n_terms, 2):
         slots.append(c := -c / (k * (k + two_r)))
     return FracSeries._walked(checked_alpha(alpha), float(r), n_terms,
-                              tuple(slots), 0, 2)
+                              tuple(slots), 2)
 
 
 def bessel_j_series(p: float, alpha: float,
@@ -219,7 +227,7 @@ def bessel_j_neg_integer_series(m: int, alpha: float,
     (gamma blows up at non-positive integers) and the series collapses onto
     the first-kind series with an alternating sign.
     """
-    if m < 0 or not float(m).is_integer():
+    if m < 0 or not _order_float(m).is_integer():
         raise OrderCaseError(f"integer reduction needs integer m >= 0, got {m}")
     sign = -1.0 if int(m) % 2 else 1.0
     return series_scale(bessel_j_series(float(m), alpha, n_terms), sign)
@@ -248,7 +256,7 @@ def second_solution_order_zero(alpha: float,
         raise DomainError(f"alpha = {alpha:g} is too small: the plain "
                           "part's coefficients overflow a double")
     return LogSolution(log_part, FracSeries._walked(
-        alpha, 0.0, n_terms, tuple(slots), 0, 2))
+        alpha, 0.0, n_terms, tuple(slots), 2))
 
 
 def second_solution_integer_order(m: int, alpha: float,
@@ -270,7 +278,7 @@ def second_solution_integer_order(m: int, alpha: float,
     overflows a double for alpha below about 5.6e-309 at m = 1, or 5e-6 at
     m = 149, the highest order the log part admits; that raises DomainError.
     """
-    if m < 1 or not float(m).is_integer():
+    if m < 1 or not _order_float(m).is_integer():
         raise OrderCaseError(
             f"integer-order second solution needs integer m >= 1, got {m}"
         )
@@ -297,4 +305,4 @@ def second_solution_integer_order(m: int, alpha: float,
         h_mn += 1.0 / (m + n + 1)
 
     return LogSolution(log_part, FracSeries._walked(
-        a, -float(m), 2 * m + n_terms, tuple(slots), 0, 2))
+        a, -float(m), 2 * m + n_terms, tuple(slots), 2))

@@ -18,7 +18,7 @@ differentiation exact on this representation.  Numerical evaluation goes
 through the one summation kernel, :func:`eval_series_kernel`, which uses
 compensated summation because the coefficient sequences of interest
 alternate in sign and pass through large intermediate terms before factorial
-decay sets in.  Its one loop walks the even, the odd or every slot, as the
+decay sets in.  Its one loop walks the even slots or every slot, as the
 series recorded at construction (:class:`FracSeries`), with the roundings
 of a step through every slot in the same order.  :func:`series_scale`,
 :func:`conformable_diff_exact` and the constructors in
@@ -104,21 +104,18 @@ def _check_finite(values: tuple[float, ...]) -> None:
 
 def _walk_of(coeffs: tuple[float, ...]) -> tuple:
     # any() reads 0.0 and -0.0 as false
-    return ((coeffs[::2], 0, 2) if not any(coeffs[1::2])
-            else (coeffs[1::2], 1, 2) if not any(coeffs[::2])
-            else (coeffs, 0, 1))
+    return (coeffs[::2], 2) if not any(coeffs[1::2]) else (coeffs, 1)
 
 
 class FracSeries(ImmutableValue):
     """Truncated series ``sum(c_n * x**((n + offset) * alpha))``.
 
-    Besides its fields a series records ``_walk = (slots, first, stride)``
-    for :func:`eval_series_kernel`: ``slots`` is ``coeffs[first::stride]``,
-    the even slots (0, 2) when every odd slot is zero, else the odd slots
-    (1, 2) when every even slot is zero, else every slot (0, 1).  It is not
-    a field, so equality, hash and repr ignore it.  This constructor
-    converts and checks every coefficient; :meth:`_walked` takes only the
-    walked slots.
+    Besides its fields a series records ``_walk = (slots, stride)`` for
+    :func:`eval_series_kernel`: ``slots`` is ``coeffs[::stride]``, the even
+    slots (stride 2) when every odd slot is zero, else every slot (stride
+    1).  It is not a field, so equality, hash and repr ignore it.  This
+    constructor converts and checks every coefficient; :meth:`_walked`
+    takes only the walked slots.
     """
 
     _fields = ("alpha", "offset", "coeffs")
@@ -137,17 +134,15 @@ class FracSeries(ImmutableValue):
 
     @classmethod
     def _walked(cls, alpha: float, offset: float, size: int,
-                slots: tuple[float, ...], first: int,
-                stride: int) -> FracSeries:
+                slots: tuple[float, ...], stride: int) -> FracSeries:
         """The series of ``size`` slots, zero but for the floats ``slots``
-        at ``first::stride``; ``alpha`` and ``offset`` are already checked.
-        The walk is kept unless the rule above names another."""
+        at ``::stride``; ``alpha`` and ``offset`` are already checked.  A
+        stride-2 walk is kept, a stride-1 one follows the rule above."""
         _check_finite(slots)
         coeffs = [0.0] * size
-        coeffs[first::stride] = slots
+        coeffs[::stride] = slots
         coeffs = tuple(coeffs)
-        walk = ((slots, first, 2) if stride == 2 and (not first or any(slots))
-                else _walk_of(coeffs))
+        walk = (slots, 2) if stride == 2 else _walk_of(coeffs)
         self = object.__new__(cls)
         self.__dict__.update(alpha=alpha, offset=offset, coeffs=coeffs,
                              _walk=walk)
@@ -207,9 +202,9 @@ def series_scale(a: FracSeries, k: float) -> FracSeries:
     if not math.isfinite(k):
         raise ValueError(f"scale factor must be finite, got {k!r}")
     k = float(k)
-    slots, first, stride = a._walk
+    slots, stride = a._walk
     return FracSeries._walked(a.alpha, a.offset, len(a.coeffs),
-                              tuple([k * c for c in slots]), first, stride)
+                              tuple([k * c for c in slots]), stride)
 
 
 def series_shift(a: FracSeries, dr: float) -> FracSeries:
@@ -219,9 +214,12 @@ def series_shift(a: FracSeries, dr: float) -> FracSeries:
     the offset (a reindex by whole steps of alpha); any other ``dr``,
     including negative integers, is absorbed into the offset with the
     coefficients untouched.  Both routes represent the same multiplication.
+    A non-finite ``dr`` raises ValueError.
     """
     if dr == 0:
         return a
+    if not math.isfinite(dr):
+        raise ValueError(f"shift must be finite, got {dr!r}")
     dr_int = round(dr)
     if abs(dr - dr_int) <= OFFSET_TOL and dr_int >= 1:
         return FracSeries(a.alpha, a.offset, (0.0,) * dr_int + a.coeffs)
@@ -237,23 +235,20 @@ def series_rebase(a: FracSeries, offset: float) -> FracSeries:
     Unlike :func:`series_shift` this never changes the represented function.
     """
     steps = a.offset - offset
-    k = round(steps)
-    if abs(steps - k) > OFFSET_TOL:
+    if not math.isfinite(steps) or abs(steps - round(steps)) > OFFSET_TOL:
         raise AlignmentError(
             f"cannot rebase offset {a.offset} to {offset}: "
             "difference is not a whole number of alpha-steps"
         )
-    if k == 0:
-        return FracSeries(a.alpha, float(offset), a.coeffs)
-    if k > 0:
+    k = round(steps)
+    if k >= 0:
         return FracSeries(a.alpha, float(offset), (0.0,) * k + a.coeffs)
     if any(c != 0.0 for c in a.coeffs[:-k]):
         raise AlignmentError(
             f"cannot rebase offset {a.offset} to {offset}: "
             "leading coefficients are nonzero"
         )
-    coeffs = a.coeffs[-k:] or (0.0,)
-    return FracSeries(a.alpha, float(offset), coeffs)
+    return FracSeries(a.alpha, float(offset), a.coeffs[-k:] or (0.0,))
 
 
 def conformable_diff_exact(a: FracSeries) -> FracSeries:
@@ -264,40 +259,35 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
     coefficient count and carries offset ``r - 1``.  Only the walked slots
     are computed: the others stay zero.
     """
-    al = a.alpha
-    r = a.offset
-    slots, first, stride = a._walk
+    al, r = a.alpha, a.offset
+    slots, stride = a._walk
     size = len(a.coeffs)
-    return FracSeries._walked(
-        al, r - 1.0, size,
-        tuple([al * (n + r) * c
-               for n, c in zip(range(first, size, stride), slots)]),
-        first, stride)
+    return FracSeries._walked(al, r - 1.0, size, tuple(
+        [al * (n + r) * c for n, c in zip(range(0, size, stride), slots)]),
+        stride)
 
 
 def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
                        stop_rel: float, walk) -> tuple[float, int, float]:
     """Sum ``c_n * x**((n+offset)*alpha)`` over the slots ``walk`` names.
 
-    ``walk`` is ``(slots, first, stride)`` as in ``FracSeries._walk``, over
-    a coefficient tuple or list.  Terms are accumulated in ascending n with
+    ``walk`` is ``(slots, stride)`` as in ``FracSeries._walk``, over a
+    coefficient tuple or list.  Terms are accumulated in ascending n with
     Kahan-compensated summation.  The loop stops early once a
     nonzero-coefficient term drops below ``stop_rel`` times the magnitude of
     the partial sum; zero coefficients never trigger the stop test.  The
-    power starts at slot ``first`` and steps as ``power * xa * xb``, with
-    ``xb`` = ``xa`` at stride 2 and the exact 1.0 at stride 1: the roundings
-    of ``power *= xa`` through every slot, in the same order.
+    power starts at slot 0 and steps as ``power * xa * xb``, with ``xb`` =
+    ``xa`` at stride 2 and the exact 1.0 at stride 1: the roundings of
+    ``power *= xa`` through every slot, in the same order.
 
     Returns ``(value, terms_used, tail)`` where ``terms_used`` counts the
     slots of ``coeffs`` consumed and ``tail`` is the magnitude of the last
     nonzero term that was added (0.0 if every coefficient was zero).  On an
     early stop the count comes from the iterator's exact remaining length.
     """
-    slots, first, stride = walk
+    slots, stride = walk
     xa = x ** alpha
     power = x ** (offset * alpha)
-    if first:
-        power *= xa
     xb = xa if stride == 2 else 1.0
 
     total = carry = tail = 0.0
@@ -312,9 +302,9 @@ def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
             total = t
             tail = term if term >= 0.0 else -term
             if tail < stop_rel * (total if total >= 0.0 else -total):
-                # walked index i is slot first + stride * i of ``coeffs``
+                # walked index i is slot stride * i of ``coeffs``
                 i = len(slots) - length_hint(rest) - 1
-                return total, first + stride * i + 1, tail
+                return total, stride * i + 1, tail
         power = power * xa * xb
     return total, len(coeffs), tail
 

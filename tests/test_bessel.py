@@ -851,23 +851,23 @@ def assert_walk_built(got, want):
     """``got`` holds ``want``'s walked slots bit for bit and +0.0 elsewhere,
     and records the walk the validating constructor derives.
 
-    Only where every slot is zero can that walk differ from the one the
-    producer computed (the even walk for zeroed odd slots); the computed
-    slots then keep their bits.
+    Only a producer that computed every slot can record the even walk
+    instead, once no odd slot is left nonzero (``k = 0``, or ``n + r = 0``
+    at the last nonzero odd slot); its odd slots then keep the bits it
+    computed, which the dense builders compute alike.
     """
-    slots, first, stride = got._walk
+    slots, stride = got._walk
     rebuilt = FracSeries(got.alpha, got.offset, got.coeffs)
     assert got == rebuilt and got._walk == rebuilt._walk
     assert (got.alpha, got.offset) == (want.alpha, want.offset)
     assert len(got.coeffs) == len(want.coeffs)
-    walked = range(first, len(got.coeffs), stride)
+    walked = range(0, len(got.coeffs), stride)
     assert ([c.hex() for c in slots] == [got.coeffs[n].hex() for n in walked]
             == [want.coeffs[n].hex() for n in walked])
     for n in range(len(got.coeffs)):
         if n not in walked:
             assert want.coeffs[n] == 0.0
-            assert got.coeffs[n].hex() == "0x0.0p+0" or (
-                not any(slots) and got.coeffs[n].hex() == want.coeffs[n].hex())
+            assert got.coeffs[n].hex() in ("0x0.0p+0", want.coeffs[n].hex())
 
 
 class TestWalkBuilt:
@@ -889,10 +889,13 @@ class TestWalkBuilt:
 
     @pytest.mark.parametrize("series", [
         FracSeries(1.0, 0.0, (1.0, 0.0, -2.0)),  # even walk
-        series_shift(FracSeries(0.5, 0.0, (1.0, 0.0, -2.0)), 1),  # odd walk
+        # odd slots only: every slot
+        series_shift(FracSeries(0.5, 0.0, (1.0, 0.0, -2.0)), 1),
         FracSeries(0.5, 0.0, (1.0, 3.0, -2.0, 0.0, 0.0)),  # every slot
         FracSeries(0.5, -1.0, (1.0, 3.0, 0.0, 4.0)),  # n + r = 0 at n = 1
-    ], ids=["even", "odd", "every", "every-zeroed"])
+        # n + r = 0 at the only odd slot: the derivative walks its even slots
+        FracSeries(0.5, -1.0, (1.0, -3.0)),
+    ], ids=["even", "odd", "every", "every-zeroed", "every-to-even"])
     def test_algebra_on_each_walk(self, series):
         for got, want in zip(
                 _algebra(series, conformable_diff_exact, series_scale),
@@ -901,12 +904,15 @@ class TestWalkBuilt:
             assert_walk_built(got, want)
 
     def test_walk_follows_the_constructor_rule(self):
-        # n + r = 0 zeroes slot 0: every slot in, odd slots out
+        # n + r = 0 zeroes slot 0: every slot in, every slot out
         d = conformable_diff_exact(FracSeries(1.0, 0.0, (1.0, 2.0)))
-        assert d.coeffs == (0.0, 2.0) and d._walk == ((2.0,), 1, 2)
-        # k = 0 on an odd walk: the even walk, as the constructor derives
+        assert d.coeffs == (0.0, 2.0) and d._walk == ((0.0, 2.0), 1)
+        # n + r = 0 zeroes slot 1: every slot in, even slots out
+        d = conformable_diff_exact(FracSeries(1.0, -1.0, (1.0, 2.0)))
+        assert d.coeffs == (-1.0, 0.0) and d._walk == ((-1.0,), 2)
+        # k = 0 on odd slots: the even walk, as the constructor derives
         z = series_scale(series_shift(FracSeries(1.0, 0.0, (1.0,)), 1), 0.0)
-        assert z._walk == ((0.0,), 0, 2)
+        assert z._walk == ((0.0,), 2)
 
     @pytest.mark.parametrize("series", [
         FracSeries(1.0, 2.0, (1e308, 0.0, 1e308)),

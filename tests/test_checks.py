@@ -19,6 +19,7 @@ from confbessel import (
     LogSolution,
     all_suites,
     bessel_j_neg_integer_series,
+    bessel_j_neg_series,
     bessel_j_series,
     check_half_order_closed_forms,
     check_identity,
@@ -29,6 +30,7 @@ from confbessel import (
     eval_series,
     half_order_suite,
     identity_suite,
+    integer_order,
     random_residual_suite,
     residual_suite,
     scaling_suite,
@@ -425,6 +427,37 @@ def test_non_finite_integer_order_is_refused(call, error, message, x):
         call(x)
     assert type(info.value) is error
     assert str(info.value) == message.format(x)
+
+
+BEYOND_FLOAT = 10 ** 400
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p: bessel_j_series(p, 1.0), DomainError,
+     "order must be finite, got inf"),
+    (lambda p: bessel_j_neg_series(p, 1.0), DomainError,
+     "order must be finite, got inf"),
+    (integer_order, DomainError, "order must be finite, got inf"),
+    (lambda p: integer_order(-p), DomainError,
+     "order must be finite, got -inf"),
+    (lambda p: bessel_j_neg_integer_series(p, 1.0), OrderCaseError,
+     f"integer reduction needs integer m >= 0, got {BEYOND_FLOAT}"),
+    (lambda p: second_solution_integer_order(p, 1.0), OrderCaseError,
+     "integer-order second solution needs integer m >= 1, "
+     f"got {BEYOND_FLOAT}"),
+    (lambda p: check_identity("derivative-lower", p, 1.0, [1.0]), ValueError,
+     f"lowering identity needs an integer order >= 1, got {BEYOND_FLOAT}"),
+    (lambda p: classical_bessel_j(p, 1.0), ValueError,
+     f"oracle needs integer n >= 0, got {BEYOND_FLOAT}"),
+], ids=["J", "Jneg", "integer-order", "integer-order-negative",
+        "neg-integer", "second-solution", "identity", "oracle"])
+def test_int_order_beyond_float_range_is_refused(call, error, message):
+    """An int order that no double holds gets the entry point's own
+    ValueError, not the OverflowError of its conversion to float."""
+    with pytest.raises(ValueError) as info:
+        call(BEYOND_FLOAT)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 # The report primitives before they handed their deviation columns to

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confbessel import (
+    FracSeries,
     bessel_j_neg_series,
     bessel_j_series,
     eval_log_solution,
@@ -64,11 +65,10 @@ def bits(result):
 
 def walks(coeffs):
     """Every walk the kernel may take over ``coeffs``: all of its slots, and
-    its even or odd slots when every other slot is 0.0 or -0.0."""
-    out = [(coeffs, 0, 1)]
-    for first in (0, 1):
-        if not any(coeffs[1 - first::2]):
-            out.append((coeffs[first::2], first, 2))
+    its even slots when every odd slot is 0.0 or -0.0."""
+    out = [(coeffs, 1)]
+    if not any(coeffs[1::2]):
+        out.append((coeffs[::2], 2))
     return out
 
 
@@ -76,11 +76,11 @@ def assert_bit_identical(coeffs, alpha, offset, x, stop_rel):
     """The kernel over every walk of ``coeffs``, as a tuple and as a list,
     against the while-loop oracle."""
     expected = bits(while_loop_kernel(coeffs, alpha, offset, x, stop_rel))
-    for slots, first, stride in walks(coeffs):
+    for slots, stride in walks(coeffs):
         assert bits(eval_series_kernel(coeffs, alpha, offset, x, stop_rel,
-                                       (slots, first, stride))) == expected
+                                       (slots, stride))) == expected
         assert bits(eval_series_kernel(list(coeffs), alpha, offset, x,
-                                       stop_rel, (list(slots), first,
+                                       stop_rel, (list(slots),
                                                   stride))) == expected
 
 
@@ -101,7 +101,7 @@ class TestPythonKernel:
         # stop test or every series would stop after its first gap
         coeffs = (1.0, 0.0, 1.0, 0.0, 1.0)
         value, used, _ = eval_series_kernel(
-            coeffs, 1.0, 0.0, 1.0, 1e-18, (coeffs, 0, 1))
+            coeffs, 1.0, 0.0, 1.0, 1e-18, (coeffs, 1))
         assert used == 5
         assert value == pytest.approx(3.0)
 
@@ -133,7 +133,7 @@ def odd_parity():
 
 
 class TestBitIdentity:
-    """The kernel over all three walks against the while-loop oracle."""
+    """The kernel over both walks against the while-loop oracle."""
 
     @settings(max_examples=600, deadline=None)
     @given(
@@ -161,7 +161,8 @@ class TestBitIdentity:
     # stop; slot 4 stops, so terms_used is 5 of 7
     @example(coeffs=(1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), alpha=1.0,
              offset=0.0, x=1.0, stop_rel=0.5)
-    # the same on the odd slots: slot 3 does not stop, slot 5 does (6 of 7)
+    # the same on every slot of an odd-parity tuple: slot 3 does not stop,
+    # slot 5 does (6 of 7)
     @example(coeffs=(0.0, 1.0, -0.0, 1.0, 0.0, 1.0, 0.0), alpha=1.0,
              offset=0.0, x=1.0, stop_rel=0.5)
     def test_matches_while_loop(self, coeffs, alpha, offset, x, stop_rel):
@@ -188,7 +189,7 @@ class TestBitIdentity:
         for log_solution in (second_solution_order_zero(alpha, n_terms),
                              second_solution_integer_order(2, alpha, n_terms)):
             parts += [log_solution.log_part, log_solution.plain_part]
-        parts.append(series_shift(parts[0], 1))  # odd slots only
+        parts.append(series_shift(parts[0], 1))  # walks every slot
         for part in parts:
             assert part._walk in walks(part.coeffs)
             for t in (0.01, 0.5, 1.0, 3.3, 9.0, 20.0):
@@ -211,9 +212,10 @@ def log_solution_bits(sol, x):
 
 
 class TestEvenSlots:
-    """The stride-2 walks: slot counts, and through the evaluators every
-    family (each part walks its even slots) and J shifted by one slot (it
-    walks its odd slots)."""
+    """The walk a series records: even slots, or every slot once an odd slot
+    is nonzero.  Slot counts, and through the evaluators every family (each
+    part walks its even slots) and J shifted by one slot (it walks every
+    slot)."""
 
     @settings(max_examples=250, deadline=None)
     @given(
@@ -234,18 +236,18 @@ class TestEvenSlots:
              offset=0.0, x=1.0, stop_rel=0.5)
     def test_matches_while_loop(self, coeffs, alpha, offset, x, stop_rel):
         expected = bits(while_loop_kernel(coeffs, alpha, offset, x, stop_rel))
-        stride_2 = [walk for walk in walks(coeffs) if walk[2] == 2]
-        assert stride_2  # every drawn tuple has an even or odd walk
-        for walk in stride_2:
-            assert bits(eval_series_kernel(coeffs, alpha, offset, x,
-                                           stop_rel, walk)) == expected
+        walk = FracSeries(alpha, offset, coeffs)._walk
+        assert walk == ((coeffs, 1) if any(coeffs[1::2])
+                        else (coeffs[::2], 2))
+        assert bits(eval_series_kernel(coeffs, alpha, offset, x,
+                                       stop_rel, walk)) == expected
 
     @pytest.mark.parametrize("coeffs, used", [
         ((1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), 5),  # early stop at slot 4
         ((1.0, 0.0, 1.0, 0.0), 4),                  # runs out, even length
         ((1.0, 0.0, 1.0), 3),                       # runs out, odd length
         ((0.0, 1.0, -0.0, 1.0, 0.0, 1.0, 0.0), 6),  # early stop at slot 5
-        ((0.0, 1.0, 0.0, 1.0), 4),                  # runs out, odd slots
+        ((0.0, 1.0, 0.0, 1.0), 4),                  # runs out, every slot
     ])
     def test_terms_used_counts_slots_of_the_full_tuple(self, coeffs, used):
         for walk in walks(coeffs):
@@ -261,8 +263,9 @@ class TestEvenSlots:
         logs = [second_solution_order_zero(alpha, n_terms),
                 second_solution_integer_order(2, alpha, n_terms)]
         for part in plain:
-            assert part._walk == (part.coeffs[::2], 0, 2)
+            assert part._walk == (part.coeffs[::2], 2)
         plain.append(series_shift(plain[0], 1))
+        assert plain[-1]._walk == (plain[-1].coeffs, 1)
         for t in (1e-3, 0.01, 0.5, 1.0, 3.3, 9.0, 14.5, 20.0):
             x = t ** (1.0 / alpha)
             for part in plain:

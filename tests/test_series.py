@@ -83,9 +83,8 @@ class TestFracSeries:
 
 
 class TestEvenSlots:
-    """``FracSeries._walk``: the even, the odd or every slot, whichever
-    holds every nonzero coefficient, as ``(coeffs[first::stride], first,
-    stride)``."""
+    """``FracSeries._walk``: the even slots when they hold every nonzero
+    coefficient, else every slot, as ``(coeffs[::stride], stride)``."""
 
     def test_list_and_tuple_build_equal_values(self):
         coeffs = [1.0, 0.0, -0.25, -0.0, 1 / 64]
@@ -95,16 +94,18 @@ class TestEvenSlots:
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
         assert "_walk" not in repr(a)
-        assert a._walk == b._walk == ((1.0, -0.25, 1 / 64), 0, 2)
+        assert a._walk == b._walk == ((1.0, -0.25, 1 / 64), 2)
 
-    def test_odd_or_every_slot_when_an_odd_slot_is_nonzero(self):
-        assert FracSeries(1, 0, [1, 1])._walk == ((1.0, 1.0), 0, 1)
-        assert FracSeries(1, 0, [0, 1, -0.0, 2])._walk == ((1.0, 2.0), 1, 2)
-        assert FracSeries(1, 0, [0, -0.0, 0])._walk == ((0.0, 0.0), 0, 2)
+    def test_every_slot_when_an_odd_slot_is_nonzero(self):
+        assert FracSeries(1, 0, [1, 1])._walk == ((1.0, 1.0), 1)
+        assert FracSeries(1, 0, [0, 1, -0.0, 2])._walk == (
+            (0.0, 1.0, -0.0, 2.0), 1)
+        assert FracSeries(1, 0, [0, -0.0, 0])._walk == ((0.0, 0.0), 2)
         j = bessel_j_series(0.0, 0.5, 10)
-        assert j._walk == (j.coeffs[::2], 0, 2)
-        assert series_shift(j, 1)._walk == (j.coeffs[::2], 1, 2)
-        assert series_shift(j, 2)._walk == ((0.0,) + j.coeffs[::2], 0, 2)
+        assert j._walk == (j.coeffs[::2], 2)
+        odd = series_shift(j, 1)
+        assert odd._walk == (odd.coeffs, 1)
+        assert series_shift(j, 2)._walk == ((0.0,) + j.coeffs[::2], 2)
 
     def test_every_family_records_its_even_slots(self):
         parts = [bessel_j_series(2.5, 0.8, 30),
@@ -113,7 +114,7 @@ class TestEvenSlots:
                     second_solution_integer_order(2, 0.8, 30)):
             parts += [sol.log_part, sol.plain_part]
         for part in parts:
-            assert part._walk == (part.coeffs[::2], 0, 2)
+            assert part._walk == (part.coeffs[::2], 2)
 
     def test_assignment_still_raises(self):
         a = S(1.0, 0.0, [1.0, 0.0, 2.0])
@@ -122,7 +123,7 @@ class TestEvenSlots:
                 setattr(a, name, (3.0,))
             with pytest.raises(AttributeError):
                 delattr(a, name)
-        assert a._walk == ((1.0, 2.0), 0, 2)
+        assert a._walk == ((1.0, 2.0), 2)
 
 
 class TestSeriesScale:
@@ -202,6 +203,22 @@ class TestSeriesRebase:
         for x in (0.5, 1.0, 3.0):
             assert eval_series(r, x).value == pytest.approx(
                 eval_series(a, x).value, rel=1e-15)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_shift_or_offset_is_refused(value):
+    # each is refused before round(), which raises OverflowError or a bare
+    # ValueError on a non-finite float
+    a = S(1.0, 0.0, [1.0, 2.0])
+    with pytest.raises(ValueError) as info:
+        series_shift(a, value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"shift must be finite, got {value!r}"
+    with pytest.raises(AlignmentError) as info:
+        series_rebase(a, value)
+    assert str(info.value) == (f"cannot rebase offset 0.0 to {value}: "
+                               "difference is not a whole number of "
+                               "alpha-steps")
 
 
 class TestConformableDiffExact:
@@ -412,7 +429,7 @@ class TestLogSolution:
 
     def test_evaluators_pass_the_walk(self, monkeypatch):
         # every part of a family walks its even slots; shifted by one slot,
-        # a family walks its odd slots
+        # a family walks every slot
         calls = []
         kernel = series.eval_series_kernel
 
@@ -426,9 +443,9 @@ class TestLogSolution:
         odd = series_shift(bessel_j_series(0.0, 0.5), 1)
         eval_series(odd, 1.5)
         assert [args[-1] for args in calls] == [
-            (sol.log_part.coeffs[::2], 0, 2),
-            (sol.plain_part.coeffs[::2], 0, 2),
-            (odd.coeffs[1::2], 1, 2)]
+            (sol.log_part.coeffs[::2], 2),
+            (sol.plain_part.coeffs[::2], 2),
+            (odd.coeffs, 1)]
 
 
 coeff_lists = st.lists(
