@@ -235,12 +235,12 @@ def series_rebase(a: FracSeries, offset: float) -> FracSeries:
     Unlike :func:`series_shift` this never changes the represented function.
     """
     steps = a.offset - offset
-    if not math.isfinite(steps) or abs(steps - round(steps)) > OFFSET_TOL:
+    k = round(steps) if math.isfinite(steps) else None
+    if k is None or abs(steps - k) > OFFSET_TOL:
         raise AlignmentError(
             f"cannot rebase offset {a.offset} to {offset}: "
             "difference is not a whole number of alpha-steps"
         )
-    k = round(steps)
     if k >= 0:
         return FracSeries(a.alpha, float(offset), (0.0,) * k + a.coeffs)
     if any(c != 0.0 for c in a.coeffs[:-k]):
@@ -248,7 +248,8 @@ def series_rebase(a: FracSeries, offset: float) -> FracSeries:
             f"cannot rebase offset {a.offset} to {offset}: "
             "leading coefficients are nonzero"
         )
-    return FracSeries(a.alpha, float(offset), a.coeffs[-k:] or (0.0,))
+    coeffs = a.coeffs[-k:] or (0.0,)
+    return FracSeries(a.alpha, float(offset), coeffs)
 
 
 def conformable_diff_exact(a: FracSeries) -> FracSeries:
@@ -259,11 +260,14 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
     coefficient count and carries offset ``r - 1``.  Only the walked slots
     are computed: the others stay zero.
     """
-    al, r = a.alpha, a.offset
+    al = a.alpha
+    r = a.offset
     slots, stride = a._walk
     size = len(a.coeffs)
-    return FracSeries._walked(al, r - 1.0, size, tuple(
-        [al * (n + r) * c for n, c in zip(range(0, size, stride), slots)]),
+    return FracSeries._walked(
+        al, r - 1.0, size,
+        tuple([al * (n + r) * c
+               for n, c in zip(range(0, size, stride), slots)]),
         stride)
 
 
