@@ -34,8 +34,8 @@ import math
 import sys
 
 from .errors import DomainError, OrderCaseError, PoleError
-from .series import (DEFAULT_TERMS, FracSeries, LogSolution, checked_alpha,
-                     series_scale)
+from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _as_float,
+                     checked_alpha, series_scale)
 
 __all__ = [
     "gamma",
@@ -123,14 +123,6 @@ def harmonic(n: int) -> float:
     return h
 
 
-def _order_float(p: float) -> float:
-    """``float(p)``, with an int beyond float range as +-inf."""
-    try:
-        return float(p)
-    except OverflowError:
-        return math.inf if p > 0 else -math.inf
-
-
 def integer_order(p: float) -> int | None:
     """The integer m >= 0 within ``INTEGER_TOL`` of ``p``, else None.
 
@@ -140,7 +132,7 @@ def integer_order(p: float) -> int | None:
     has a valid order -p series.  A non-finite order, or an int beyond
     float range, raises :class:`DomainError`.
     """
-    p = _order_float(p)
+    p = _as_float(p)
     if not math.isfinite(p):
         raise DomainError(f"order must be finite, got {p}")
     m = round(p)
@@ -227,7 +219,7 @@ def bessel_j_neg_integer_series(m: int, alpha: float,
     (gamma blows up at non-positive integers) and the series collapses onto
     the first-kind series with an alternating sign.
     """
-    if m < 0 or not _order_float(m).is_integer():
+    if m < 0 or not _as_float(m).is_integer():
         raise OrderCaseError(f"integer reduction needs integer m >= 0, got {m}")
     sign = -1.0 if int(m) % 2 else 1.0
     return series_scale(bessel_j_series(float(m), alpha, n_terms), sign)
@@ -278,7 +270,7 @@ def second_solution_integer_order(m: int, alpha: float,
     overflows a double for alpha below about 5.6e-309 at m = 1, or 5e-6 at
     m = 149, the highest order the log part admits; that raises DomainError.
     """
-    if m < 1 or not _order_float(m).is_integer():
+    if m < 1 or not _as_float(m).is_integer():
         raise OrderCaseError(
             f"integer-order second solution needs integer m >= 1, got {m}"
         )

@@ -41,7 +41,6 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bessel import (
-    _order_float,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
@@ -53,6 +52,7 @@ from .errors import DomainError
 from .series import (
     FracSeries,
     LogSolution,
+    _as_float,
     checked_alpha,
     conformable_diff_exact,
     eval_log_solution,
@@ -194,7 +194,7 @@ def classical_bessel_j(n: int, z: float) -> float:
 
     The rule uses ``int(z) + n + 32`` panels; see the module docstring.
     """
-    if n < 0 or not _order_float(n).is_integer():
+    if n < 0 or not _as_float(n).is_integer():
         raise ValueError(f"oracle needs integer n >= 0, got {n}")
     if not math.isfinite(z):
         raise ValueError(f"oracle needs a finite z, got {z}")
@@ -215,7 +215,7 @@ def classical_bessel_j(n: int, z: float) -> float:
 
 def _require_integer(n: float, least: int, what: str) -> None:
     """ValueError unless ``n`` is an integer no smaller than ``least``."""
-    if n < least or not _order_float(n).is_integer():
+    if n < least or not _as_float(n).is_integer():
         raise ValueError(f"{what} needs an integer order >= {least}, got {n}")
 
 

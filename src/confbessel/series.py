@@ -14,15 +14,15 @@ threads and grid evaluations parallelised by the caller.
 The conformable derivative acts termwise through the power rule
 ``x**q -> q * x**(q - alpha)`` (divided by nothing: the operator scales each
 term by ``alpha * (n + r)`` and lowers the offset by one), which makes
-differentiation exact on this representation.  Numerical evaluation goes
-through the one summation kernel, :func:`eval_series_kernel`, which uses
-compensated summation because the coefficient sequences of interest
-alternate in sign and pass through large intermediate terms before factorial
-decay sets in.  Its one loop walks the even slots or every slot, as the
-series recorded at construction (:class:`FracSeries`), with the roundings
-of a step through every slot in the same order.  :func:`series_scale`,
-:func:`conformable_diff_exact` and the constructors in
-:mod:`confbessel.bessel` compute only the walked slots of what they build.
+differentiation exact on this representation.  Numerical evaluation hands
+each series to the one summation kernel, :func:`eval_series_kernel`, which
+checks x and uses compensated summation because the coefficient sequences
+alternate in sign and pass through large intermediate terms before
+factorial decay sets in.  Its one loop walks the even slots or every slot,
+as the series recorded at construction (:class:`FracSeries`), with the
+roundings of a step through every slot in the same order.
+:func:`series_scale`, :func:`conformable_diff_exact` and the constructors
+in :mod:`confbessel.bessel` compute only the walked slots of what they build.
 """
 
 from __future__ import annotations
@@ -96,6 +96,14 @@ class ImmutableValue:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _as_float(v: float) -> float:
+    """``float(v)``, with an int beyond float range as +-inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _check_finite(values: tuple[float, ...]) -> None:
     if not all(map(math.isfinite, values)):
         bad = next(c for c in values if not math.isfinite(c))
@@ -123,14 +131,18 @@ class FracSeries(ImmutableValue):
     def __init__(self, alpha: float, offset: float,
                  coeffs: tuple[float, ...]):
         alpha = checked_alpha(alpha)
+        offset = _as_float(offset)
         if not math.isfinite(offset):
             raise ValueError(f"offset must be finite, got {offset!r}")
-        coeffs = tuple(map(float, coeffs))
+        try:
+            coeffs = tuple(map(float, coeffs))
+        except OverflowError:
+            raise ValueError("non-finite coefficient: int too large") from None
         if not coeffs:
             raise ValueError("coefficient list must be non-empty")
         _check_finite(coeffs)
-        self.__dict__.update(alpha=alpha, offset=float(offset),
-                             coeffs=coeffs, _walk=_walk_of(coeffs))
+        self.__dict__.update(alpha=alpha, offset=offset, coeffs=coeffs,
+                             _walk=_walk_of(coeffs))
 
     @classmethod
     def _walked(cls, alpha: float, offset: float, size: int,
@@ -199,9 +211,9 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 
 def series_scale(a: FracSeries, k: float) -> FracSeries:
     """Multiply every coefficient by the finite scalar ``k``."""
+    k = _as_float(k)
     if not math.isfinite(k):
         raise ValueError(f"scale factor must be finite, got {k!r}")
-    k = float(k)
     slots, stride = a._walk
     return FracSeries._walked(a.alpha, a.offset, len(a.coeffs),
                               tuple([k * c for c in slots]), stride)
@@ -214,15 +226,19 @@ def series_shift(a: FracSeries, dr: float) -> FracSeries:
     the offset (a reindex by whole steps of alpha); any other ``dr``,
     including negative integers, is absorbed into the offset with the
     coefficients untouched.  Both routes represent the same multiplication.
-    A non-finite ``dr`` raises ValueError.
+    A non-finite ``dr``, or one too long to index, raises ValueError.
     """
     if dr == 0:
         return a
+    dr = _as_float(dr)
     if not math.isfinite(dr):
         raise ValueError(f"shift must be finite, got {dr!r}")
     dr_int = round(dr)
     if abs(dr - dr_int) <= OFFSET_TOL and dr_int >= 1:
-        return FracSeries(a.alpha, a.offset, (0.0,) * dr_int + a.coeffs)
+        try:
+            return FracSeries(a.alpha, a.offset, (0.0,) * dr_int + a.coeffs)
+        except OverflowError:
+            raise ValueError(f"shift of {dr:g} steps is too long") from None
     return FracSeries(a.alpha, a.offset + dr, a.coeffs)
 
 
@@ -234,6 +250,7 @@ def series_rebase(a: FracSeries, offset: float) -> FracSeries:
     magnitude is covered by leading zero coefficients (they are dropped).
     Unlike :func:`series_shift` this never changes the represented function.
     """
+    offset = _as_float(offset)
     steps = a.offset - offset
     k = round(steps) if math.isfinite(steps) else None
     if k is None or abs(steps - k) > OFFSET_TOL:
@@ -242,14 +259,17 @@ def series_rebase(a: FracSeries, offset: float) -> FracSeries:
             "difference is not a whole number of alpha-steps"
         )
     if k >= 0:
-        return FracSeries(a.alpha, float(offset), (0.0,) * k + a.coeffs)
+        try:
+            return FracSeries(a.alpha, offset, (0.0,) * k + a.coeffs)
+        except OverflowError:
+            raise AlignmentError(f"cannot rebase by {steps:g} steps") from None
     if any(c != 0.0 for c in a.coeffs[:-k]):
         raise AlignmentError(
             f"cannot rebase offset {a.offset} to {offset}: "
             "leading coefficients are nonzero"
         )
     coeffs = a.coeffs[-k:] or (0.0,)
-    return FracSeries(a.alpha, float(offset), coeffs)
+    return FracSeries(a.alpha, offset, coeffs)
 
 
 def conformable_diff_exact(a: FracSeries) -> FracSeries:
@@ -271,27 +291,34 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
         stride)
 
 
-def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
-                       stop_rel: float, walk) -> tuple[float, int, float]:
-    """Sum ``c_n * x**((n+offset)*alpha)`` over the slots ``walk`` names.
+def eval_series_kernel(a: FracSeries, x: float,
+                       stop_rel: float) -> tuple[float, int, float]:
+    """Sum ``c_n * x**((n+offset)*alpha)`` over the slots ``a._walk`` names.
 
-    ``walk`` is ``(slots, stride)`` as in ``FracSeries._walk``, over a
-    coefficient tuple or list.  Terms are accumulated in ascending n with
-    Kahan-compensated summation.  The loop stops early once a
-    nonzero-coefficient term drops below ``stop_rel`` times the magnitude of
-    the partial sum; zero coefficients never trigger the stop test.  The
-    power starts at slot 0 and steps as ``power * xa * xb``, with ``xb`` =
-    ``xa`` at stride 2 and the exact 1.0 at stride 1: the roundings of
-    ``power *= xa`` through every slot, in the same order.
+    A float ``x`` in (0, inf) passes as is, any other goes through
+    :func:`_checked_x`, and an overflowing ``x**(offset*alpha)`` raises
+    DomainError.  Terms are accumulated in ascending n with Kahan
+    compensation.  The loop stops early once a nonzero-coefficient term
+    drops below ``stop_rel`` times the magnitude of the partial sum; zero
+    coefficients never trigger the stop test.  The power starts at slot 0
+    and steps as ``power * xa * xb``, with ``xb`` = ``xa`` at stride 2 and
+    the exact 1.0 at stride 1: the roundings of ``power *= xa`` through
+    every slot, in the same order.
 
     Returns ``(value, terms_used, tail)`` where ``terms_used`` counts the
-    slots of ``coeffs`` consumed and ``tail`` is the magnitude of the last
+    slots of ``a.coeffs`` consumed and ``tail`` is the magnitude of the last
     nonzero term that was added (0.0 if every coefficient was zero).  On an
     early stop the count comes from the iterator's exact remaining length.
     """
-    slots, stride = walk
-    xa = x ** alpha
-    power = x ** (offset * alpha)
+    if x.__class__ is not float or not 0.0 < x < _INF:
+        x = _checked_x(x)
+    slots, stride = a._walk
+    xa = x ** a.alpha
+    try:
+        power = x ** (a.offset * a.alpha)
+    except OverflowError:
+        raise DomainError(f"x = {x:g} is out of range: x**(offset*alpha) "
+                          "overflows a double") from None
     xb = xa if stride == 2 else 1.0
 
     total = carry = tail = 0.0
@@ -306,11 +333,11 @@ def eval_series_kernel(coeffs, alpha: float, offset: float, x: float,
             total = t
             tail = term if term >= 0.0 else -term
             if tail < stop_rel * (total if total >= 0.0 else -total):
-                # walked index i is slot stride * i of ``coeffs``
+                # walked index i is slot stride * i of ``a.coeffs``
                 i = len(slots) - length_hint(rest) - 1
                 return total, stride * i + 1, tail
         power = power * xa * xb
-    return total, len(coeffs), tail
+    return total, len(a.coeffs), tail
 
 
 #: Builds an :class:`EvalResult` from a 3-tuple without the Python-level
@@ -324,7 +351,7 @@ _INF = math.inf
 
 def checked_alpha(alpha: float) -> float:
     """``alpha`` as a float, or DomainError unless it lies in (0, 1]."""
-    alpha = float(alpha)
+    alpha = _as_float(alpha)
     if not math.isfinite(alpha):
         raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
     if not 0.0 < alpha <= 1.0:
@@ -333,16 +360,12 @@ def checked_alpha(alpha: float) -> float:
 
 
 def _checked_x(x: float) -> float:
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"x must be a finite real number, got {x!r}")
-    if x <= 0.0:
+    v = _as_float(x) if isinstance(x, (int, float)) else x
+    if not (v.__class__ is float and math.isfinite(v)):
+        raise DomainError(f"x must be a finite real number, got {v!r}")
+    if v <= 0.0:
         raise DomainError(f"series evaluation requires x > 0, got {x}")
-    return float(x)
-
-
-def _overflow(x: float) -> DomainError:
-    return DomainError(f"x = {x:g} is out of range: x**(offset*alpha) "
-                       "overflows a double")
+    return v
 
 
 def eval_series(a: FracSeries, x: float) -> EvalResult:
@@ -350,18 +373,11 @@ def eval_series(a: FracSeries, x: float) -> EvalResult:
 
     Terms are summed in ascending order with compensated summation; the sum
     stops early once a nonzero term falls below ``STOP_REL`` times the
-    running total.  ``x`` is validated once and one :class:`EvalResult` is
+    running total.  The kernel checks ``x``, and one :class:`EvalResult` is
     built per point.
     """
-    if x.__class__ is not float or not 0.0 < x < _INF:
-        x = _checked_x(x)
-    # the kernel is looked up as a module global on every call, so a tracer
-    # can rebind it
-    try:
-        return _result(EvalResult, eval_series_kernel(
-            a.coeffs, a.alpha, a.offset, x, STOP_REL, a._walk))
-    except OverflowError:
-        raise _overflow(x) from None
+    # the kernel is a module global looked up per call: a tracer rebinds it
+    return _result(EvalResult, eval_series_kernel(a, x, STOP_REL))
 
 
 def eval_log_solution(s: LogSolution, x: float) -> EvalResult:
@@ -369,20 +385,11 @@ def eval_log_solution(s: LogSolution, x: float) -> EvalResult:
 
     ``terms_used`` is the larger of the two parts' counts and the tail
     estimate combines both parts (the log part's tail weighted by |ln x|).
-    ``x`` is validated once, both parts go straight to the kernel, and one
-    :class:`EvalResult` is built per point.
+    Both parts go straight to the kernel, which checks ``x`` before
+    ``math.log`` sees it, and one :class:`EvalResult` is built per point.
     """
-    if x.__class__ is not float or not 0.0 < x < _INF:
-        x = _checked_x(x)
-    lp = s.log_part
-    pp = s.plain_part
-    try:
-        lg, lg_used, lg_tail = eval_series_kernel(
-            lp.coeffs, lp.alpha, lp.offset, x, STOP_REL, lp._walk)
-        pl, pl_used, pl_tail = eval_series_kernel(
-            pp.coeffs, pp.alpha, pp.offset, x, STOP_REL, pp._walk)
-    except OverflowError:
-        raise _overflow(x) from None
+    lg, lg_used, lg_tail = eval_series_kernel(s.log_part, x, STOP_REL)
+    pl, pl_used, pl_tail = eval_series_kernel(s.plain_part, x, STOP_REL)
     lnx = math.log(x)
     return _result(EvalResult, (lg * lnx + pl, max(lg_used, pl_used),
                                 abs(lnx) * lg_tail + pl_tail))

@@ -63,25 +63,18 @@ def bits(result):
     return struct.pack("d", value), used, struct.pack("d", tail)
 
 
-def walks(coeffs):
-    """Every walk the kernel may take over ``coeffs``: all of its slots, and
-    its even slots when every odd slot is 0.0 or -0.0."""
-    out = [(coeffs, 1)]
-    if not any(coeffs[1::2]):
-        out.append((coeffs[::2], 2))
-    return out
+def walk_of(coeffs):
+    """The walk a series of ``coeffs`` records: its even slots when every
+    odd slot is 0.0 or -0.0, else all of its slots."""
+    return (coeffs, 1) if any(coeffs[1::2]) else (coeffs[::2], 2)
 
 
-def assert_bit_identical(coeffs, alpha, offset, x, stop_rel):
-    """The kernel over every walk of ``coeffs``, as a tuple and as a list,
-    against the while-loop oracle."""
-    expected = bits(while_loop_kernel(coeffs, alpha, offset, x, stop_rel))
-    for slots, stride in walks(coeffs):
-        assert bits(eval_series_kernel(coeffs, alpha, offset, x, stop_rel,
-                                       (slots, stride))) == expected
-        assert bits(eval_series_kernel(list(coeffs), alpha, offset, x,
-                                       stop_rel, (list(slots),
-                                                  stride))) == expected
+def assert_bit_identical(a, x, stop_rel):
+    """The kernel over the walk the series ``a`` records, against the
+    while-loop oracle over its every slot."""
+    expected = bits(while_loop_kernel(a.coeffs, a.alpha, a.offset, x,
+                                      stop_rel))
+    assert bits(eval_series_kernel(a, x, stop_rel)) == expected
 
 
 class TestPythonKernel:
@@ -90,20 +83,21 @@ class TestPythonKernel:
 
     def test_early_stop_and_tail(self):
         j0 = bessel_j_series(0.0, 1.0, 60)
-        value, used, tail = eval_series_kernel(j0.coeffs, 1.0, 0.0, 0.5,
-                                               1e-18, j0._walk)
+        value, used, tail = eval_series_kernel(j0, 0.5, 1e-18)
         assert used < 60
         assert tail >= 0.0
         assert value == pytest.approx(0.93846980724081283, rel=1e-12)
 
     def test_zero_coefficients_do_not_trigger_stop(self):
-        # odd slots are zero; a zero term must not satisfy the relative
-        # stop test or every series would stop after its first gap
-        coeffs = (1.0, 0.0, 1.0, 0.0, 1.0)
-        value, used, _ = eval_series_kernel(
-            coeffs, 1.0, 0.0, 1.0, 1e-18, (coeffs, 1))
-        assert used == 5
-        assert value == pytest.approx(3.0)
+        # a zero term must not satisfy the relative stop test or every
+        # series would stop after its first gap; each walk here holds zeros
+        for coeffs, stride in (((1.0, 0.0, 0.0, 0.0, 1.0), 2),
+                               ((1.0, 0.0, 1.0, 1.0, 0.0), 1)):
+            a = FracSeries(1.0, 0.0, coeffs)
+            assert a._walk[1] == stride
+            value, used, _ = eval_series_kernel(a, 1.0, 1e-18)
+            assert used == 5
+            assert value == pytest.approx(sum(coeffs))
 
 
 # Coefficients with a good share of exact zeros, as in every even series.
@@ -133,7 +127,8 @@ def odd_parity():
 
 
 class TestBitIdentity:
-    """The kernel over both walks against the while-loop oracle."""
+    """The kernel over the walk each series records against the while-loop
+    oracle."""
 
     @settings(max_examples=600, deadline=None)
     @given(
@@ -166,17 +161,16 @@ class TestBitIdentity:
     @example(coeffs=(0.0, 1.0, -0.0, 1.0, 0.0, 1.0, 0.0), alpha=1.0,
              offset=0.0, x=1.0, stop_rel=0.5)
     def test_matches_while_loop(self, coeffs, alpha, offset, x, stop_rel):
-        assert_bit_identical(coeffs, alpha, offset, x, stop_rel)
+        assert_bit_identical(FracSeries(alpha, offset, coeffs), x, stop_rel)
 
     @pytest.mark.parametrize("coeffs, offset, x, used", [
         ((1.0, 0.0, 1e-30, 5.0), 0.0, 1.0, 3),  # early stop inside the loop
         ((1.0, 0.0, 1.0), -2.0, 0.5, 3),        # runs out of coefficients
     ])
     def test_both_returns(self, coeffs, offset, x, used):
-        for walk in walks(coeffs):
-            assert eval_series_kernel(coeffs, 1.0, offset, x, 1e-18,
-                                      walk)[1] == used
-        assert_bit_identical(coeffs, 1.0, offset, x, 1e-18)
+        a = FracSeries(1.0, offset, coeffs)
+        assert eval_series_kernel(a, x, 1e-18)[1] == used
+        assert_bit_identical(a, x, 1e-18)
 
     @pytest.mark.parametrize("alpha", [0.35, 0.8, 1.0])
     @pytest.mark.parametrize("n_terms", [30, 60, 120])
@@ -191,11 +185,9 @@ class TestBitIdentity:
             parts += [log_solution.log_part, log_solution.plain_part]
         parts.append(series_shift(parts[0], 1))  # walks every slot
         for part in parts:
-            assert part._walk in walks(part.coeffs)
+            assert part._walk == walk_of(part.coeffs)
             for t in (0.01, 0.5, 1.0, 3.3, 9.0, 20.0):
-                x = t ** (1.0 / alpha)
-                assert_bit_identical(part.coeffs, part.alpha,
-                                     part.offset, x, 1e-18)
+                assert_bit_identical(part, t ** (1.0 / alpha), 1e-18)
 
 
 def log_solution_bits(sol, x):
@@ -235,12 +227,9 @@ class TestEvenSlots:
     @example(coeffs=(0.0, 1.0, -0.0, 1.0, 0.0, 1.0, 0.0), alpha=1.0,
              offset=0.0, x=1.0, stop_rel=0.5)
     def test_matches_while_loop(self, coeffs, alpha, offset, x, stop_rel):
-        expected = bits(while_loop_kernel(coeffs, alpha, offset, x, stop_rel))
-        walk = FracSeries(alpha, offset, coeffs)._walk
-        assert walk == ((coeffs, 1) if any(coeffs[1::2])
-                        else (coeffs[::2], 2))
-        assert bits(eval_series_kernel(coeffs, alpha, offset, x,
-                                       stop_rel, walk)) == expected
+        a = FracSeries(alpha, offset, coeffs)
+        assert a._walk == walk_of(coeffs)
+        assert_bit_identical(a, x, stop_rel)
 
     @pytest.mark.parametrize("coeffs, used", [
         ((1.0, 0.0, 1.0, -0.0, 1.0, 0.0, 1.0), 5),  # early stop at slot 4
@@ -250,9 +239,8 @@ class TestEvenSlots:
         ((0.0, 1.0, 0.0, 1.0), 4),                  # runs out, every slot
     ])
     def test_terms_used_counts_slots_of_the_full_tuple(self, coeffs, used):
-        for walk in walks(coeffs):
-            assert eval_series_kernel(coeffs, 1.0, 0.0, 1.0, 0.5,
-                                      walk)[1] == used
+        a = FracSeries(1.0, 0.0, coeffs)
+        assert eval_series_kernel(a, 1.0, 0.5)[1] == used
 
     @pytest.mark.parametrize("n_terms", [30, 60, 120])
     @pytest.mark.parametrize("alpha", [0.35, 0.8, 1.0])

@@ -33,8 +33,12 @@ def S(alpha, offset, coeffs):
 
 def full_sum(s, x):
     """``eval_series`` without its early stop: every slot is summed."""
-    return EvalResult(*series.eval_series_kernel(
-        s.coeffs, s.alpha, s.offset, x, 0.0, s._walk))
+    return EvalResult(*series.eval_series_kernel(s, x, 0.0))
+
+
+def kernel_at_stop_rel(s, x):
+    """The kernel as the evaluators call it, with ``STOP_REL``."""
+    return series.eval_series_kernel(s, x, series.STOP_REL)
 
 
 class TestAlpha:
@@ -221,6 +225,62 @@ def test_non_finite_shift_or_offset_is_refused(value):
                                "alpha-steps")
 
 
+HUGE_INT_ENTRY_POINTS = {
+    "checked_alpha": (DomainError, "alpha must be a finite real number",
+                      series.checked_alpha),
+    "FracSeries alpha": (DomainError, "alpha must be a finite real number",
+                         lambda v: FracSeries(v, 0.0, (1.0,))),
+    "bessel_j_series alpha": (DomainError,
+                              "alpha must be a finite real number",
+                              lambda v: bessel_j_series(1.0, v)),
+    "FracSeries offset": (ValueError, "offset must be finite",
+                          lambda v: FracSeries(1.0, v, (1.0,))),
+    "FracSeries coefficient": (ValueError, "non-finite coefficient",
+                               lambda v: FracSeries(1.0, 0.0, (1.0, v))),
+    "series_scale": (ValueError, "scale factor must be finite",
+                     lambda v: series_scale(S(1.0, 0.0, [1.0]), v)),
+    "series_shift": (ValueError, "shift must be finite",
+                     lambda v: series_shift(S(1.0, 0.0, [1.0]), v)),
+    "series_rebase": (AlignmentError, "cannot rebase offset 0.0 to",
+                      lambda v: series_rebase(S(1.0, 0.0, [1.0]), v)),
+    "eval_series": (DomainError, "x must be a finite real number",
+                    lambda v: eval_series(S(1.0, 0.0, [1.0]), v)),
+    "eval_log_solution": (DomainError, "x must be a finite real number",
+                          lambda v: eval_log_solution(
+                              second_solution_order_zero(1.0, 10), v)),
+    "eval_series_kernel": (DomainError, "x must be a finite real number",
+                           lambda v: series.eval_series_kernel(
+                               S(1.0, 0.0, [1.0]), v, series.STOP_REL)),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, -10**400],
+                         ids=["10**400", "-10**400"])
+@pytest.mark.parametrize("entry", sorted(HUGE_INT_ENTRY_POINTS))
+def test_int_beyond_float_range_raises_the_entry_points_error(entry, value):
+    # every outside number goes through one float conversion, which reads
+    # such an int as +-inf instead of raising OverflowError
+    error, message, call = HUGE_INT_ENTRY_POINTS[entry]
+    with pytest.raises(error) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("steps", [1e300, 1e19, 10**19])
+def test_whole_step_count_beyond_an_index_is_refused(steps):
+    # counts beyond sys.maxsize only: a count that fits an index but not
+    # memory would really try to build the tuple of zeros
+    a = bessel_j_series(0.0, 1.0, 10)
+    with pytest.raises(ValueError) as info:
+        series_shift(a, steps)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"shift of {float(steps):g} steps is too long"
+    with pytest.raises(AlignmentError) as info:
+        series_rebase(a, -steps)
+    assert str(info.value) == f"cannot rebase by {float(steps):g} steps"
+
+
 class TestConformableDiffExact:
     def test_constant_series_maps_to_zero(self):
         d = conformable_diff_exact(S(0.5, 0.0, [7.0]))
@@ -277,7 +337,8 @@ class TestEvalSeries:
     def test_both_evaluators_refuse_bad_x_alike(self, bad, message):
         a = S(1.0, 0.0, [1.0])
         for evaluate, value in ((eval_series, a),
-                                (eval_log_solution, LogSolution(a, a))):
+                                (eval_log_solution, LogSolution(a, a)),
+                                (kernel_at_stop_rel, a)):
             with pytest.raises(DomainError) as excinfo:
                 evaluate(value, bad)
             assert str(excinfo.value) == message
@@ -377,8 +438,14 @@ class TestLogSolution:
     def test_overflow_raises_domain_error(self, log_offset, plain_offset, x):
         sol = LogSolution(S(1.0, log_offset, [1.0]),
                           S(1.0, plain_offset, [1.0]))
-        with pytest.raises(DomainError, match="overflows a double"):
-            eval_log_solution(sol, x)
+        part = sol.log_part if log_offset else sol.plain_part
+        for evaluate, value in ((eval_log_solution, sol), (eval_series, part),
+                                (kernel_at_stop_rel, part)):
+            with pytest.raises(DomainError) as excinfo:
+                evaluate(value, x)
+            assert str(excinfo.value) == (
+                f"x = {x:g} is out of range: x**(offset*alpha) overflows "
+                "a double")
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -428,8 +495,9 @@ class TestLogSolution:
         assert len(calls) == 3
 
     def test_evaluators_pass_the_walk(self, monkeypatch):
-        # every part of a family walks its even slots; shifted by one slot,
-        # a family walks every slot
+        # the kernel receives each part series itself; every part of a
+        # family walks its even slots, and shifted by one slot, a family
+        # walks every slot
         calls = []
         kernel = series.eval_series_kernel
 
@@ -442,7 +510,11 @@ class TestLogSolution:
         eval_log_solution(sol, 1.5)
         odd = series_shift(bessel_j_series(0.0, 0.5), 1)
         eval_series(odd, 1.5)
-        assert [args[-1] for args in calls] == [
+        parts = [sol.log_part, sol.plain_part, odd]
+        assert len(calls) == len(parts)
+        for (a, x, stop_rel), part in zip(calls, parts):
+            assert a is part and x == 1.5 and stop_rel == series.STOP_REL
+        assert [part._walk for part in parts] == [
             (sol.log_part.coeffs[::2], 2),
             (sol.plain_part.coeffs[::2], 2),
             (odd.coeffs, 1)]
