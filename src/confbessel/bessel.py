@@ -26,16 +26,20 @@ factors like ``2**(2n+p) * n! * gamma(p+n+1)`` would, past n ~ 80) and the
 gamma function enters exactly once, in the leading coefficient.  The two
 logarithmic solutions take the coefficients ``c_{2n}`` of their log part
 and weight them by harmonic numbers, as in the classical Y_n series.
+Apart from the plain parts' ``1/alpha`` no coefficient depends on alpha,
+so a cache of 64 entries keeps each family's alpha-free table per (order,
+n_terms), and a constructor applies alpha to it as a fresh build would.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
 from .errors import DomainError, OrderCaseError, PoleError
 from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _as_float,
-                     checked_alpha, series_scale)
+                     _check_finite, checked_alpha, series_scale)
 
 __all__ = [
     "gamma",
@@ -139,25 +143,61 @@ def integer_order(p: float) -> int | None:
     return m if m >= 0 and abs(p - m) <= INTEGER_TOL else None
 
 
-def _even_series(alpha: float, r: float, c0: float,
-                 n_terms: int) -> FracSeries:
-    """Series at the indicial root ``r`` with leading coefficient ``c0``.
+@functools.lru_cache(maxsize=64)
+def _table(family: str, order: float, n_terms: int) -> tuple:
+    """The alpha-free coefficients of ``family`` at its normalized order.
 
-    Odd coefficients vanish and ``c_k = -c_{k-2} / (k * (k + 2r))``.  A
-    ``c0`` that is zero, subnormal or not finite raises DomainError: at
-    integer orders 151-170 the product ``2**m * m!`` in its denominator
-    overflows without raising and the quotient silently becomes 0, and at
-    order 150 it is subnormal, so every value would lose bits unnoticed.
+    ``J`` and ``Jneg``: the even slots and the dense coefficients, with
+    ``c_k = -c_{k-2} / (k * (k + 2r))`` at the root r.  A ``c0`` that is
+    zero, subnormal or not finite raises DomainError: at integer orders
+    151-170 ``2**m * m!`` overflows without raising and c0 becomes 0, and at
+    150 it is subnormal, so every value would lose bits unnoticed.  ``y2zero``
+    and ``K``: the numerators of their plain parts.  Errors are not cached.
     """
+    if family == "y2zero":
+        nums, h, c = [0.0], 0.0, _table("J", 0.0, n_terms)[0]
+        for n in range(1, len(c)):
+            h += 1.0 / n
+            nums.append(-c[n] * h)
+        return tuple(nums)
+    if family == "K":
+        m, ratios, ratio = order, [], 1.0
+        for j in range(1, m):
+            ratio /= 4.0 * j * (m - j)
+            ratios.append(ratio)
+        tail, h_n, h_mn = [], 0.0, harmonic(m)
+        for n, c2n in enumerate(_table("J", float(m), n_terms)[0]):
+            tail.append(-c2n * (h_n + h_mn))
+            h_n += 1.0 / (n + 1)
+            h_mn += 1.0 / (m + n + 1)
+        return -2.0 ** (m - 1) * _factorial(m - 1), tuple(ratios), tuple(tail)
+    # gamma and m! are evaluated before 2.0**p: they raise DomainError well
+    # below the orders at which 2.0**p would raise OverflowError
+    if family == "Jneg":
+        g = gamma(1.0 - order)
+        r, c0 = -order, 2.0 ** order / g
+    elif (m := integer_order(order)) is None:
+        r, c0 = order, 1.0 / (gamma(order + 1.0) * 2.0 ** order)
+    else:
+        r, c0 = order, 1.0 / (_factorial(m) * 2.0 ** m)
     if not sys.float_info.min <= abs(c0) < math.inf:
         raise DomainError(f"order {r:g} too large: the leading coefficient "
                           "is not representable as a double")
-    two_r = 2.0 * r
     slots = [c := c0]
     for k in range(2, n_terms, 2):
-        slots.append(c := -c / (k * (k + two_r)))
-    return FracSeries._walked(checked_alpha(alpha), float(r), n_terms,
-                              tuple(slots), 2)
+        slots.append(c := -c / (k * (k + 2.0 * r)))
+    _check_finite(slots)
+    coeffs = [0.0] * n_terms
+    coeffs[::2] = slots
+    return tuple(slots), tuple(coeffs)
+
+
+def _even_series(alpha: float, r: float, table: tuple) -> FracSeries:
+    """The series at offset ``r`` of a ``J`` or ``Jneg`` table."""
+    series = object.__new__(FracSeries)
+    series.__dict__.update(alpha=checked_alpha(alpha), offset=float(r),
+                           coeffs=table[1], _walk=(table[0], 2))
+    return series
 
 
 def bessel_j_series(p: float, alpha: float,
@@ -177,16 +217,10 @@ def bessel_j_series(p: float, alpha: float,
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive, got {n_terms}")
     m = integer_order(p)
-    # integer orders snap and use the exact factorial leading coefficient;
-    # gamma only enters for genuinely fractional orders.  Both are evaluated
-    # before 2.0**p: they raise DomainError well below the orders at which
-    # 2.0**p would raise OverflowError.
-    if m is None:
-        c0 = 1.0 / (gamma(p + 1.0) * 2.0 ** p)
-    else:
+    # integer orders snap and take m!; gamma only enters for fractional ones
+    if m is not None:
         p = float(m)
-        c0 = 1.0 / (_factorial(m) * 2.0 ** m)
-    return _even_series(alpha, p, c0, n_terms)
+    return _even_series(alpha, p, _table("J", p, n_terms))
 
 
 def bessel_j_neg_series(p: float, alpha: float,
@@ -207,8 +241,7 @@ def bessel_j_neg_series(p: float, alpha: float,
         )
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive, got {n_terms}")
-    g = gamma(1.0 - p)  # before 2.0**p, as in bessel_j_series
-    return _even_series(alpha, -p, 2.0 ** p / g, n_terms)
+    return _even_series(alpha, -p, _table("Jneg", p, n_terms))
 
 
 def bessel_j_neg_integer_series(m: int, alpha: float,
@@ -238,17 +271,12 @@ def second_solution_order_zero(alpha: float,
     """
     alpha = checked_alpha(alpha)
     log_part = bessel_j_series(0.0, alpha, n_terms)
-    c = log_part._walk[0]  # c_0, c_2, c_4, ...
-    slots = [0.0] * len(c)
-    h = 0.0
-    for n in range(1, len(c)):
-        h += 1.0 / n
-        slots[n] = -c[n] * h / alpha
+    slots = tuple([v / alpha for v in _table("y2zero", 0.0, n_terms)])
     if n_terms > 2 and math.isinf(slots[1]):
         raise DomainError(f"alpha = {alpha:g} is too small: the plain "
                           "part's coefficients overflow a double")
     return LogSolution(log_part, FracSeries._walked(
-        alpha, 0.0, n_terms, tuple(slots), 2))
+        alpha, 0.0, n_terms, slots, 2))
 
 
 def second_solution_integer_order(m: int, alpha: float,
@@ -277,24 +305,12 @@ def second_solution_integer_order(m: int, alpha: float,
     m = int(m)
     a = checked_alpha(alpha)
     log_part = bessel_j_series(float(m), a, n_terms)
-    c = log_part._walk[0]  # c_0, c_2, c_4, ...
-
-    b0 = -2.0 ** (m - 1) * _factorial(m - 1) / a
+    b0_num, ratios, tail = _table("K", m, n_terms)
+    b0 = b0_num / a
     if not math.isfinite(b0):
         raise DomainError(f"alpha = {a:g} is too small for order {m}: the "
                           "leading coefficient overflows a double")
-    slots = [b0]  # b_{2j} is slot j, b_{2m+2n} slot m + n
-    ratio = 1.0
-    for j in range(1, m):
-        ratio /= 4.0 * j * (m - j)
-        slots.append(b0 * ratio)
-
-    h_n = 0.0
-    h_mn = harmonic(m)
-    for n, c2n in enumerate(c):
-        slots.append(-c2n * (h_n + h_mn) / (2.0 * a))
-        h_n += 1.0 / (n + 1)
-        h_mn += 1.0 / (m + n + 1)
-
+    # b_{2j} is slot j, b_{2m+2n} slot m + n
+    slots = (b0, *[b0 * r for r in ratios], *[v / (2.0 * a) for v in tail])
     return LogSolution(log_part, FracSeries._walked(
-        a, -float(m), 2 * m + n_terms, tuple(slots), 2))
+        a, -float(m), 2 * m + n_terms, slots, 2))

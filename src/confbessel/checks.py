@@ -196,6 +196,7 @@ def classical_bessel_j(n: int, z: float) -> float:
     """
     if n < 0 or not _as_float(n).is_integer():
         raise ValueError(f"oracle needs integer n >= 0, got {n}")
+    z = _as_float(z)
     if not math.isfinite(z):
         raise ValueError(f"oracle needs a finite z, got {z}")
     if z < 0.0:
@@ -223,10 +224,12 @@ def _rows(p: float, alpha: float, grid: Iterable[float]
           ) -> tuple[float, list[tuple[float, float, float]]]:
     """Validated alpha and the report rows ``(p, alpha, x)``, one per x."""
     alpha = checked_alpha(alpha)
-    xs = tuple(float(x) for x in grid)
+    xs = tuple(map(_as_float, grid))
     for x in xs:
         if x <= 0.0:
             raise DomainError(f"grid points must be positive, got {x}")
+        if not math.isfinite(x):
+            raise DomainError(f"grid points must be finite, got {x}")
     return alpha, [(p, alpha, x) for x in xs]
 
 

@@ -13,7 +13,7 @@ import math
 from typing import Callable
 
 from .errors import DomainError, EvaluationError
-from .series import ImmutableValue, checked_alpha
+from .series import ImmutableValue, _as_float, checked_alpha
 
 __all__ = ["DiffConfig", "conformable_diff_numeric", "conformable_diff2_numeric"]
 
@@ -30,6 +30,7 @@ class DiffConfig(ImmutableValue):
 
     def __init__(self, alpha: float, step_scale: float = 1e-6):
         alpha = checked_alpha(alpha)
+        step_scale = _as_float(step_scale)
         if not (math.isfinite(step_scale) and step_scale > 0.0):
             raise ValueError(f"step_scale must be positive, got {step_scale!r}")
         self.__dict__.update(alpha=alpha, step_scale=step_scale)

@@ -26,7 +26,7 @@ from confbessel import (
     series_scale,
     series_shift,
 )
-from confbessel.bessel import INTEGER_TOL
+from confbessel.bessel import INTEGER_TOL, _table
 from confbessel.cli import UsageError, build_solution
 from confbessel.errors import DomainError, OrderCaseError
 from confbessel.series import checked_alpha
@@ -957,3 +957,63 @@ class TestWalkBuilt:
             inputs += _parts(build_solution(family, order, 0.7, 30))
         for s in inputs:
             series_scale(conformable_diff_exact(s), -2.0)
+
+
+class TestTableCache:
+    """Each family's alpha-free table is built once per (order, n_terms);
+    a build from the cache is the frozen builders' result bit for bit."""
+
+    def test_cold_and_warm_builds_match_the_frozen_builders(self):
+        _table.cache_clear()
+        for alpha in (0.3, 0.8, 1.0):
+            for family, order in WALK_CASES:
+                for n_terms in (1, 2, 3, 60, 121):
+                    got = build_solution(family, order, alpha, n_terms)
+                    want = ref_family(family, order, alpha, n_terms)
+                    for g, w in zip(_parts(got), _parts(want), strict=True):
+                        assert_walk_built(g, w)
+            if alpha == 0.3:
+                cold = _table.cache_info()
+                assert cold.misses == cold.currsize > 0
+        warm = _table.cache_info()
+        assert warm.misses == cold.misses and warm.hits > cold.hits
+
+    @pytest.mark.parametrize("build", [bessel_j_series, bessel_j_neg_series])
+    def test_first_kind_tables_are_shared_across_alpha(self, build):
+        s, t = build(2.5, 0.3), build(2.5, 0.8)
+        assert (s.alpha, t.alpha) == (0.3, 0.8)
+        assert s.coeffs is t.coeffs and s._walk[0] is t._walk[0]
+
+    def test_equal_orders_share_one_table_and_snap_the_offset(self):
+        _table.cache_clear()
+        built = [bessel_j_series(p, 0.5) for p in (1.0, True, 1, 1 + 1e-10)]
+        assert all(s.coeffs is built[0].coeffs for s in built)
+        assert [s.offset.hex() for s in built] == ["0x1.0000000000000p+0"] * 4
+        zeros = [bessel_j_series(p, 0.5) for p in (-0.0, 0.0, 1e-10)]
+        assert [s.offset.hex() for s in zeros] == ["0x0.0p+0"] * 3
+        assert _table.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("build, tables", [
+        (lambda: bessel_j_series(150, 1.0), 0),
+        (lambda: bessel_j_series(171, 1.0), 0),
+        (lambda: bessel_j_neg_integer_series(171, 1.0), 0),
+        (lambda: second_solution_integer_order(150, 1.0), 0),
+        # the alpha-free tables are valid: only the alpha step overflows
+        (lambda: second_solution_order_zero(1e-310, 60), 2),
+        (lambda: second_solution_integer_order(1, 1e-310, 60), 2),
+        (lambda: second_solution_integer_order(149, 1e-6, 3), 2),
+    ], ids=["J-150", "J-171", "Jneg-171", "K-150", "y2zero-alpha",
+            "K-1-alpha", "K-149-alpha"])
+    def test_refusals_are_raised_every_time_and_not_cached(self, build,
+                                                           tables):
+        _table.cache_clear()
+        first = _outcome(build)
+        assert first[0] is DomainError and _outcome(build) == first
+        assert _table.cache_info().currsize == tables
+
+    def test_the_cache_is_bounded(self):
+        _table.cache_clear()
+        for k in range(100):
+            bessel_j_series(k + 0.5, 1.0, 10)
+        info = _table.cache_info()
+        assert info.misses == 100 and info.currsize == info.maxsize == 64

@@ -42,7 +42,8 @@ from confbessel.checks import (COEFF_TOL, HALF_ORDER_TOL, IDENTITIES,
                                ORACLE_MAX_ARG, ORACLE_TOL, POINT_TOL,
                                RESIDUAL_X, SCALING_TOL, SCALING_X,
                                CheckReport, _coefficientwise, _pointwise,
-                               linspace)
+                               _rows, linspace)
+from confbessel.conformable import DiffConfig
 from confbessel.errors import DomainError, OrderCaseError
 from confbessel.series import series_rebase
 
@@ -458,6 +459,30 @@ def test_int_order_beyond_float_range_is_refused(call, error, message):
         call(BEYOND_FLOAT)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value, as_float", [
+    (BEYOND_FLOAT, math.inf), (-BEYOND_FLOAT, -math.inf),
+    (math.inf, math.inf), (math.nan, math.nan),
+], ids=["int", "-int", "inf", "nan"])
+@pytest.mark.parametrize("call, error, message", [
+    (lambda v: classical_bessel_j(1, v), ValueError,
+     lambda x: f"oracle needs a finite z, got {x}"),
+    (lambda v: _rows(1.0, 1.0, [2.0, v]), DomainError,
+     lambda x: f"grid points must be {'positive' if x < 0 else 'finite'}, "
+               f"got {x}"),
+    (lambda v: DiffConfig(1.0, v), ValueError,
+     lambda x: f"step_scale must be positive, got {x!r}"),
+], ids=["oracle-z", "grid-point", "step-scale"])
+def test_non_finite_real_argument_is_refused(call, error, message, value,
+                                             as_float):
+    """An int beyond float range reads as +-inf, and an infinite or NaN
+    argument gets the entry point's own error: no OverflowError, and no
+    report row at an inf or NaN grid point."""
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is error
+    assert str(info.value) == message(as_float)
 
 
 # The report primitives before they handed their deviation columns to

@@ -136,3 +136,33 @@ def test_identity_rows_call_through_the_traced_names():
     assert direct == {"bessel": sum(b for b, _ in rows),
                       "series.algebra": sum(a for _, a in rows)}
     assert tracer.counts["checks.reports"] == len(reports)
+
+
+def test_traced_counts_do_not_depend_on_the_table_cache():
+    """A cold and a warm coefficient-table cache record the same calls.
+
+    A constructor calls the same traced functions whether its alpha-free
+    table is built or found in ``bessel._table``, so every traced pass of
+    ``run.py --trace 1``, which must count alike, sees the same spans and
+    counters.
+    """
+    spans = _load_spans()
+    from confbessel import bessel, checks
+
+    def traced_pass(cold):
+        if cold:
+            bessel._table.cache_clear()
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            checks.residual_suite()
+            list(checks.solution_corpus(0.6))
+        finally:
+            tracer.uninstall()
+        return tracer.layer_stats()[0], tracer.counts, bessel._table.cache_info()
+
+    cold_calls, cold_counts, cold = traced_pass(cold=True)
+    warm_calls, warm_counts, warm = traced_pass(cold=False)
+    assert cold.misses > 0 and warm.misses == cold.misses
+    assert cold_calls == warm_calls and cold_counts == warm_counts
+    assert cold_calls["bessel"] > 0 and cold_counts["bessel.coeff_slots"] > 0
