@@ -31,8 +31,6 @@ so a cache of 64 entries keeps each family's alpha-free table per (order,
 n_terms), and a constructor applies alpha to it as a fresh build would.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import sys
@@ -250,12 +248,13 @@ def bessel_j_neg_integer_series(m: int, alpha: float,
 
     At negative integer orders the would-be leading coefficients vanish
     (gamma blows up at non-positive integers) and the series collapses onto
-    the first-kind series with an alternating sign.
+    the first-kind series with an alternating sign.  At even m that is the
+    order-m series itself, since ``1.0 * c`` is ``c`` bit for bit.
     """
     if m < 0 or not _as_float(m).is_integer():
         raise OrderCaseError(f"integer reduction needs integer m >= 0, got {m}")
-    sign = -1.0 if int(m) % 2 else 1.0
-    return series_scale(bessel_j_series(float(m), alpha, n_terms), sign)
+    series = bessel_j_series(float(m), alpha, n_terms)
+    return series_scale(series, -1.0) if int(m) % 2 else series
 
 
 def second_solution_order_zero(alpha: float,

@@ -33,8 +33,6 @@ z + n; that sum is capped at ORACLE_MAX_ARG.  The quadrature shares no
 code with the series engine; independence is the point.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from functools import partial

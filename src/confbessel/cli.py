@@ -13,11 +13,8 @@ text.  ``NO_COLOR`` suppresses the PASS/FAIL coloring of plain check
 output (color is only attempted on a terminal anyway).
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -180,6 +177,14 @@ def _output(path: str | None) -> Iterator[TextIO]:
         raise UsageError(f"cannot write output path {path!r}: {exc}") from exc
 
 
+def _emit_json(records: list[dict], out: TextIO) -> None:
+    """One JSON object per line."""
+    import json  # loaded only for --format json
+
+    for r in records:
+        out.write(json.dumps(r) + "\n")
+
+
 def _emit_rows(rows: list[dict], fmt: str, out: TextIO) -> None:
     if fmt == "csv":
         out.write(CSV_HEADER + "\n")
@@ -187,8 +192,7 @@ def _emit_rows(rows: list[dict], fmt: str, out: TextIO) -> None:
             out.write(f"{_fmt(r['x'])},{_fmt(r['value'])},"
                       f"{r['terms_used']},{_fmt(r['tail_estimate'])}\n")
     elif fmt == "json":
-        for r in rows:
-            out.write(json.dumps(r) + "\n")
+        _emit_json(rows, out)
     else:
         out.write(f"{'x':>22} {'value':>24} {'terms':>6} {'tail':>12}\n")
         for r in rows:
@@ -216,7 +220,7 @@ def run_points(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _plain_report_lines(reports: list[CheckReport],
+def _plain_report_lines(reports: "list[CheckReport]",
                         color: bool) -> list[str]:
     lines = []
     for r in reports:
@@ -232,7 +236,7 @@ def _plain_report_lines(reports: list[CheckReport],
     return lines
 
 
-def _collect_reports(ns: argparse.Namespace) -> list[CheckReport]:
+def _collect_reports(ns: argparse.Namespace) -> "list[CheckReport]":
     from . import checks  # loaded only by the check command
 
     if ns.family is None:
@@ -253,8 +257,7 @@ def run_check(ns: argparse.Namespace) -> int:
     reports = _collect_reports(ns)
     with _output(ns.output_path) as out:
         if ns.format == "json":
-            for r in reports:
-                out.write(json.dumps(r._asdict()) + "\n")
+            _emit_json([r._asdict() for r in reports], out)
         elif ns.format == "csv":
             out.write(REPORT_CSV_HEADER + "\n")
             for r in reports:
@@ -346,6 +349,8 @@ def _validate(ns: argparse.Namespace) -> None:
     if ns.command == "check" and ns.family is None and given:
         raise UsageError(f"check takes {given[0]} only with --family: the "
                          "suites run on their own grids")
+    if ns.x is not None and range_spec is not None:
+        raise UsageError(f"{ns.command} takes --x or --range, not both")
     if ns.command == "check" and ns.check_name is None:
         ns.check_name = "residual" if ns.family is not None else "all"
     if range_spec is not None:

@@ -7,8 +7,6 @@ cross-check against the exact termwise operator in :mod:`confbessel.series`:
 the two must agree on every constructed solution, and they share no code.
 """
 
-from __future__ import annotations
-
 import math
 from typing import Callable
 
@@ -46,13 +44,18 @@ def _central_difference(f: Callable[[float], float], x: float, h: float) -> floa
     return (fp - fm) / (2.0 * h)
 
 
+def _diff(f: Callable[[float], float], x: float, alpha: float,
+          step_scale: float) -> float:
+    if x <= 0.0:
+        raise DomainError(f"conformable derivative requires x > 0, got {x}")
+    h = step_scale * max(x, 1.0)
+    return x ** (1.0 - alpha) * _central_difference(f, x, h)
+
+
 def conformable_diff_numeric(f: Callable[[float], float], x: float,
                              cfg: DiffConfig) -> float:
     """Numeric conformable derivative ``x**(1-alpha) * f'(x)`` at ``x > 0``."""
-    if x <= 0.0:
-        raise DomainError(f"conformable derivative requires x > 0, got {x}")
-    h = cfg.step_scale * max(x, 1.0)
-    return x ** (1.0 - cfg.alpha) * _central_difference(f, x, h)
+    return _diff(f, x, cfg.alpha, cfg.step_scale)
 
 
 def conformable_diff2_numeric(f: Callable[[float], float], x: float,
@@ -65,11 +68,9 @@ def conformable_diff2_numeric(f: Callable[[float], float], x: float,
     1e-6 the composed rounding error would reach ~1e-4, while the square
     root (1e-3 per stage) keeps truncation and rounding both near 1e-6.
     """
-    if x <= 0.0:
-        raise DomainError(f"conformable derivative requires x > 0, got {x}")
-    stage = DiffConfig(cfg.alpha, math.sqrt(cfg.step_scale))
+    alpha, step_scale = cfg.alpha, math.sqrt(cfg.step_scale)
 
     def inner(t: float) -> float:
-        return conformable_diff_numeric(f, t, stage)
+        return _diff(f, t, alpha, step_scale)
 
-    return conformable_diff_numeric(inner, x, stage)
+    return _diff(inner, x, alpha, step_scale)

@@ -25,8 +25,6 @@ roundings of a step through every slot in the same order.
 in :mod:`confbessel.bessel` compute only the walked slots of what they build.
 """
 
-from __future__ import annotations
-
 import math
 from operator import length_hint
 from typing import NamedTuple
@@ -146,7 +144,7 @@ class FracSeries(ImmutableValue):
 
     @classmethod
     def _walked(cls, alpha: float, offset: float, size: int,
-                slots: tuple[float, ...], stride: int) -> FracSeries:
+                slots: tuple[float, ...], stride: int) -> "FracSeries":
         """The series of ``size`` slots, zero but for the floats ``slots``
         at ``::stride``; ``alpha`` and ``offset`` are already checked.  A
         stride-2 walk is kept, a stride-1 one follows the rule above."""

@@ -386,6 +386,13 @@ class TestIntegerOrderReduction:
         assert got.offset == ref.offset
         assert got.coeffs == tuple(sign * c for c in ref.coeffs)
 
+    @pytest.mark.parametrize("m", [0, 2, 4.0])
+    def test_even_order_is_the_first_kind_series(self, m):
+        got = bessel_j_neg_integer_series(m, 0.5, 9)
+        ref = bessel_j_series(float(m), 0.5, 9)
+        assert got == ref and got.coeffs is ref.coeffs
+        assert got._walk == ref._walk
+
     def test_non_integer_rejected(self):
         with pytest.raises(OrderCaseError):
             bessel_j_neg_integer_series(1.5, 1.0)

@@ -361,6 +361,9 @@ class TestExitCodeMatrix:
         ["eval", "--family", "J", "--x", "1", "--alpha", "1.5"],
         ["eval", "--family", "J", "--x", "1", "--alpha", "0"],
         ["eval", "--family", "J", "--x", "1", "--range", "1:2:3"],
+        ["table", "--x", "1", "--range", "1:2:3"],
+        ["check", "--name", "residual", "--family", "J", "--x", "7",
+         "--range", "1:2:3"],
         ["eval", "--family", "J", "--order", "-1", "--x", "1"],
         ["table", "--family", "J"],
         ["table", "--family", "J", "--range", "2:1:3"],
@@ -415,6 +418,15 @@ class TestExitCodeMatrix:
         assert code == EXIT_USAGE
         assert err != ""
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("table", []), ("check", ["--name", "residual", "--family", "J"])])
+    def test_x_with_range_rejected(self, capsys, command, flags):
+        code, out, err = run(capsys, command, *flags, "--x", "7",
+                             "--range", "1:2:3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"confbessel: error: {command} takes --x or --range, "
+                       "not both\n")
 
     def test_k_leading_coefficient_overflow_names_alpha(self, capsys):
         code, out, err = run(capsys, "eval", "--family", "K", "--order", "1",

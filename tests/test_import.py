@@ -4,12 +4,13 @@ No path loads numpy: the package needs only the standard library, and
 even the quadrature oracle (``checks.classical_bessel_j``) is plain
 ``math``.  The check suites (``confbessel.checks``) and the numeric operator
 (``confbessel.conformable``) load on first use of one of their names, and
-the package never imports ``dataclasses``.  Each case runs
-in a fresh interpreter, because the test process itself has long since
-imported all of them.
+the package never imports ``dataclasses``.  The CLI loads ``json`` only to
+write ``--format json``, and no module imports ``__future__``.  Each case
+runs in a fresh interpreter, because the test process itself has long since
+imported all of them; the probe there imports nothing that it watches.
 """
 
-import json
+import ast
 import os
 import subprocess
 import sys
@@ -22,16 +23,18 @@ import confbessel
 PACKAGE_ROOT = Path(confbessel.__file__).resolve().parent.parent
 
 WATCHED = ("numpy", "confbessel.checks", "confbessel.conformable",
-           "dataclasses")
+           "dataclasses", "json", "__future__")
 
+# the watched names and the argv arrive as plain arguments, and the result
+# leaves as a repr, so the probe itself loads neither json nor ast
 PROBE = """
-import json, sys
+import sys
 import confbessel
 from confbessel import cli
-argv = json.loads(sys.argv[1])
+watched, argv = sys.argv[1].split(","), sys.argv[2:]
 code = cli.main(argv) if argv else 0
-loaded = {name: name in sys.modules for name in json.loads(sys.argv[2])}
-print(json.dumps({"code": code, **loaded}), file=sys.stderr)
+loaded = {name: name in sys.modules for name in watched}
+print(repr({"code": code, **loaded}), file=sys.stderr)
 """
 
 
@@ -46,8 +49,8 @@ def run_python(*args):
 
 
 def run_cold(argv):
-    proc = run_python("-c", PROBE, json.dumps(argv), json.dumps(WATCHED))
-    return json.loads(proc.stderr.splitlines()[-1])
+    proc = run_python("-c", PROBE, ",".join(WATCHED), *argv)
+    return ast.literal_eval(proc.stderr.splitlines()[-1])
 
 
 def loaded(*names):
@@ -58,17 +61,26 @@ def loaded(*names):
     ([], 0, ()),
     (["eval", "--family", "J", "--order", "0.5", "--alpha", "0.5", "--x", "4"],
      0, ()),
+    (["eval", "--x", "4", "--format", "csv"], 0, ()),
     (["table", "--family", "Jneg", "--order", "2.5", "--alpha", "0.7",
       "--range", "0.5:4:25"], 0, ()),
+    (["table", "--range", "0.5:4:5", "--format", "plain"], 0, ()),
     (["check", "--name", "residual", "--family", "J"], 0,
      ("confbessel.checks",)),
     (["eval", "--alpha", "1.5", "--x", "1"], 2, ()),
     (["table", "--range", "1:2"], 2, ()),
-], ids=["import", "eval", "table", "check-residual", "malformed-eval",
-        "malformed-table"])
+    (["table", "--x", "1", "--range", "1:2:3", "--format", "json"], 2, ()),
+    (["eval", "--x", "4", "--format", "json"], 0, ("json",)),
+    (["table", "--range", "0.5:4:5", "--format", "json"], 0, ("json",)),
+    (["check", "--name", "residual", "--family", "J", "--format", "json"], 0,
+     ("confbessel.checks", "json")),
+], ids=["import", "eval", "eval-csv", "table", "table-plain",
+        "check-residual", "malformed-eval", "malformed-table",
+        "malformed-table-json", "eval-json", "table-json", "check-json"])
 def test_cold_path_leaves_numpy_unloaded(argv, code, modules):
-    """eval, table and usage errors load no check code and no dataclasses;
-    the residual check loads the suites but neither numpy nor dataclasses."""
+    """eval, table and usage errors load no check code, no dataclasses and,
+    but to write JSON, no json; the residual check loads the suites but
+    neither numpy nor dataclasses; no call loads __future__."""
     assert run_cold(argv) == {"code": code, **loaded(*modules)}
 
 
