@@ -123,6 +123,13 @@ EDGES = [
     ["check"],
     ["check", "--format", "csv", "--tolerance", "1e-17"],
     ["check", "--name", "halforder", "--x", "1.5", "--range", "1:2:2"],
+    # long log series: y2zero's slots n = 87, 88 are subnormal from 175 terms
+    ["eval", "--family", "y2zero", "--terms", "400", "--x", "3", "--format",
+     "json"],
+    ["table", "--family", "y2zero", "--alpha", "0.5", "--terms", "300",
+     "--range", "0.5:30:7"],
+    ["table", "--family", "K", "--order", "3", "--terms", "300", "--range",
+     "0.5:20:5"],
 ]
 
 HELP = [["--help"], ["eval", "--help"], ["table", "--help"],

@@ -615,3 +615,22 @@ class TestMpmathPins:
                                 for n, c in enumerate(s.coeffs))
                 assert abs(got - ref) <= 1e-13 * abs(ref) + 16 * u * mag, \
                     (p, alpha, t)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
+    def test_log_solutions_match_closed_form(self, m, alpha):
+        # y2zero and K_m are (1/alpha)[(pi/2) Y_m(t) + (ln 2 - gamma) J_m(t)]
+        # at t = x**alpha: the J_m term is K's normalization, which neither
+        # the residual nor the Wronskian can see
+        s = (second_solution_order_zero(alpha, 120) if m == 0
+             else second_solution_integer_order(m, alpha, 120))
+        with mpmath.workdps(40):
+            for k in range(2, 31):
+                x = k / 10
+                t = mpmath.mpf(x) ** alpha
+                ref = (mpmath.pi / 2 * mpmath.bessely(m, t)
+                       + (mpmath.log(2) - mpmath.euler)
+                       * mpmath.besselj(m, t)) / alpha
+                got = eval_log_solution(s, x).value
+                assert abs(got - ref) <= 1e-14 * max(1, abs(ref)), \
+                    (m, alpha, x)
