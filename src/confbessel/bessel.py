@@ -25,10 +25,10 @@ gamma/factorial evaluation: the ratio form cannot overflow (individual
 factors like ``2**(2n+p) * n! * gamma(p+n+1)`` would, past n ~ 80) and the
 gamma function enters exactly once, in the leading coefficient.  The two
 logarithmic solutions take the coefficients ``c_{2n}`` of their log part
-and weight them by harmonic numbers, as in the classical Y_n series.
-Apart from the plain parts' ``1/alpha`` no coefficient depends on alpha,
-so a cache of 64 entries keeps each family's alpha-free table per (order,
-n_terms), and a constructor applies alpha to it as a fresh build would.
+and weight them by harmonic numbers, as in the classical Y_n series; y2zero
+is K at m = 0 (DLMF 10.8.1).  No coefficient but the plain parts' 1/alpha
+depends on alpha, so a 64-entry cache holds the J, Jneg and log tables per
+(order, n_terms), and a constructor applies alpha as a fresh build would.
 """
 
 import functools
@@ -143,32 +143,27 @@ def integer_order(p: float) -> int | None:
 
 @functools.lru_cache(maxsize=64)
 def _table(family: str, order: float, n_terms: int) -> tuple:
-    """The alpha-free coefficients of ``family`` at its normalized order.
+    """The alpha-free J, Jneg or log (``K``) table at its normalized order.
 
     ``J`` and ``Jneg``: the even slots and the dense coefficients, with
     ``c_k = -c_{k-2} / (k * (k + 2r))`` at the root r.  A ``c0`` that is
     zero, subnormal or not finite raises DomainError: at integer orders
     151-170 ``2**m * m!`` overflows without raising and c0 becomes 0, and at
-    150 it is subnormal, so every value would lose bits unnoticed.  ``y2zero``
-    and ``K``: the numerators of their plain parts.  Errors are not cached.
+    150 it is subnormal, so every value would lose bits unnoticed.  ``K`` at
+    integer m >= 0, y2zero at m = 0 (DLMF 10.8.1): the numerators of ``b_0``
+    and the tail, and the block's ratios.  Errors are not cached.
     """
-    if family == "y2zero":
-        nums, h, c = [0.0], 0.0, _table("J", 0.0, n_terms)[0]
-        for n in range(1, len(c)):
-            h += 1.0 / n
-            nums.append(-c[n] * h)
-        return tuple(nums)
     if family == "K":
-        m, ratios, ratio = order, [], 1.0
+        m, ratios = order, [1.0][:order]  # b_0 / b_0, but no block at m = 0
         for j in range(1, m):
-            ratio /= 4.0 * j * (m - j)
-            ratios.append(ratio)
+            ratios.append(ratios[-1] / (4.0 * j * (m - j)))
         tail, h_n, h_mn = [], 0.0, harmonic(m)
         for n, c2n in enumerate(_table("J", float(m), n_terms)[0]):
-            tail.append(-c2n * (h_n + h_mn))
+            tail.append(c2n * (0.0 - h_n - h_mn))
             h_n += 1.0 / (n + 1)
             h_mn += 1.0 / (m + n + 1)
-        return -2.0 ** (m - 1) * _factorial(m - 1), tuple(ratios), tuple(tail)
+        b0_num = -float(math.prod(range(2, 2 * m, 2)))  # -2**(m-1) (m-1)!
+        return b0_num, tuple(ratios), tuple(tail)
     # gamma and m! are evaluated before 2.0**p: they raise DomainError well
     # below the orders at which 2.0**p would raise OverflowError
     if family == "Jneg":
@@ -257,25 +252,37 @@ def bessel_j_neg_integer_series(m: int, alpha: float,
     return series_scale(series, -1.0) if int(m) % 2 else series
 
 
+def _log_solution(m: int, a: float, n_terms: int,
+                  too_small: str) -> LogSolution:
+    """The log solution of integer order ``m >= 0``; a plain slot that
+    overflows raises DomainError(``too_small`` formatted with a and m)."""
+    log_part = bessel_j_series(float(m), a, n_terms)
+    b0_num, ratios, tail = _table("K", m, n_terms)
+    b0, two_a = b0_num / a, 2.0 * a
+    # b_{2j} is slot j, b_{2m+2n} slot m + n
+    slots = (*[b0 * r for r in ratios], *[v / two_a for v in tail])
+    try:
+        plain = FracSeries._walked(a, 0.0 - m, 2 * m + n_terms, slots, 2)
+    except ValueError:  # _walked's finiteness check
+        raise DomainError(too_small.format(a=a, m=m)) from None
+    return LogSolution(log_part, plain)
+
+
 def second_solution_order_zero(alpha: float,
                                n_terms: int = DEFAULT_TERMS) -> LogSolution:
     """Logarithmic second solution at order zero.
 
-    The log part is the order-zero first-kind series ``c_{2n}``; the plain
-    part has coefficient ``-c_{2n} * H_n / alpha``, that is
-    ``(1/alpha) * (-1)**(n+1) * H_n / (2**(2n) * (n!)**2)``, at exponent
-    ``2*n*alpha`` for n >= 1 and no constant term.  Its largest
+    The m = 0 case of :func:`second_solution_integer_order` (DLMF 10.8.1),
+    with no block.  The log part is the order-zero first-kind series
+    ``c_{2n}``; the plain part has coefficient ``-c_{2n} * H_n / alpha``
+    (``(1/alpha) * (-1)**(n+1) * H_n / (2**(2n) * (n!)**2)``) at exponent
+    ``2*n*alpha`` for n >= 1, and no constant term.  Its largest
     coefficient, ``1 / (4*alpha)`` at n = 1, overflows a double for alpha
     below about 1.4e-309; that raises DomainError.
     """
-    alpha = checked_alpha(alpha)
-    log_part = bessel_j_series(0.0, alpha, n_terms)
-    slots = tuple([v / alpha for v in _table("y2zero", 0.0, n_terms)])
-    if n_terms > 2 and math.isinf(slots[1]):
-        raise DomainError(f"alpha = {alpha:g} is too small: the plain "
-                          "part's coefficients overflow a double")
-    return LogSolution(log_part, FracSeries._walked(
-        alpha, 0.0, n_terms, slots, 2))
+    return _log_solution(0, checked_alpha(alpha), n_terms,
+                         "alpha = {a:g} is too small: the plain part's "
+                         "coefficients overflow a double")
 
 
 def second_solution_integer_order(m: int, alpha: float,
@@ -301,15 +308,6 @@ def second_solution_integer_order(m: int, alpha: float,
         raise OrderCaseError(
             f"integer-order second solution needs integer m >= 1, got {m}"
         )
-    m = int(m)
-    a = checked_alpha(alpha)
-    log_part = bessel_j_series(float(m), a, n_terms)
-    b0_num, ratios, tail = _table("K", m, n_terms)
-    b0 = b0_num / a
-    if not math.isfinite(b0):
-        raise DomainError(f"alpha = {a:g} is too small for order {m}: the "
-                          "leading coefficient overflows a double")
-    # b_{2j} is slot j, b_{2m+2n} slot m + n
-    slots = (b0, *[b0 * r for r in ratios], *[v / (2.0 * a) for v in tail])
-    return LogSolution(log_part, FracSeries._walked(
-        a, -float(m), 2 * m + n_terms, slots, 2))
+    return _log_solution(int(m), checked_alpha(alpha), n_terms,
+                         "alpha = {a:g} is too small for order {m}: the "
+                         "leading coefficient overflows a double")

@@ -3,6 +3,7 @@
 import enum
 import math
 import struct
+import sys
 from typing import NamedTuple
 
 import mpmath
@@ -17,6 +18,7 @@ from confbessel import (
     bessel_j_neg_series,
     bessel_j_series,
     conformable_diff_exact,
+    eval_log_solution,
     eval_series,
     gamma,
     harmonic,
@@ -743,6 +745,7 @@ class TestFrozenReference:
     @example(family=1, p=141.5, alpha=1.0, n_terms=120)
     @example(family=0, p=171.0, alpha=1.0, n_terms=1)
     @example(family=2, p=0.0, alpha=5e-324, n_terms=3)  # 1/(4 alpha) overflows
+    @example(family=2, p=0.0, alpha=0.5, n_terms=175)  # subnormal numerators
     def test_coefficients_and_errors_match_bit_for_bit(self, family, p,
                                                        alpha, n_terms):
         build, ref = FAMILIES[family]
@@ -765,8 +768,31 @@ class TestFrozenReference:
             assert got == (DomainError, f"alpha = {alpha:g} is too small for "
                                         f"order {p:g}: the leading "
                                         "coefficient overflows a double")
+        elif family == 2 and got != want:
+            # and a fourth: y2zero is K at m = 0, whose tail
+            # (-c (2 H_n)) / (2 alpha) rounds otherwise than (-c H_n) / alpha
+            # where the numerator -c_{2n} H_n is subnormal (n = 87, 88)
+            assert_y2zero_is_k_at_zero(alpha, n_terms)
         else:
             assert got == want
+
+
+def assert_y2zero_is_k_at_zero(alpha, n_terms):
+    """The frozen y2zero's bytes, but for plain slots whose numerator
+    ``-c_{2n} H_n`` is subnormal, and the same values at three points."""
+    got = second_solution_order_zero(alpha, n_terms)
+    want = ref_second_solution_order_zero(alpha, n_terms)
+    assert _bytes(got.log_part) == _bytes(want.log_part)
+    plain, ref = got.plain_part, want.plain_part
+    assert struct.pack("<d", plain.offset) == struct.pack("<d", ref.offset)
+    c = want.log_part.coeffs
+    for k, (g, w) in enumerate(zip(plain.coeffs, ref.coeffs, strict=True)):
+        numerator = -c[k] * harmonic(k // 2)
+        if k % 2 or not 0.0 < abs(numerator) < sys.float_info.min:
+            assert struct.pack("<d", g) == struct.pack("<d", w), k
+    for x in (0.5, 2.0, 10.0):
+        assert (struct.pack("<dqd", *eval_log_solution(got, x))
+                == struct.pack("<dqd", *eval_log_solution(want, x))), x
 
 
 def ref_build_solution(family, order, alpha, terms):

@@ -598,6 +598,8 @@ class TestMpmathPins:
     16u times the sum of |terms|.  The floor matters near the zeros of J_p
     and towards t = 10, where the alternating terms cancel (at t = 10 and
     p = 1 the relative error is 2.5e-12 while the absolute one is 1.1e-13).
+    ``eval_log_solution`` is pinned the same way at t <= 3, where a flat
+    1e-14 * max(1, |ref|) holds.
     """
 
     @pytest.mark.parametrize("p", [0.0, 1.0, 2.5])
