@@ -26,9 +26,10 @@ factors like ``2**(2n+p) * n! * gamma(p+n+1)`` would, past n ~ 80) and the
 gamma function enters exactly once, in the leading coefficient.  The two
 logarithmic solutions take the coefficients ``c_{2n}`` of their log part
 and weight them by harmonic numbers, as in the classical Y_n series; y2zero
-is K at m = 0 (DLMF 10.8.1).  No coefficient but the plain parts' 1/alpha
-depends on alpha, so a 64-entry cache holds the J, Jneg and log tables per
-(order, n_terms), and a constructor applies alpha as a fresh build would.
+is K at m = 0 (DLMF 10.8.1).  Only the plain parts' 1/alpha depends on
+alpha: J and Jneg are the classical series read at t = x**alpha.  A 64-entry
+cache holds, per (order, n_terms), the J and Jneg series at alpha = 1, which
+a constructor reads at alpha, and the log tables, to which it applies alpha.
 """
 
 import functools
@@ -37,7 +38,7 @@ import sys
 
 from .errors import DomainError, OrderCaseError, PoleError
 from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _as_float,
-                     _check_finite, checked_alpha, series_scale)
+                     _with_alpha, checked_alpha, series_scale)
 
 __all__ = [
     "gamma",
@@ -142,23 +143,23 @@ def integer_order(p: float) -> int | None:
 
 
 @functools.lru_cache(maxsize=64)
-def _table(family: str, order: float, n_terms: int) -> tuple:
+def _table(family: str, order: float, n_terms: int) -> FracSeries | tuple:
     """The alpha-free J, Jneg or log (``K``) table at its normalized order.
 
-    ``J`` and ``Jneg``: the even slots and the dense coefficients, with
-    ``c_k = -c_{k-2} / (k * (k + 2r))`` at the root r.  A ``c0`` that is
-    zero, subnormal or not finite raises DomainError: at integer orders
-    151-170 ``2**m * m!`` overflows without raising and c0 becomes 0, and at
-    150 it is subnormal, so every value would lose bits unnoticed.  ``K`` at
-    integer m >= 0, y2zero at m = 0 (DLMF 10.8.1): the numerators of ``b_0``
-    and the tail, and the block's ratios.  Errors are not cached.
+    ``J`` and ``Jneg``: the series at alpha = 1, which a constructor reads at
+    alpha, with ``c_k = -c_{k-2} / (k * (k + 2r))`` at the root r.  A ``c0``
+    that is zero, subnormal or not finite raises DomainError: at integer
+    orders 151-170 ``2**m * m!`` overflows without raising and c0 becomes 0,
+    and at 150 it is subnormal, so every value would lose bits unnoticed.
+    ``K`` at integer m >= 0, y2zero at m = 0 (DLMF 10.8.1): the numerators
+    of ``b_0`` and the tail, and the block's ratios.  Errors are not cached.
     """
     if family == "K":
         m, ratios = order, [1.0][:order]  # b_0 / b_0, but no block at m = 0
         for j in range(1, m):
             ratios.append(ratios[-1] / (4.0 * j * (m - j)))
         tail, h_n, h_mn = [], 0.0, harmonic(m)
-        for n, c2n in enumerate(_table("J", float(m), n_terms)[0]):
+        for n, c2n in enumerate(_table("J", float(m), n_terms).coeffs[::2]):
             tail.append(c2n * (0.0 - h_n - h_mn))
             h_n += 1.0 / (n + 1)
             h_mn += 1.0 / (m + n + 1)
@@ -179,18 +180,7 @@ def _table(family: str, order: float, n_terms: int) -> tuple:
     slots = [c := c0]
     for k in range(2, n_terms, 2):
         slots.append(c := -c / (k * (k + 2.0 * r)))
-    _check_finite(slots)
-    coeffs = [0.0] * n_terms
-    coeffs[::2] = slots
-    return tuple(slots), tuple(coeffs)
-
-
-def _even_series(alpha: float, r: float, table: tuple) -> FracSeries:
-    """The series at offset ``r`` of a ``J`` or ``Jneg`` table."""
-    series = object.__new__(FracSeries)
-    series.__dict__.update(alpha=checked_alpha(alpha), offset=float(r),
-                           coeffs=table[1], _walk=(table[0], 2))
-    return series
+    return FracSeries._walked(1.0, float(r), n_terms, tuple(slots), 2)
 
 
 def bessel_j_series(p: float, alpha: float,
@@ -213,7 +203,7 @@ def bessel_j_series(p: float, alpha: float,
     # integer orders snap and take m!; gamma only enters for fractional ones
     if m is not None:
         p = float(m)
-    return _even_series(alpha, p, _table("J", p, n_terms))
+    return _with_alpha(_table("J", p, n_terms), alpha)
 
 
 def bessel_j_neg_series(p: float, alpha: float,
@@ -234,7 +224,7 @@ def bessel_j_neg_series(p: float, alpha: float,
         )
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive, got {n_terms}")
-    return _even_series(alpha, -p, _table("Jneg", p, n_terms))
+    return _with_alpha(_table("Jneg", p, n_terms), alpha)
 
 
 def bessel_j_neg_integer_series(m: int, alpha: float,

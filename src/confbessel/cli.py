@@ -245,9 +245,9 @@ def _collect_reports(ns: argparse.Namespace) -> "list[CheckReport]":
         raise UsageError("--family narrows the residual check only; drop "
                          "--family or use --name residual")
     solution = build_solution(ns.family, ns.order, ns.alpha, ns.terms)
-    # y2zero and K are built at the snapped order: their log part's offset
-    p = (solution.log_part.offset if isinstance(solution, LogSolution)
-         else ns.order)
+    # the snapped order it was built at: |offset| (of the log part)
+    p = abs((solution.log_part if isinstance(solution, LogSolution)
+             else solution).offset)
     return [checks.check_ode_residual(
         p, ns.alpha, solution, ns.xs, ns.tolerance,
         name=f"residual[{ns.family} order={ns.order:g} alpha={ns.alpha:g}]")]

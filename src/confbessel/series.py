@@ -162,6 +162,14 @@ class FracSeries(ImmutableValue):
         return len(self.coeffs)
 
 
+def _with_alpha(a: FracSeries, alpha: float) -> FracSeries:
+    """``a`` read at order ``alpha``: its offset, coefficients and walk."""
+    series = object.__new__(FracSeries)
+    series.__dict__.update(alpha=checked_alpha(alpha), offset=a.offset,
+                           coeffs=a.coeffs, _walk=a._walk)
+    return series
+
+
 class LogSolution(ImmutableValue):
     """Solution of the form ``log_part(x) * ln(x) + plain_part(x)``, x > 0."""
 

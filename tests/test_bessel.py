@@ -283,8 +283,10 @@ class TestFirstKindSeries:
             bessel_j_series(-0.5, 1.0)
 
     def test_bad_terms_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_terms must be positive"):
             bessel_j_series(0.0, 1.0, 0)
+        with pytest.raises(ValueError, match="n_terms must be positive"):
+            bessel_j_neg_series(2.5, 1.0, 0)
 
     @pytest.mark.parametrize("p", [150.0, 151.0, 160.0, 170.0, 141.3])
     def test_vanishing_leading_coefficient_rejected(self, p):
@@ -1013,14 +1015,24 @@ class TestTableCache:
 
     @pytest.mark.parametrize("build", [bessel_j_series, bessel_j_neg_series])
     def test_first_kind_tables_are_shared_across_alpha(self, build):
-        s, t = build(2.5, 0.3), build(2.5, 0.8)
-        assert (s.alpha, t.alpha) == (0.3, 0.8)
-        assert s.coeffs is t.coeffs and s._walk[0] is t._walk[0]
+        family = "J" if build is bessel_j_series else "Jneg"
+        for n_terms in (1, 2, 60, 121):
+            # the entry is the classical series: the constructor's at alpha 1
+            entry = _table(family, 2.5, n_terms)
+            assert entry == build(2.5, 1.0, n_terms) and entry.alpha == 1.0
+            assert entry._walk == (entry.coeffs[::2], 2)
+            for alpha in (1e-300, 0.3, 0.8, 1.0):
+                s = build(2.5, alpha, n_terms)
+                assert s.alpha == alpha and s.offset == entry.offset
+                assert s.coeffs is entry.coeffs
+                assert s._walk[0] is entry._walk[0] and s._walk[1] == 2
 
     def test_equal_orders_share_one_table_and_snap_the_offset(self):
         _table.cache_clear()
         built = [bessel_j_series(p, 0.5) for p in (1.0, True, 1, 1 + 1e-10)]
-        assert all(s.coeffs is built[0].coeffs for s in built)
+        entry = _table("J", 1.0, 60)
+        assert all(s.coeffs is entry.coeffs for s in built)
+        assert all(s._walk[0] is entry._walk[0] for s in built)
         assert [s.offset.hex() for s in built] == ["0x1.0000000000000p+0"] * 4
         zeros = [bessel_j_series(p, 0.5) for p in (-0.0, 0.0, 1e-10)]
         assert [s.offset.hex() for s in zeros] == ["0x0.0p+0"] * 3

@@ -288,6 +288,18 @@ class TestCheck:
         assert code == EXIT_OK
         assert out.splitlines()[-1] == "1/1 checks passed"
 
+    @pytest.mark.parametrize("family", ["J", "Jneg"])
+    def test_residual_runs_at_the_snapped_order(self, capsys, family):
+        # the series is built at order 1, so the residual is taken at p = 1
+        # (at p = 1.0000000001 it is 1.8e-11) and the report reads as order 1
+        reports = [run(capsys, "check", "--name", "residual", "--family",
+                       family, "--order", order, "--alpha", "0.5",
+                       "--tolerance", "1e-13")
+                   for order in ("1.0000000001", "1")]
+        assert reports[0] == reports[1]
+        assert reports[0][0] == EXIT_OK
+        assert reports[0][1].startswith(f"PASS residual[{family} order=1 ")
+
     def test_family_without_name_defaults_to_residual(self, capsys):
         code, out, _ = run(capsys, "check", "--family", "J", "--order", "0.5",
                            "--alpha", "0.7")
@@ -342,6 +354,15 @@ class TestCheck:
     def test_plain_output_has_no_ansi_when_not_a_tty(self, capsys):
         _, out, _ = run(capsys, "check", "--name", "halforder")
         assert "\x1b[" not in out
+
+
+#: ``--range`` grids starting at x <= 0.  ``--range -1:2:3`` does not reach
+#: the check: argparse reads ``-1:2:3`` as a flag and refuses the value.
+NON_POSITIVE_RANGES = [
+    ["table", "--range", "0:2:5"],
+    ["table", "--range=-1:2:3"],
+    ["check", "--family", "J", "--range", "0:2:5"],
+]
 
 
 class TestExitCodeMatrix:
@@ -412,6 +433,8 @@ class TestExitCodeMatrix:
         # an order so negative that 2p overflows a double
         ["eval", "--family", "K", "--order=-1e308", "--x", "1"],
         ["check", "--family", "K", "--order=-1.7976931348623157e308"],
+        # grids that reach x <= 0
+        *NON_POSITIVE_RANGES,
     ])
     def test_usage_and_domain_errors_exit_two(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -427,6 +450,12 @@ class TestExitCodeMatrix:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (f"confbessel: error: {command} takes --x or --range, "
                        "not both\n")
+
+    @pytest.mark.parametrize("argv", NON_POSITIVE_RANGES)
+    def test_non_positive_range_names_the_rule(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "confbessel: error: --range points must be positive\n"
 
     def test_k_leading_coefficient_overflow_names_alpha(self, capsys):
         code, out, err = run(capsys, "eval", "--family", "K", "--order", "1",
