@@ -22,14 +22,14 @@ four solution families arise:
 All four are built from one even-index recurrence at an indicial root r,
 ``c_k = -c_{k-2} / (k * (k + 2r))``, in ratio form rather than by per-term
 gamma/factorial evaluation: the ratio form cannot overflow (individual
-factors like ``2**(2n+p) * n! * gamma(p+n+1)`` would, past n ~ 80) and the
-gamma function enters exactly once, in the leading coefficient.  The two
-logarithmic solutions take the coefficients ``c_{2n}`` of their log part
-and weight them by harmonic numbers, as in the classical Y_n series; y2zero
-is K at m = 0 (DLMF 10.8.1).  Only the plain parts' 1/alpha depends on
-alpha: J and Jneg are the classical series read at t = x**alpha.  A 64-entry
-cache holds, per (order, n_terms), the J and Jneg series at alpha = 1, which
-a constructor reads at alpha, and the log tables, to which it applies alpha.
+factors like ``2**(2n+p) * n! * gamma(p+n+1)`` would, past n ~ 80) and
+gamma, exact at positive integers, enters only the leading coefficient.
+The log solutions weight the ``c_{2n}`` of their log part by harmonic
+numbers, as in the classical Y_n series; y2zero is K at m = 0 (DLMF
+10.8.1).  Only the plain parts' 1/alpha depends on alpha: J and Jneg are
+the classical series read at t = x**alpha.  A 64-entry cache holds, per
+(order, n_terms), the J and Jneg series at alpha = 1, which a constructor
+reads at alpha, and the log tables, to which it applies alpha.
 """
 
 import functools
@@ -78,18 +78,22 @@ _MAX_FACTORIAL = 170
 
 
 def gamma(z: float) -> float:
-    """Gamma function via the Lanczos approximation.
+    """Gamma function: exact at positive integers, Lanczos elsewhere.
 
-    Good to at least 12 significant digits on [-20, 50].  Arguments below
-    1/2 go through the reflection formula; zero and negative integers raise
-    :class:`PoleError`.  Arguments whose Lanczos product overflows a double
-    (above about 142.2, or below about -141.2 through the reflection) raise
+    ``(z - 1)!``, rounded once, at an integer 1 <= z <= 171 (DLMF 5.4.1);
+    elsewhere Lanczos, good to at least 12 significant digits on [-20, 50],
+    with the reflection formula below 1/2.  Zero and negative integers raise
+    :class:`PoleError`; arguments whose Lanczos product overflows a double
+    (above about 142.2 but integers to 171, or below about -141.2) raise
     :class:`DomainError`.
     """
     if not math.isfinite(z):
         raise ValueError(f"gamma requires a finite argument, got {z!r}")
-    if z <= 0.0 and z == math.floor(z):
-        raise PoleError(f"gamma has a pole at {z}")
+    if z == math.floor(z):
+        if z <= 0.0:
+            raise PoleError(f"gamma has a pole at {z}")
+        if z <= _MAX_FACTORIAL + 1:
+            return float(math.factorial(int(z) - 1))
     if z < 0.5:
         # reflection: gamma(z) * gamma(1 - z) = pi / sin(pi z)
         return math.pi / (math.sin(math.pi * z) * gamma(1.0 - z))
@@ -108,14 +112,6 @@ def gamma(z: float) -> float:
     return value
 
 
-def _factorial(m: int) -> float:
-    """``m!`` as a float; DomainError once it overflows a double."""
-    if m > _MAX_FACTORIAL:
-        raise DomainError(f"integer order too large: m! overflows a double "
-                          f"for m > {_MAX_FACTORIAL}")
-    return float(math.factorial(m))
-
-
 def harmonic(n: int) -> float:
     """Harmonic number ``H_n = 1 + 1/2 + ... + 1/n`` with ``H_0 = 0``."""
     if n < 0:
@@ -131,9 +127,8 @@ def integer_order(p: float) -> int | None:
 
     Only these orders need the integer-order constructions (the sign
     reduction of order -m and the logarithmic second solution); every other
-    p, half-odd integers included, takes the gamma leading coefficient and
-    has a valid order -p series.  A non-finite order, or an int beyond
-    float range, raises :class:`DomainError`.
+    p, half-odd integers included, has a valid order -p series.  A non-finite
+    order, or an int beyond float range, raises :class:`DomainError`.
     """
     p = _as_float(p)
     if not math.isfinite(p):
@@ -149,8 +144,8 @@ def _table(family: str, order: float, n_terms: int) -> FracSeries | tuple:
     ``J`` and ``Jneg``: the series at alpha = 1, which a constructor reads at
     alpha, with ``c_k = -c_{k-2} / (k * (k + 2r))`` at the root r.  A ``c0``
     that is zero, subnormal or not finite raises DomainError: at integer
-    orders 151-170 ``2**m * m!`` overflows without raising and c0 becomes 0,
-    and at 150 it is subnormal, so every value would lose bits unnoticed.
+    orders 151-170 ``gamma(m + 1) = m!`` times ``2**m`` overflows silently
+    and c0 becomes 0, and at 150 c0 is subnormal, so values would lose bits.
     ``K`` at integer m >= 0, y2zero at m = 0 (DLMF 10.8.1): the numerators
     of ``b_0`` and the tail, and the block's ratios.  Errors are not cached.
     """
@@ -165,15 +160,13 @@ def _table(family: str, order: float, n_terms: int) -> FracSeries | tuple:
             h_mn += 1.0 / (m + n + 1)
         b0_num = -float(math.prod(range(2, 2 * m, 2)))  # -2**(m-1) (m-1)!
         return b0_num, tuple(ratios), tuple(tail)
-    # gamma and m! are evaluated before 2.0**p: they raise DomainError well
-    # below the orders at which 2.0**p would raise OverflowError
+    # gamma is evaluated before 2.0**p: it raises DomainError well below
+    # the orders at which 2.0**p would raise OverflowError
     if family == "Jneg":
         g = gamma(1.0 - order)
         r, c0 = -order, 2.0 ** order / g
-    elif (m := integer_order(order)) is None:
-        r, c0 = order, 1.0 / (gamma(order + 1.0) * 2.0 ** order)
     else:
-        r, c0 = order, 1.0 / (_factorial(m) * 2.0 ** m)
+        r, c0 = order, 1.0 / (gamma(order + 1.0) * 2.0 ** order)
     if not sys.float_info.min <= abs(c0) < math.inf:
         raise DomainError(f"order {r:g} too large: the leading coefficient "
                           "is not representable as a double")
@@ -199,9 +192,11 @@ def bessel_j_series(p: float, alpha: float,
         )
     if n_terms < 1:
         raise ValueError(f"n_terms must be positive, got {n_terms}")
-    m = integer_order(p)
-    # integer orders snap and take m!; gamma only enters for fractional ones
-    if m is not None:
+    # integer orders snap to m, where gamma(m + 1) is m! exactly
+    if (m := integer_order(p)) is not None:
+        if m > _MAX_FACTORIAL:
+            raise DomainError(f"integer order too large: m! overflows a "
+                              f"double for m > {_MAX_FACTORIAL}")
         p = float(m)
     return _with_alpha(_table("J", p, n_terms), alpha)
 

@@ -178,11 +178,13 @@ def _output(path: str | None) -> Iterator[TextIO]:
 
 
 def _emit_json(records: list[dict], out: TextIO) -> None:
-    """One JSON object per line."""
+    """One strict JSON object per line; a non-finite float as CSV prints it."""
     import json  # loaded only for --format json
 
     for r in records:
-        out.write(json.dumps(r) + "\n")
+        r = {k: _fmt(v) if v.__class__ is float and not math.isfinite(v)
+             else v for k, v in r.items()}
+        out.write(json.dumps(r, allow_nan=False) + "\n")
 
 
 def _emit_rows(rows: list[dict], fmt: str, out: TextIO) -> None:

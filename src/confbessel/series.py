@@ -188,9 +188,9 @@ class EvalResult(NamedTuple):
     """Evaluated value with truncation bookkeeping.
 
     ``tail_estimate`` is the magnitude of the last nonzero term that entered
-    the sum.  It estimates the truncation error only: for an alternating
-    series whose terms decrease from that term on, the omitted rest is
-    smaller.  It ignores rounding and so is no error bound (J_0 at
+    the sum, never -0.0.  It estimates the truncation error only: for an
+    alternating series whose terms decrease from that term on, the omitted
+    rest is smaller.  It ignores rounding and so is no error bound (J_0 at
     alpha = 1, x = 10: tail 1.5e-20, error against mpmath 9.8e-14).
     """
 
@@ -313,7 +313,7 @@ def eval_series_kernel(a: FracSeries, x: float,
 
     Returns ``(value, terms_used, tail)`` where ``terms_used`` counts the
     slots of ``a.coeffs`` consumed and ``tail`` is the magnitude of the last
-    nonzero term that was added (0.0 if every coefficient was zero).  On an
+    nonzero term added (+0.0 if there was none or it underflowed).  On an
     early stop the count comes from the iterator's exact remaining length.
     """
     if x.__class__ is not float or not 0.0 < x < _INF:
@@ -341,9 +341,9 @@ def eval_series_kernel(a: FracSeries, x: float,
             if tail < stop_rel * (total if total >= 0.0 else -total):
                 # walked index i is slot stride * i of ``a.coeffs``
                 i = len(slots) - length_hint(rest) - 1
-                return total, stride * i + 1, tail
+                return total, stride * i + 1, tail + 0.0
         power = power * xa * xb
-    return total, len(a.coeffs), tail
+    return total, len(a.coeffs), tail + 0.0
 
 
 #: Builds an :class:`EvalResult` from a 3-tuple without the Python-level

@@ -372,6 +372,12 @@ class TestNegativeOrderSeries:
         with pytest.raises(OrderCaseError):
             bessel_j_neg_series(p, 1.0)
 
+    def test_order_below_half_an_ulp_of_one_is_order_zero(self):
+        # 1 - p rounds to 1.0, where gamma is exactly 1, and k - 2p rounds
+        # to k: the series is J_0's bit for bit
+        assert (bessel_j_neg_series(1e-17, 1.0).coeffs
+                == bessel_j_series(0.0, 1.0).coeffs)
+
     def test_half_order_cosine_closed_form(self):
         s = bessel_j_neg_series(0.5, 0.5)
         want = math.sqrt(1.0 / math.pi) * math.cos(2.0)
@@ -818,7 +824,9 @@ def ref_build_solution(family, order, alpha, terms):
 
 
 class TestCliRouting:
-    @pytest.mark.parametrize("family", ["J", "Jneg", "y2zero", "K"])
+    # "Q" is refused by argparse's choices before it reaches build_solution;
+    # a library caller gets the same usage error as the frozen routing
+    @pytest.mark.parametrize("family", ["J", "Jneg", "y2zero", "K", "Q"])
     @pytest.mark.parametrize("order", [
         0.0, 5e-10, -5e-10, 1.0, 2.0 - 1e-10, 0.5, 2.5, 3.0 + 1e-6, -1.0,
         170.5])

@@ -182,6 +182,14 @@ class TestEval:
         value = float(out.split("value = ")[1].splitlines()[0])
         assert value == pytest.approx(1.0, abs=1e-9)
 
+    def test_underflowed_tail_prints_as_zero(self, capsys):
+        # the last term added underflows to -0.0; the tail is its magnitude
+        _, out, _ = run(capsys, "eval", "--family", "Jneg", "--order", "0.5",
+                        "--x", "1e-300")
+        assert out.splitlines()[-1] == "tail_estimate = 0"
+        _, out, _ = run(capsys, "table", "--range", "1e-320:1:3")
+        assert out.splitlines()[1].endswith(",3,0")
+
     def test_json_format_single_object(self, capsys):
         code, out, _ = run(capsys, "eval", "--family", "J", "--order", "0",
                            "--alpha", "1", "--x", "1", "--format", "json")
@@ -342,6 +350,26 @@ class TestCheck:
                                    "max_rel_err", "tolerance", "mode",
                                    "passed"}
 
+    @pytest.mark.parametrize("flags,code,strings", [
+        (["--x", "1e150"], EXIT_CHECK_FAILED,
+         {"max_abs_err": "inf", "max_rel_err": "inf"}),
+        (["--tolerance", "inf"], EXIT_OK, {"tolerance": "inf"}),
+    ], ids=["x-1e150", "tolerance-inf"])
+    def test_non_finite_numbers_are_strict_json(self, capsys, flags, code,
+                                                strings):
+        # RFC 8259 has no Infinity or NaN; a non-finite number is written as
+        # the string the CSV prints
+        def refuse(constant):
+            raise ValueError(f"non-JSON constant {constant}")
+
+        got, out, _ = run(capsys, "check", "--name", "residual", "--family",
+                          "J", *flags, "--format", "json")
+        assert got == code
+        records = [json.loads(line, parse_constant=refuse)
+                   for line in out.splitlines()]
+        assert len(records) == 1
+        assert {k: records[0][k] for k in strings} == strings
+
     def test_csv_report_stream(self, capsys):
         code, out, _ = run(capsys, "check", "--name", "scaling", "--format",
                            "csv")
@@ -354,6 +382,29 @@ class TestCheck:
     def test_plain_output_has_no_ansi_when_not_a_tty(self, capsys):
         _, out, _ = run(capsys, "check", "--name", "halforder")
         assert "\x1b[" not in out
+
+    def test_plain_output_is_colored_on_a_tty(self, capsys, monkeypatch):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        _, out, _ = run(capsys, "check", "--name", "halforder")
+        assert out.startswith("\x1b[32mPASS\x1b[0m ")
+
+    def test_no_color_suppresses_the_color_on_a_tty(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setenv("NO_COLOR", "1")
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        _, out, _ = run(capsys, "check", "--name", "halforder")
+        assert out.startswith("PASS ")
+        assert "\x1b[" not in out
+
+    def test_out_file_is_never_colored(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("NO_COLOR", raising=False)
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        path = tmp_path / "reports.txt"
+        run(capsys, "check", "--name", "halforder", "--out", str(path))
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("PASS ")
+        assert "\x1b[" not in text
 
 
 #: ``--range`` grids starting at x <= 0.  ``--range -1:2:3`` does not reach

@@ -27,6 +27,12 @@ class TestGammaValues:
     def test_factorial_values(self, z, want):
         assert gamma(z) == pytest.approx(want, rel=1e-13)
 
+    def test_exact_at_positive_integers(self):
+        # gamma(n) = (n - 1)! (DLMF 5.4.1), exactly rounded, up to 170!, the
+        # largest factorial a double holds
+        for n in range(1, 172):
+            assert gamma(float(n)) == float(math.factorial(n - 1)), n
+
     def test_half_integer_values(self):
         assert gamma(0.5) == pytest.approx(SQRT_PI, rel=1e-13)
         assert gamma(1.5) == pytest.approx(0.88622692545275801, rel=1e-13)
@@ -49,10 +55,16 @@ class TestGammaValues:
             gamma(float("inf"))
 
     @pytest.mark.parametrize("z", [142.3, 142.5, 172.5, 2001.5, -141.3,
-                                   -141.5, -169.5])
-    def test_overflow_is_a_domain_error(self, z):
+                                   -141.5, -169.5, 172.0, 1e300])
+    def test_overflow_is_a_domain_error(self, z, monkeypatch):
         # the Lanczos power t**(z - 1/2) overflows a double past z ~ 142.4,
-        # and the product sqrt(2 pi) * power past z ~ 142.2
+        # and the product sqrt(2 pi) * power past z ~ 142.2; an integer above
+        # 171 takes that path too, since (z - 1)! overflows a double, and so
+        # never reaches math.factorial
+        def refuse(n):
+            raise AssertionError(f"math.factorial({n}) called")
+
+        monkeypatch.setattr(math, "factorial", refuse)
         with pytest.raises(DomainError):
             gamma(z)
 

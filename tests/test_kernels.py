@@ -51,11 +51,11 @@ def while_loop_kernel(coeffs, alpha, offset, x, stop_rel):
             used = n + 1
             at = total if total >= 0.0 else -total
             if tail < stop_rel * at:
-                return total, used, tail
+                return total, used, tail + 0.0
         power *= xa
         n += 1
 
-    return total, n_coeffs, tail
+    return total, n_coeffs, tail + 0.0
 
 
 def bits(result):

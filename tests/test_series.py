@@ -391,6 +391,16 @@ class TestEvalSeries:
                 drift = abs(full_sum(longer, x).value - res.value)
                 assert drift <= res.tail_estimate
 
+    def test_underflowed_tail_is_positive_zero(self):
+        # c_2 * x**1.5 with c_2 < 0 underflows to -0.0 and is the last term
+        # added, on an early stop and at the end of a three-slot walk; its
+        # magnitude is +0.0
+        short = bessel_j_neg_series(0.5, 1.0, 3)
+        for res in (eval_series(bessel_j_neg_series(0.5, 1.0), 1e-300),
+                    full_sum(short, 1e-300)):
+            assert res.terms_used == 3
+            assert math.copysign(1.0, res.tail_estimate) == 1.0
+
     def test_negative_offset_singularity_growth(self):
         a = S(0.5, -1.0, [1.0])
         assert eval_series(a, 0.25).value == pytest.approx(0.25 ** -0.5)
