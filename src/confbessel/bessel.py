@@ -38,7 +38,7 @@ import sys
 
 from .errors import DomainError, OrderCaseError, PoleError
 from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _as_float,
-                     _with_alpha, checked_alpha, series_scale)
+                     _finite, _with_alpha, checked_alpha, series_scale)
 
 __all__ = [
     "gamma",
@@ -85,10 +85,10 @@ def gamma(z: float) -> float:
     with the reflection formula below 1/2.  Zero and negative integers raise
     :class:`PoleError`; arguments whose Lanczos product overflows a double
     (above about 142.2 but integers to 171, or below about -141.2) raise
-    :class:`DomainError`.
+    :class:`DomainError`; a non-finite ``float(z)`` (an int beyond float
+    range reads as +-inf) raises ValueError.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"gamma requires a finite argument, got {z!r}")
+    z = _finite(z, ValueError, "gamma requires a finite argument, got {!r}")
     if z == math.floor(z):
         if z <= 0.0:
             raise PoleError(f"gamma has a pole at {z}")
@@ -130,9 +130,7 @@ def integer_order(p: float) -> int | None:
     p, half-odd integers included, has a valid order -p series.  A non-finite
     order, or an int beyond float range, raises :class:`DomainError`.
     """
-    p = _as_float(p)
-    if not math.isfinite(p):
-        raise DomainError(f"order must be finite, got {p}")
+    p = _finite(p, DomainError, "order must be finite, got {}")
     m = round(p)
     return m if m >= 0 and abs(p - m) <= INTEGER_TOL else None
 

@@ -51,6 +51,7 @@ from .series import (
     FracSeries,
     LogSolution,
     _as_float,
+    _finite,
     checked_alpha,
     conformable_diff_exact,
     eval_log_solution,
@@ -194,9 +195,7 @@ def classical_bessel_j(n: int, z: float) -> float:
     """
     if n < 0 or not _as_float(n).is_integer():
         raise ValueError(f"oracle needs integer n >= 0, got {n}")
-    z = _as_float(z)
-    if not math.isfinite(z):
-        raise ValueError(f"oracle needs a finite z, got {z}")
+    z = _finite(z, ValueError, "oracle needs a finite z, got {}")
     if z < 0.0:
         raise ValueError(f"oracle needs z >= 0, got {z}")
     if z + n > ORACLE_MAX_ARG:

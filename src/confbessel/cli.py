@@ -151,11 +151,13 @@ def _row(solution: FracSeries | LogSolution, x: float) -> dict:
 def _output(path: str | None) -> Iterator[TextIO]:
     """stdout, flushed on the way out, or the file at ``path``, closed.
 
-    A failed write, flush or close becomes a UsageError.  On a broken
-    stdout pipe, stdout is pointed at the null device so the interpreter's
-    final flush does not fail a second time.
+    A closed stdout (None), or a failed write, flush or close, becomes a
+    UsageError.  On a broken stdout pipe, stdout is pointed at the null
+    device so the interpreter's final flush does not fail a second time.
     """
     if path is None:
+        if sys.stdout is None:
+            raise UsageError("cannot write to stdout: it is closed")
         try:
             yield sys.stdout
             sys.stdout.flush()

@@ -102,6 +102,13 @@ def _as_float(v: float) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+def _finite(v: float, error: type[Exception], message: str) -> float:
+    """``_as_float(v)``, or ``error(message.format(v))`` if not finite."""
+    if not math.isfinite(v := _as_float(v)):
+        raise error(message.format(v))
+    return v
+
+
 def _check_finite(values: tuple[float, ...]) -> None:
     if not all(map(math.isfinite, values)):
         bad = next(c for c in values if not math.isfinite(c))
@@ -129,9 +136,7 @@ class FracSeries(ImmutableValue):
     def __init__(self, alpha: float, offset: float,
                  coeffs: tuple[float, ...]):
         alpha = checked_alpha(alpha)
-        offset = _as_float(offset)
-        if not math.isfinite(offset):
-            raise ValueError(f"offset must be finite, got {offset!r}")
+        offset = _finite(offset, ValueError, "offset must be finite, got {!r}")
         try:
             coeffs = tuple(map(float, coeffs))
         except OverflowError:
@@ -217,9 +222,7 @@ def linspace(start: float, stop: float, num: int) -> list[float]:
 
 def series_scale(a: FracSeries, k: float) -> FracSeries:
     """Multiply every coefficient by the finite scalar ``k``."""
-    k = _as_float(k)
-    if not math.isfinite(k):
-        raise ValueError(f"scale factor must be finite, got {k!r}")
+    k = _finite(k, ValueError, "scale factor must be finite, got {!r}")
     slots, stride = a._walk
     return FracSeries._walked(a.alpha, a.offset, len(a.coeffs),
                               tuple([k * c for c in slots]), stride)
@@ -236,9 +239,7 @@ def series_shift(a: FracSeries, dr: float) -> FracSeries:
     """
     if dr == 0:
         return a
-    dr = _as_float(dr)
-    if not math.isfinite(dr):
-        raise ValueError(f"shift must be finite, got {dr!r}")
+    dr = _finite(dr, ValueError, "shift must be finite, got {!r}")
     dr_int = round(dr)
     if abs(dr - dr_int) <= OFFSET_TOL and dr_int >= 1:
         try:
@@ -297,16 +298,15 @@ def conformable_diff_exact(a: FracSeries) -> FracSeries:
         stride)
 
 
-def eval_series_kernel(a: FracSeries, x: float,
-                       stop_rel: float) -> tuple[float, int, float]:
+def eval_series_kernel(a: FracSeries, x: float) -> tuple[float, int, float]:
     """Sum ``c_n * x**((n+offset)*alpha)`` over the slots ``a._walk`` names.
 
     A float ``x`` in (0, inf) passes as is, any other goes through
     :func:`_checked_x`, and an overflowing ``x**(offset*alpha)`` raises
     DomainError.  Terms are accumulated in ascending n with Kahan
     compensation.  The loop stops early once a nonzero-coefficient term
-    drops below ``stop_rel`` times the magnitude of the partial sum; zero
-    coefficients never trigger the stop test.  The power starts at slot 0
+    drops below ``STOP_REL``, read once per call, times the magnitude of
+    the partial sum; zero coefficients never trigger the stop test.  The power starts at slot 0
     and steps as ``power * xa * xb``, with ``xb`` = ``xa`` at stride 2 and
     the exact 1.0 at stride 1: the roundings of ``power *= xa`` through
     every slot, in the same order.
@@ -326,6 +326,7 @@ def eval_series_kernel(a: FracSeries, x: float,
         raise DomainError(f"x = {x:g} is out of range: x**(offset*alpha) "
                           "overflows a double") from None
     xb = xa if stride == 2 else 1.0
+    stop_rel = STOP_REL
 
     total = carry = tail = 0.0
     rest = iter(slots)
@@ -357,9 +358,8 @@ _INF = math.inf
 
 def checked_alpha(alpha: float) -> float:
     """``alpha`` as a float, or DomainError unless it lies in (0, 1]."""
-    alpha = _as_float(alpha)
-    if not math.isfinite(alpha):
-        raise DomainError(f"alpha must be a finite real number, got {alpha!r}")
+    alpha = _finite(alpha, DomainError,
+                    "alpha must be a finite real number, got {!r}")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     return alpha
@@ -377,13 +377,13 @@ def _checked_x(x: float) -> float:
 def eval_series(a: FracSeries, x: float) -> EvalResult:
     """Evaluate the series at ``x > 0``.
 
-    Terms are summed in ascending order with compensated summation; the sum
-    stops early once a nonzero term falls below ``STOP_REL`` times the
-    running total.  The kernel checks ``x``, and one :class:`EvalResult` is
-    built per point.
+    Terms are summed in ascending order with compensated summation; the
+    kernel reads ``STOP_REL`` and stops early once a nonzero term falls
+    below it times the running total.  The kernel checks ``x``, and one
+    :class:`EvalResult` is built per point.
     """
     # the kernel is a module global looked up per call: a tracer rebinds it
-    return _result(EvalResult, eval_series_kernel(a, x, STOP_REL))
+    return _result(EvalResult, eval_series_kernel(a, x))
 
 
 def eval_log_solution(s: LogSolution, x: float) -> EvalResult:
@@ -394,8 +394,8 @@ def eval_log_solution(s: LogSolution, x: float) -> EvalResult:
     Both parts go straight to the kernel, which checks ``x`` before
     ``math.log`` sees it, and one :class:`EvalResult` is built per point.
     """
-    lg, lg_used, lg_tail = eval_series_kernel(s.log_part, x, STOP_REL)
-    pl, pl_used, pl_tail = eval_series_kernel(s.plain_part, x, STOP_REL)
+    lg, lg_used, lg_tail = eval_series_kernel(s.log_part, x)
+    pl, pl_used, pl_tail = eval_series_kernel(s.plain_part, x)
     lnx = math.log(x)
     return _result(EvalResult, (lg * lnx + pl, max(lg_used, pl_used),
                                 abs(lnx) * lg_tail + pl_tail))

@@ -572,8 +572,43 @@ class TestWriteErrors:
         err = proc.stderr.read()
         proc.stderr.close()
         assert proc.wait(timeout=120) == EXIT_USAGE
-        assert err.startswith("confbessel: error: cannot write to stdout: ")
-        assert err.count("\n") == 1
+        assert err == ("confbessel: error: cannot write to stdout: "
+                       "[Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="host has no /dev/full")
+    def test_full_stdout_exits_two(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "confbessel", "eval", "--x", "1"],
+                env=CHILD_ENV, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == ("confbessel: error: cannot write to stdout: "
+                               "[Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--x", "1"],
+        ["table", "--range", "1:2:3"],
+        ["check", "--name", "halforder"],
+    ])
+    def test_closed_stdout_exits_two(self, argv):
+        # with fd 1 closed at start-up the interpreter sets sys.stdout to
+        # None, which no writer may be handed
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m confbessel "$@" >&-', sys.executable,
+             *argv], env=CHILD_ENV, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == ("confbessel: error: cannot write to stdout: "
+                               "it is closed\n")
+
+    def test_out_path_is_written_with_stdout_closed(self, tmp_path, capsys):
+        path = tmp_path / "eval.txt"
+        proc = subprocess.run(
+            ["sh", "-c", 'exec "$0" -m confbessel "$@" >&-', sys.executable,
+             "eval", "--x", "1", "--out", str(path)],
+            env=CHILD_ENV, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == EXIT_OK and proc.stderr == ""
+        assert path.read_text() == run(capsys, "eval", "--x", "1")[1]
 
 
 class TestConsoleScript:

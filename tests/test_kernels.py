@@ -2,6 +2,7 @@
 
 import math
 import struct
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from confbessel import (
     second_solution_order_zero,
     series_shift,
 )
+from confbessel import series
 from confbessel.series import eval_series_kernel
 
 
@@ -69,12 +71,20 @@ def walk_of(coeffs):
     return (coeffs, 1) if any(coeffs[1::2]) else (coeffs[::2], 2)
 
 
+def kernel_at(a, x, stop_rel):
+    """``eval_series_kernel(a, x)`` with ``series.STOP_REL`` set to
+    ``stop_rel``; a patch, since hypothesis refuses the function-scoped
+    ``monkeypatch`` fixture."""
+    with patch.object(series, "STOP_REL", stop_rel):
+        return eval_series_kernel(a, x)
+
+
 def assert_bit_identical(a, x, stop_rel):
     """The kernel over the walk the series ``a`` records, against the
     while-loop oracle over its every slot."""
     expected = bits(while_loop_kernel(a.coeffs, a.alpha, a.offset, x,
                                       stop_rel))
-    assert bits(eval_series_kernel(a, x, stop_rel)) == expected
+    assert bits(kernel_at(a, x, stop_rel)) == expected
 
 
 class TestPythonKernel:
@@ -83,7 +93,7 @@ class TestPythonKernel:
 
     def test_early_stop_and_tail(self):
         j0 = bessel_j_series(0.0, 1.0, 60)
-        value, used, tail = eval_series_kernel(j0, 0.5, 1e-18)
+        value, used, tail = eval_series_kernel(j0, 0.5)
         assert used < 60
         assert tail >= 0.0
         assert value == pytest.approx(0.93846980724081283, rel=1e-12)
@@ -95,7 +105,7 @@ class TestPythonKernel:
                                ((1.0, 0.0, 1.0, 1.0, 0.0), 1)):
             a = FracSeries(1.0, 0.0, coeffs)
             assert a._walk[1] == stride
-            value, used, _ = eval_series_kernel(a, 1.0, 1e-18)
+            value, used, _ = eval_series_kernel(a, 1.0)
             assert used == 5
             assert value == pytest.approx(sum(coeffs))
 
@@ -169,7 +179,7 @@ class TestBitIdentity:
     ])
     def test_both_returns(self, coeffs, offset, x, used):
         a = FracSeries(1.0, offset, coeffs)
-        assert eval_series_kernel(a, x, 1e-18)[1] == used
+        assert eval_series_kernel(a, x)[1] == used
         assert_bit_identical(a, x, 1e-18)
 
     @pytest.mark.parametrize("alpha", [0.35, 0.8, 1.0])
@@ -240,7 +250,7 @@ class TestEvenSlots:
     ])
     def test_terms_used_counts_slots_of_the_full_tuple(self, coeffs, used):
         a = FracSeries(1.0, 0.0, coeffs)
-        assert eval_series_kernel(a, 1.0, 0.5)[1] == used
+        assert kernel_at(a, 1.0, 0.5)[1] == used
 
     @pytest.mark.parametrize("n_terms", [30, 60, 120])
     @pytest.mark.parametrize("alpha", [0.35, 0.8, 1.0])

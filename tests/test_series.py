@@ -2,6 +2,7 @@
 
 import math
 import struct
+from unittest.mock import patch
 
 import mpmath
 import pytest
@@ -17,6 +18,7 @@ from confbessel import (
     conformable_diff_exact,
     eval_log_solution,
     eval_series,
+    gamma,
     second_solution_integer_order,
     second_solution_order_zero,
     series_rebase,
@@ -33,12 +35,8 @@ def S(alpha, offset, coeffs):
 
 def full_sum(s, x):
     """``eval_series`` without its early stop: every slot is summed."""
-    return EvalResult(*series.eval_series_kernel(s, x, 0.0))
-
-
-def kernel_at_stop_rel(s, x):
-    """The kernel as the evaluators call it, with ``STOP_REL``."""
-    return series.eval_series_kernel(s, x, series.STOP_REL)
+    with patch.object(series, "STOP_REL", 0.0):
+        return EvalResult(*series.eval_series_kernel(s, x))
 
 
 class TestAlpha:
@@ -141,8 +139,11 @@ class TestSeriesScale:
         assert series_scale(a, 2.0).coeffs == (2.0, -0.5)
 
     def test_non_finite_factor_raises(self):
-        with pytest.raises(ValueError):
-            series_scale(S(1.0, 0.0, [1.0]), float("nan"))
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError) as info:
+                series_scale(S(1.0, 0.0, [1.0]), value)
+            assert str(info.value) == (
+                f"scale factor must be finite, got {value!r}")
 
 
 class TestSeriesShift:
@@ -218,6 +219,9 @@ def test_non_finite_shift_or_offset_is_refused(value):
         series_shift(a, value)
     assert type(info.value) is ValueError
     assert str(info.value) == f"shift must be finite, got {value!r}"
+    with pytest.raises(ValueError) as info:
+        S(1.0, value, [1.0])
+    assert str(info.value) == f"offset must be finite, got {value!r}"
     with pytest.raises(AlignmentError) as info:
         series_rebase(a, value)
     assert str(info.value) == (f"cannot rebase offset 0.0 to {value}: "
@@ -250,7 +254,8 @@ HUGE_INT_ENTRY_POINTS = {
                               second_solution_order_zero(1.0, 10), v)),
     "eval_series_kernel": (DomainError, "x must be a finite real number",
                            lambda v: series.eval_series_kernel(
-                               S(1.0, 0.0, [1.0]), v, series.STOP_REL)),
+                               S(1.0, 0.0, [1.0]), v)),
+    "gamma": (ValueError, "gamma requires a finite argument", gamma),
 }
 
 
@@ -338,7 +343,7 @@ class TestEvalSeries:
         a = S(1.0, 0.0, [1.0])
         for evaluate, value in ((eval_series, a),
                                 (eval_log_solution, LogSolution(a, a)),
-                                (kernel_at_stop_rel, a)):
+                                (series.eval_series_kernel, a)):
             with pytest.raises(DomainError) as excinfo:
                 evaluate(value, bad)
             assert str(excinfo.value) == message
@@ -450,7 +455,7 @@ class TestLogSolution:
                           S(1.0, plain_offset, [1.0]))
         part = sol.log_part if log_offset else sol.plain_part
         for evaluate, value in ((eval_log_solution, sol), (eval_series, part),
-                                (kernel_at_stop_rel, part)):
+                                (series.eval_series_kernel, part)):
             with pytest.raises(DomainError) as excinfo:
                 evaluate(value, x)
             assert str(excinfo.value) == (
@@ -522,8 +527,8 @@ class TestLogSolution:
         eval_series(odd, 1.5)
         parts = [sol.log_part, sol.plain_part, odd]
         assert len(calls) == len(parts)
-        for (a, x, stop_rel), part in zip(calls, parts):
-            assert a is part and x == 1.5 and stop_rel == series.STOP_REL
+        for (a, x), part in zip(calls, parts):
+            assert a is part and x == 1.5
         assert [part._walk for part in parts] == [
             (sol.log_part.coeffs[::2], 2),
             (sol.plain_part.coeffs[::2], 2),
