@@ -37,8 +37,8 @@ import math
 import sys
 
 from .errors import DomainError, OrderCaseError, PoleError
-from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _as_float,
-                     _finite, _with_alpha, checked_alpha, series_scale)
+from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _finite,
+                     _whole, _with_alpha, checked_alpha, series_scale)
 
 __all__ = [
     "gamma",
@@ -188,8 +188,8 @@ def bessel_j_series(p: float, alpha: float,
             f"first-kind series needs p >= 0, got {p}; use "
             "bessel_j_neg_series or bessel_j_neg_integer_series for -p"
         )
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be positive, got {n_terms}")
+    n_terms = _whole(n_terms, 1, ValueError,
+                     "n_terms must be positive, got {}")
     # integer orders snap to m, where gamma(m + 1) is m! exactly
     if (m := integer_order(p)) is not None:
         if m > _MAX_FACTORIAL:
@@ -215,8 +215,8 @@ def bessel_j_neg_series(p: float, alpha: float,
             f"order -{p} with integer p reduces to a signed first-kind "
             "series; use bessel_j_neg_integer_series"
         )
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be positive, got {n_terms}")
+    n_terms = _whole(n_terms, 1, ValueError,
+                     "n_terms must be positive, got {}")
     return _with_alpha(_table("Jneg", p, n_terms), alpha)
 
 
@@ -229,10 +229,10 @@ def bessel_j_neg_integer_series(m: int, alpha: float,
     the first-kind series with an alternating sign.  At even m that is the
     order-m series itself, since ``1.0 * c`` is ``c`` bit for bit.
     """
-    if m < 0 or not _as_float(m).is_integer():
-        raise OrderCaseError(f"integer reduction needs integer m >= 0, got {m}")
+    m = _whole(m, 0, OrderCaseError,
+               "integer reduction needs integer m >= 0, got {}")
     series = bessel_j_series(float(m), alpha, n_terms)
-    return series_scale(series, -1.0) if int(m) % 2 else series
+    return series_scale(series, -1.0) if m % 2 else series
 
 
 def _log_solution(m: int, a: float, n_terms: int,
@@ -240,6 +240,7 @@ def _log_solution(m: int, a: float, n_terms: int,
     """The log solution of integer order ``m >= 0``; a plain slot that
     overflows raises DomainError(``too_small`` formatted with a and m)."""
     log_part = bessel_j_series(float(m), a, n_terms)
+    n_terms = len(log_part)  # the count bessel_j_series read
     b0_num, ratios, tail = _table("K", m, n_terms)
     b0, two_a = b0_num / a, 2.0 * a
     # b_{2j} is slot j, b_{2m+2n} slot m + n
@@ -287,10 +288,8 @@ def second_solution_integer_order(m: int, alpha: float,
     overflows a double for alpha below about 5.6e-309 at m = 1, or 5e-6 at
     m = 149, the highest order the log part admits; that raises DomainError.
     """
-    if m < 1 or not _as_float(m).is_integer():
-        raise OrderCaseError(
-            f"integer-order second solution needs integer m >= 1, got {m}"
-        )
-    return _log_solution(int(m), checked_alpha(alpha), n_terms,
+    m = _whole(m, 1, OrderCaseError,
+               "integer-order second solution needs integer m >= 1, got {}")
+    return _log_solution(m, checked_alpha(alpha), n_terms,
                          "alpha = {a:g} is too small for order {m}: the "
                          "leading coefficient overflows a double")

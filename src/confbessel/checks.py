@@ -46,12 +46,13 @@ from .bessel import (
     second_solution_integer_order,
     second_solution_order_zero,
 )
-from .errors import DomainError
+from .errors import AlignmentError, DomainError
 from .series import (
     FracSeries,
     LogSolution,
     _as_float,
     _finite,
+    _whole,
     checked_alpha,
     conformable_diff_exact,
     eval_log_solution,
@@ -174,14 +175,18 @@ def _coefficientwise(name: str, rows: Sequence[tuple[float, float, float]],
     ``|l - r| / max(|l|, |r|)`` over the first ``N_COEFF_COMPARE`` slots,
     zero-padded, of ``lhs`` and of ``rhs`` aligned to the offset of
     ``lhs``, skipping slots where both are zero; it is the gauge ("rel"
-    mode).  The absolute column holds the spot deviations
-    ``|lhs(x) - rhs(x)|`` at the rows' x.
+    mode), infinite for sides no whole number of steps aligns.  The absolute
+    column holds the spot deviations ``|lhs(x) - rhs(x)|`` at the rows' x.
     """
     lhs, rhs = sides
     pad = (0.0,) * N_COEFF_COMPARE
-    slots = zip((lhs.coeffs + pad)[:N_COEFF_COMPARE],
-                series_rebase(rhs, lhs.offset).coeffs + pad)
-    rel_devs = [abs(l - r) / max(abs(l), abs(r)) for l, r in slots if l or r]
+    try:
+        slots = zip((lhs.coeffs + pad)[:N_COEFF_COMPARE],
+                    series_rebase(rhs, lhs.offset).coeffs + pad)
+        rel_devs = [abs(l - r) / max(abs(l), abs(r))
+                    for l, r in slots if l or r]
+    except AlignmentError:
+        rel_devs = [math.inf]
     abs_devs = [abs(eval_series(lhs, x).value - eval_series(rhs, x).value)
                 for _, _, x in rows]
     return _report(name, rows, abs_devs, rel_devs,
@@ -193,15 +198,13 @@ def classical_bessel_j(n: int, z: float) -> float:
 
     The rule uses ``int(z) + n + 32`` panels; see the module docstring.
     """
-    if n < 0 or not _as_float(n).is_integer():
-        raise ValueError(f"oracle needs integer n >= 0, got {n}")
+    n = _whole(n, 0, ValueError, "oracle needs integer n >= 0, got {}")
     z = _finite(z, ValueError, "oracle needs a finite z, got {}")
     if z < 0.0:
         raise ValueError(f"oracle needs z >= 0, got {z}")
     if z + n > ORACLE_MAX_ARG:
         raise ValueError(f"oracle needs z + n <= {ORACLE_MAX_ARG:g}, "
                          f"got {z + n:g}")
-    n = int(n)
     panels = int(z) + n + 32
     h = math.pi / panels
     values = [math.cos(n * (k * h) - z * math.sin(k * h))
@@ -209,12 +212,6 @@ def classical_bessel_j(n: int, z: float) -> float:
     values[0] *= 0.5
     values[-1] *= 0.5
     return math.fsum(values) / panels
-
-
-def _require_integer(n: float, least: int, what: str) -> None:
-    """ValueError unless ``n`` is an integer no smaller than ``least``."""
-    if n < least or not _as_float(n).is_integer():
-        raise ValueError(f"{what} needs an integer order >= {least}, got {n}")
 
 
 def _rows(p: float, alpha: float, grid: Iterable[float]
@@ -393,7 +390,8 @@ def check_identity(name: str, p: int, alpha: float,
     coefficient, ``POINT_TOL`` pointwise.
     """
     row = IDENTITIES[name]
-    _require_integer(p, row.least, row.what)
+    _whole(p, row.least, ValueError,
+           f"{row.what} needs an integer order >= {row.least}, got {{}}")
     alpha, rows = _rows(p, alpha, grid)
     return row.primitive(f"{name}[{row.symbol}={p} alpha={alpha:g}]",
                          rows, row.build(p, alpha), tolerance)
@@ -440,7 +438,8 @@ def check_series_vs_quadrature(p: int, alpha: float,
     at x**alpha, computed by an entirely independent method.  ``tolerance``
     defaults to ``ORACLE_TOL``.
     """
-    _require_integer(p, 0, "oracle comparison")
+    _whole(p, 0, ValueError,
+           "oracle comparison needs an integer order >= 0, got {}")
     alpha, rows = _rows(p, alpha, grid)
     series = bessel_j_series(p, alpha)
 
@@ -471,7 +470,8 @@ def check_second_solution_scaling(alpha: float,
         classical = second_solution_order_zero(1.0)
         label = "zero"
     else:
-        _require_integer(m, 1, "integer-order scaling check")
+        _whole(m, 1, ValueError, "integer-order scaling check needs an "
+               "integer order >= 1, got {}")
         alpha, rows = _rows(float(m), alpha, grid)
         mine = second_solution_integer_order(m, alpha)
         classical = second_solution_integer_order(m, 1.0)

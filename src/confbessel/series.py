@@ -109,6 +109,14 @@ def _finite(v: float, error: type[Exception], message: str) -> float:
     return v
 
 
+def _whole(v: float, least: int, error: type[Exception], message: str) -> int:
+    """The whole number ``_as_float(v) >= least`` as an int, else
+    ``error(message.format(v))`` with ``v`` as given."""
+    if not ((f := _as_float(v)).is_integer() and f >= least):
+        raise error(message.format(v))
+    return int(f)
+
+
 def _check_finite(values: tuple[float, ...]) -> None:
     if not all(map(math.isfinite, values)):
         bad = next(c for c in values if not math.isfinite(c))
@@ -306,10 +314,10 @@ def eval_series_kernel(a: FracSeries, x: float) -> tuple[float, int, float]:
     DomainError.  Terms are accumulated in ascending n with Kahan
     compensation.  The loop stops early once a nonzero-coefficient term
     drops below ``STOP_REL``, read once per call, times the magnitude of
-    the partial sum; zero coefficients never trigger the stop test.  The power starts at slot 0
-    and steps as ``power * xa * xb``, with ``xb`` = ``xa`` at stride 2 and
-    the exact 1.0 at stride 1: the roundings of ``power *= xa`` through
-    every slot, in the same order.
+    the partial sum; zero coefficients never trigger the stop test.  The
+    power starts at slot 0 and steps as ``power * xa * xb``, with ``xb`` =
+    ``xa`` at stride 2 and the exact 1.0 at stride 1: the roundings of
+    ``power *= xa`` through every slot, in the same order.
 
     Returns ``(value, terms_used, tail)`` where ``terms_used`` counts the
     slots of ``a.coeffs`` consumed and ``tail`` is the magnitude of the last

@@ -1070,3 +1070,43 @@ class TestTableCache:
             bessel_j_series(k + 0.5, 1.0, 10)
         info = _table.cache_info()
         assert info.misses == 100 and info.currsize == info.maxsize == 64
+
+
+#: The five constructors, each with its term count as the argument.
+BY_COUNT = {
+    "J": lambda n: bessel_j_series(0.5, 0.5, n),
+    "Jneg": lambda n: bessel_j_neg_series(0.5, 0.5, n),
+    "neg-integer": lambda n: bessel_j_neg_integer_series(3, 0.5, n),
+    "y2zero": lambda n: second_solution_order_zero(0.5, n),
+    "K": lambda n: second_solution_integer_order(2, 0.5, n),
+}
+
+
+class TestWholeNumbers:
+    """A term count or an integer order is read as a number, as every
+    other argument is: a whole value of any type is its int."""
+
+    @pytest.mark.parametrize("name", BY_COUNT)
+    def test_a_whole_float_count_is_the_int(self, name):
+        # the float comes first, to a cold cache: the int then finds the
+        # entries the float made
+        _table.cache_clear()
+        got = _outcome(BY_COUNT[name], 60.0)
+        entries = _table.cache_info().currsize
+        assert got == _outcome(BY_COUNT[name], 60)
+        info = _table.cache_info()
+        assert info.currsize == entries > 0 and info.hits > 0
+
+    @pytest.mark.parametrize("name", BY_COUNT)
+    def test_a_fractional_count_is_a_value_error(self, name):
+        # NaN and +-inf are in tests/test_checks.py's refusal tests
+        with pytest.raises(ValueError) as info:
+            BY_COUNT[name](2.5)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "n_terms must be positive, got 2.5"
+
+    @pytest.mark.parametrize("m", ["2", "3", 3.0, True])
+    @pytest.mark.parametrize("build", [bessel_j_neg_integer_series,
+                                       second_solution_integer_order])
+    def test_a_whole_order_of_any_type_is_the_int(self, build, m):
+        assert _outcome(build, m, 0.5) == _outcome(build, int(float(m)), 0.5)

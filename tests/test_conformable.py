@@ -16,20 +16,34 @@ from confbessel import (
 from confbessel.errors import DomainError, EvaluationError
 
 
+def ref_diff(f, x, alpha, step_scale):
+    """The operator as it stood with a ``step_scale`` option: the prefactor
+    times a central difference of step ``step_scale * max(x, 1)``."""
+    h = step_scale * max(x, 1.0)
+    return x ** (1.0 - alpha) * ((f(x + h) - f(x - h)) / (2.0 * h))
+
+
 class TestDiffConfig:
-    def test_holds_alpha_and_step(self):
-        cfg = DiffConfig(0.5, 1e-5)
-        assert cfg.alpha == 0.5
-        assert cfg.step_scale == 1e-5
+    def test_holds_alpha_only(self):
+        cfg = DiffConfig(0.5)
+        assert cfg.alpha == 0.5 and type(cfg)._fields == ("alpha",)
 
     def test_coerces_float_alpha(self):
         alpha = DiffConfig(1).alpha
         assert alpha == 1.0 and type(alpha) is float
 
-    @pytest.mark.parametrize("bad", [0.0, -1e-6, float("nan")])
-    def test_rejects_bad_step(self, bad):
-        with pytest.raises(ValueError):
-            DiffConfig(0.5, bad)
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("x", [0.4, 1.0, 3.7])
+    def test_steps_are_the_old_default_bit_for_bit(self, alpha, x):
+        # the first derivative steps by 1e-6 * max(x, 1), each stage of the
+        # second by sqrt(1e-6) * max(x, 1), as the one-time default did
+        f = math.sin
+        cfg = DiffConfig(alpha)
+        assert conformable_diff_numeric(f, x, cfg) \
+            == ref_diff(f, x, alpha, 1e-6)
+        stage = math.sqrt(1e-6)
+        assert conformable_diff2_numeric(f, x, cfg) == ref_diff(
+            lambda t: ref_diff(f, t, alpha, stage), x, alpha, stage)
 
 
 class TestFirstDerivative:

@@ -49,9 +49,8 @@ CASES = {
         "offset=1.0, coeffs=(0.0, 2.0)))",
         ("log_part", "plain_part")),
     "DiffConfig": (
-        lambda: DiffConfig(0.75), lambda: DiffConfig(0.75, 1e-4),
-        "DiffConfig(alpha=0.75, step_scale=1e-06)",
-        ("alpha", "step_scale")),
+        lambda: DiffConfig(0.75), lambda: DiffConfig(0.5),
+        "DiffConfig(alpha=0.75)", ("alpha",)),
     "EvalResult": (
         lambda: EvalResult(1.5, 3, 2e-17), lambda: EvalResult(1.5, 4, 2e-17),
         "EvalResult(value=1.5, terms_used=3, tail_estimate=2e-17)",
@@ -109,7 +108,7 @@ def test_assignment_raises(case):
 def test_keyword_construction_matches_positional():
     assert FracSeries(alpha=0.5, offset=1.0, coeffs=(1.0,)) \
         == FracSeries(0.5, 1.0, (1.0,))
-    assert DiffConfig(alpha=0.5, step_scale=1e-6) == DiffConfig(0.5)
+    assert DiffConfig(alpha=0.5) == DiffConfig(0.5)
 
 
 
