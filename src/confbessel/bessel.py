@@ -42,7 +42,6 @@ from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _finite,
 
 __all__ = [
     "gamma",
-    "harmonic",
     "integer_order",
     "bessel_j_series",
     "bessel_j_neg_series",
@@ -112,22 +111,13 @@ def gamma(z: float) -> float:
     return value
 
 
-def harmonic(n: int) -> float:
-    """Harmonic number ``H_n = 1 + 1/2 + ... + 1/n`` with ``H_0 = 0``."""
-    if n < 0:
-        raise ValueError(f"harmonic number needs n >= 0, got {n}")
-    h = 0.0
-    for k in range(1, n + 1):
-        h += 1.0 / k
-    return h
-
-
 def integer_order(p: float) -> int | None:
     """The integer m >= 0 within ``INTEGER_TOL`` of ``p``, else None.
 
     Only these orders need the integer-order constructions (the sign
     reduction of order -m and the logarithmic second solution); every other
-    p, half-odd integers included, has a valid order -p series.  A non-finite
+    p, half-odd integers included, has a valid order -p series.  The first
+    kind needs no rule: it is built at every order as given.  A non-finite
     order, or an int beyond float range, raises :class:`DomainError`.
     """
     p = _finite(p, DomainError, "order must be finite, got {}")
@@ -151,7 +141,9 @@ def _table(family: str, order: float, n_terms: int) -> FracSeries | tuple:
         m, ratios = order, [1.0][:order]  # b_0 / b_0, but no block at m = 0
         for j in range(1, m):
             ratios.append(ratios[-1] / (4.0 * j * (m - j)))
-        tail, h_n, h_mn = [], 0.0, harmonic(m)
+        tail, h_n, h_mn = [], 0.0, 0.0
+        for k in range(1, m + 1):  # H_m, left to right and uncompensated
+            h_mn += 1.0 / k
         for n, c2n in enumerate(_table("J", float(m), n_terms).coeffs[::2]):
             tail.append(c2n * (0.0 - h_n - h_mn))
             h_n += 1.0 / (n + 1)
@@ -181,7 +173,9 @@ def bessel_j_series(p: float, alpha: float,
     Offset p, even coefficients
     ``c_{2n} = (-1)**n / (2**(2n+p) * n! * gamma(p+n+1))`` and zero odd
     coefficients; the leading coefficient is ``1 / (2**p * gamma(p+1))``.
-    The coefficients do not depend on alpha: only the exponents carry it.
+    The series is built at p as given: an order near an integer m is not
+    taken for m, and at m itself gamma(m + 1) is m! exactly.  The
+    coefficients do not depend on alpha: only the exponents carry it.
     """
     if p < 0.0:
         raise OrderCaseError(
@@ -190,12 +184,11 @@ def bessel_j_series(p: float, alpha: float,
         )
     n_terms = _whole(n_terms, 1, ValueError,
                      "n_terms must be positive, got {}")
-    # integer orders snap to m, where gamma(m + 1) is m! exactly
-    if (m := integer_order(p)) is not None:
-        if m > _MAX_FACTORIAL:
-            raise DomainError(f"integer order too large: m! overflows a "
-                              f"double for m > {_MAX_FACTORIAL}")
-        p = float(m)
+    # + 0.0: the order -0.0 is the order 0.0, and so is its offset
+    p = _finite(p, DomainError, "order must be finite, got {}") + 0.0
+    if p.is_integer() and p > _MAX_FACTORIAL:
+        raise DomainError(f"integer order too large: m! overflows a "
+                          f"double for m > {_MAX_FACTORIAL}")
     return _with_alpha(_table("J", p, n_terms), alpha)
 
 

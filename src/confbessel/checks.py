@@ -271,6 +271,7 @@ def check_ode_residual(p: float, alpha: float,
     the conformable operator is ``x**-alpha``, and the cross terms collapse
     to the single middle piece), so each ingredient is again a series.
     """
+    p = _finite(p, DomainError, "order must be finite, got {}")
     log = isinstance(solution, LogSolution)
     if grid is None:
         grid = LOG_RESIDUAL_X if log else RESIDUAL_X
@@ -387,14 +388,15 @@ def check_identity(name: str, p: int, alpha: float,
     """The identity ``IDENTITIES[name]`` at integer order ``p`` on ``grid``.
 
     ``tolerance`` defaults to the primitive's: ``COEFF_TOL`` coefficient by
-    coefficient, ``POINT_TOL`` pointwise.
+    coefficient, ``POINT_TOL`` pointwise.  The report is named with ``p``
+    as given; everything else uses its int.
     """
     row = IDENTITIES[name]
-    _whole(p, row.least, ValueError,
-           f"{row.what} needs an integer order >= {row.least}, got {{}}")
-    alpha, rows = _rows(p, alpha, grid)
+    m = _whole(p, row.least, ValueError,
+               f"{row.what} needs an integer order >= {row.least}, got {{}}")
+    alpha, rows = _rows(m, alpha, grid)
     return row.primitive(f"{name}[{row.symbol}={p} alpha={alpha:g}]",
-                         rows, row.build(p, alpha), tolerance)
+                         rows, row.build(m, alpha), tolerance)
 
 
 def check_half_order_closed_forms(alpha: float,
@@ -436,12 +438,13 @@ def check_series_vs_quadrature(p: int, alpha: float,
     Exercises both the series engine and the alpha-scaling structure: the
     conformable function of order p at x must match the classical function
     at x**alpha, computed by an entirely independent method.  ``tolerance``
-    defaults to ``ORACLE_TOL``.
+    defaults to ``ORACLE_TOL``.  The report is named with ``p`` as given;
+    everything else uses its int.
     """
-    _whole(p, 0, ValueError,
-           "oracle comparison needs an integer order >= 0, got {}")
-    alpha, rows = _rows(p, alpha, grid)
-    series = bessel_j_series(p, alpha)
+    n = _whole(p, 0, ValueError,
+               "oracle comparison needs an integer order >= 0, got {}")
+    alpha, rows = _rows(n, alpha, grid)
+    series = bessel_j_series(n, alpha)
 
     def deviation(p, a, x):
         ref = classical_bessel_j(p, x ** a)

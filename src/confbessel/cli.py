@@ -249,7 +249,8 @@ def _collect_reports(ns: argparse.Namespace) -> "list[CheckReport]":
         raise UsageError("--family narrows the residual check only; drop "
                          "--family or use --name residual")
     solution = build_solution(ns.family, ns.order, ns.alpha, ns.terms)
-    # the snapped order it was built at: |offset| (of the log part)
+    # the order it was built at, |offset| (of the log part): --order itself
+    # for J and a non-integral Jneg, the snapped integer for the others
     p = abs((solution.log_part if isinstance(solution, LogSolution)
              else solution).offset)
     return [checks.check_ode_residual(

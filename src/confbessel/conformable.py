@@ -34,8 +34,9 @@ class DiffConfig(ImmutableValue):
 def _diff(f: Callable[[float], float], x: float, alpha: float,
           step_scale: float) -> float:
     """``x**(1-alpha)`` times the central difference of ``f`` at ``x``."""
-    if x <= 0.0:
-        raise DomainError(f"conformable derivative requires x > 0, got {x}")
+    if not 0.0 < x < math.inf:  # NaN fails it too
+        raise DomainError("conformable derivative requires a finite x > 0, "
+                          f"got {x}")
     h = step_scale * max(x, 1.0)
     fp, fm = f(x + h), f(x - h)
     if not (math.isfinite(fp) and math.isfinite(fm)):

@@ -44,11 +44,6 @@ __all__ = [
     "linspace",
 ]
 
-#: Tolerance for treating two exponent offsets as equal.  Offsets come from
-#: user-supplied orders, never from accumulated arithmetic, so a fixed
-#: absolute tolerance is safe.
-OFFSET_TOL = 1e-12
-
 #: Relative threshold for the early stop in series evaluation.
 STOP_REL = 1e-18
 
@@ -189,7 +184,7 @@ class LogSolution(ImmutableValue):
     _fields = ("log_part", "plain_part")
 
     def __init__(self, log_part: FracSeries, plain_part: FracSeries):
-        if abs(log_part.alpha - plain_part.alpha) > OFFSET_TOL:
+        if log_part.alpha != plain_part.alpha:
             raise AlignmentError(
                 "log_part and plain_part must share the same alpha "
                 f"({log_part.alpha} vs {plain_part.alpha})"
@@ -239,19 +234,19 @@ def series_scale(a: FracSeries, k: float) -> FracSeries:
 def series_shift(a: FracSeries, dr: float) -> FracSeries:
     """Multiply the represented function by ``x**(dr * alpha)``.
 
-    A positive integer ``dr`` prepends that many zero coefficients and keeps
-    the offset (a reindex by whole steps of alpha); any other ``dr``,
-    including negative integers, is absorbed into the offset with the
-    coefficients untouched.  Both routes represent the same multiplication.
-    A non-finite ``dr``, or one too long to index, raises ValueError.
+    A whole ``dr >= 1`` prepends that many zero coefficients and keeps the
+    offset (a reindex by whole steps of alpha); any other ``dr``, negative
+    integers and near-integers included, is absorbed into the offset with
+    the coefficients untouched.  Both routes represent the same
+    multiplication.  A non-finite ``dr``, or one too long to index, raises
+    ValueError.
     """
     if dr == 0:
         return a
     dr = _finite(dr, ValueError, "shift must be finite, got {!r}")
-    dr_int = round(dr)
-    if abs(dr - dr_int) <= OFFSET_TOL and dr_int >= 1:
+    if dr.is_integer() and dr >= 1:
         try:
-            return FracSeries(a.alpha, a.offset, (0.0,) * dr_int + a.coeffs)
+            return FracSeries(a.alpha, a.offset, (0.0,) * int(dr) + a.coeffs)
         except OverflowError:
             raise ValueError(f"shift of {dr:g} steps is too long") from None
     return FracSeries(a.alpha, a.offset + dr, a.coeffs)
@@ -260,19 +255,20 @@ def series_shift(a: FracSeries, dr: float) -> FracSeries:
 def series_rebase(a: FracSeries, offset: float) -> FracSeries:
     """Re-represent the same function with a different offset.
 
-    Only whole-step changes are possible: ``a.offset - offset`` must be a
-    nonnegative integer (zeros are prepended) or a negative integer whose
-    magnitude is covered by leading zero coefficients (they are dropped).
-    Unlike :func:`series_shift` this never changes the represented function.
+    Only whole-step changes are possible: ``a.offset - offset`` must be
+    exactly a nonnegative integer (zeros are prepended) or a negative
+    integer whose magnitude is covered by leading zero coefficients (they
+    are dropped).  Unlike :func:`series_shift` this never changes the
+    represented function.
     """
     offset = _as_float(offset)
     steps = a.offset - offset
-    k = round(steps) if math.isfinite(steps) else None
-    if k is None or abs(steps - k) > OFFSET_TOL:
+    if not steps.is_integer():  # nor is NaN or +-inf
         raise AlignmentError(
             f"cannot rebase offset {a.offset} to {offset}: "
             "difference is not a whole number of alpha-steps"
         )
+    k = int(steps)
     if k >= 0:
         try:
             return FracSeries(a.alpha, offset, (0.0,) * k + a.coeffs)

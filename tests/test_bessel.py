@@ -5,6 +5,7 @@ import math
 import struct
 import sys
 from typing import NamedTuple
+from unittest.mock import patch
 
 import mpmath
 import pytest
@@ -21,7 +22,6 @@ from confbessel import (
     eval_log_solution,
     eval_series,
     gamma,
-    harmonic,
     integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
@@ -34,6 +34,15 @@ from confbessel.errors import DomainError, OrderCaseError
 from confbessel.series import checked_alpha
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def harmonic(n):
+    """Harmonic number ``H_n`` with ``H_0 = 0``: the package's former
+    helper, kept verbatim (but for its check of n) for the references."""
+    h = 0.0
+    for k in range(1, n + 1):
+        h += 1.0 / k
+    return h
 
 
 # Frozen reference: the four-way order classification that integer_order
@@ -321,12 +330,18 @@ class TestFirstKindSeries:
         assert eval_series(s, 4.0).value == pytest.approx(want, rel=1e-12)
         assert want == pytest.approx(0.51301613656182775, rel=1e-15)
 
-    def test_near_integer_order_snaps_fully(self):
-        # offset, leading coefficient and recurrence all use the intended
-        # integer, not the perturbed input
-        s = bessel_j_series(3.0 - 1e-10, 1.0, 10)
-        assert s.offset == 3.0
-        assert s.coeffs[0] == 1.0 / 48.0
+    def test_near_integer_order_is_built_as_given(self):
+        # offset, leading coefficient and recurrence all use the order as
+        # given, not the integer 3 next to it (c0 = 1/48 there)
+        p = 3.0 - 1e-10
+        s = bessel_j_series(p, 1.0, 10)
+        assert s.offset == p
+        assert s.coeffs[0] == 1.0 / (gamma(p + 1.0) * 2.0 ** p) != 1.0 / 48.0
+        with mpmath.workdps(40):
+            c0 = 1 / (mpmath.gamma(mpmath.mpf(p) + 1) * 2 ** mpmath.mpf(p))
+            assert abs(s.coeffs[0] - c0) <= 1e-14 * c0
+        for k in range(2, 10, 2):
+            assert s.coeffs[k] == -s.coeffs[k - 2] / (k * (k + 2.0 * p))
 
 
 class TestNegativeOrderSeries:
@@ -510,6 +525,17 @@ class TestSecondSolutionIntegerOrder:
                 / (2.0 * alpha)
             assert plain_c[2 * m + 2 * n] == pytest.approx(want, rel=1e-13)
 
+    def test_pivot_takes_the_plain_running_sum(self):
+        # at alpha = 1/2 the pivot is exactly c_0 * -H_m, with H_m summed
+        # left to right and uncompensated; a compensated sum (the builtin
+        # sum() on Python 3.12+) moves the last bit of H_m, first at m = 4
+        h = 0.0
+        for m in range(1, 150):
+            h += 1.0 / m
+            sol = second_solution_integer_order(m, 0.5, 1)
+            want = sol.log_part.coeffs[0] * -h
+            assert sol.plain_part.coeffs[2 * m].hex() == want.hex(), m
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_chain_end_consistent_with_tying_relation(self, m):
         # the last chain coefficient must satisfy b_{2m-2} = -2 m c_0 / alpha,
@@ -567,24 +593,26 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     @given(p=st.floats(min_value=0.0, max_value=6.0),
            alpha=st.floats(min_value=0.1, max_value=1.0))
+    @example(p=2.0 + 9e-10, alpha=0.5)
     def test_first_kind_recurrence_everywhere(self, p, alpha):
-        # near-integer orders snap, so state the recurrence at the
-        # effective order the constructor actually used
-        m = integer_order(p)
-        p_eff = p if m is None else float(m)
+        # the first kind is built at the order given, near-integers too
         s = bessel_j_series(p, alpha, 24)
+        assert s.offset == p
         for k in range(2, 24, 2):
-            residue = s.coeffs[k] * k * (k + 2.0 * p_eff) + s.coeffs[k - 2]
+            residue = s.coeffs[k] * k * (k + 2.0 * p) + s.coeffs[k - 2]
             assert abs(residue) <= 1e-15 * abs(s.coeffs[k - 2])
 
     @settings(max_examples=40, deadline=None)
     @given(p=st.floats(min_value=0.0, max_value=4.0),
            alpha=st.floats(min_value=0.1, max_value=1.0))
+    @example(p=2.0 + 9e-10, alpha=0.5)
     def test_indicial_roots_annihilate(self, p, alpha):
-        # near-integer orders snap: state the roots at the effective order
+        # J sits at +p as given; the -p root is Jneg's, or at a near-integer
+        # order the snapped integer's of the integer constructions
         plus, minus = root_series(p, alpha)
+        assert plus.offset == p
         for series in (plus, minus):
-            assert indicial_value(series, plus.offset) == \
+            assert indicial_value(series, abs(series.offset)) == \
                 pytest.approx(0.0, abs=1e-12)
 
 
@@ -726,6 +754,24 @@ def _outcome(build, *args):
     return _bytes(result)
 
 
+def generic_outcome(build, *args):
+    """``_outcome(build, *args)`` with the frozen classification taking
+    every order for GENERIC: the frozen route of a non-integral order,
+    which the first kind now takes at every order."""
+    def generic(p):
+        return BesselOrder(float(p), OrderKind.GENERIC)
+
+    with patch.dict(globals(), classify_order=generic):
+        return _outcome(build, *args)
+
+
+def snapped_first_kind(order):
+    """Whether the frozen routing took the first-kind ``order >= 0`` for
+    an integer it is not: the snap that J no longer makes."""
+    return (order >= 0.0 and ref_integer_order(order) is not None
+            and not float(order).is_integer())
+
+
 FAMILIES = [
     (bessel_j_series, ref_bessel_j_series),
     (bessel_j_neg_series, ref_bessel_j_neg_series),
@@ -754,12 +800,20 @@ class TestFrozenReference:
     @example(family=0, p=171.0, alpha=1.0, n_terms=1)
     @example(family=2, p=0.0, alpha=5e-324, n_terms=3)  # 1/(4 alpha) overflows
     @example(family=2, p=0.0, alpha=0.5, n_terms=175)  # subnormal numerators
+    @example(family=0, p=5e-324, alpha=0.5, n_terms=3)  # near-integer orders
+    @example(family=0, p=2.0000000009, alpha=0.5, n_terms=120)
+    @example(family=0, p=3.0 - 1e-10, alpha=1.0, n_terms=1)
     def test_coefficients_and_errors_match_bit_for_bit(self, family, p,
                                                        alpha, n_terms):
         build, ref = FAMILIES[family]
         got = _outcome(build, p, alpha, n_terms)
         want = _outcome(ref, p, alpha, n_terms)
-        if p == 150.0 and family in (0, 3):
+        if family == 0 and snapped_first_kind(p):
+            # an intended change: J is built at a near-integer order as
+            # given, as the frozen builder built every non-integral order
+            assert got != want
+            assert got == generic_outcome(ref, p, alpha, n_terms)
+        elif p == 150.0 and family in (0, 3):
             # an intended change: c0 = 1.2e-308 is subnormal
             assert got[0] is DomainError
             assert isinstance(_outcome(ref_bessel_j_series, p, alpha, n_terms),
@@ -834,10 +888,15 @@ class TestCliRouting:
         got = _outcome(build_solution, family, order, 0.7, 40)
         want = _outcome(ref_build_solution, family, order, 0.7, 40)
         if family == "y2zero" and ref_integer_order(order) != 0:
-            # the one intended change: y2zero used to ignore the order
+            # an intended change: y2zero used to ignore the order
             assert isinstance(want[0], bytes)
             assert got == (UsageError, "family y2zero takes --order 0 only, "
                                        f"got {order:g}")
+        elif family == "J" and snapped_first_kind(order):
+            # and another: J is built at a near-integer order as given
+            assert got != want
+            assert got == generic_outcome(ref_build_solution, family, order,
+                                          0.7, 40)
         else:
             assert got == want
 
@@ -1035,16 +1094,22 @@ class TestTableCache:
                 assert s.coeffs is entry.coeffs
                 assert s._walk[0] is entry._walk[0] and s._walk[1] == 2
 
-    def test_equal_orders_share_one_table_and_snap_the_offset(self):
+    def test_equal_orders_share_one_table(self):
+        # equal orders of any type share an entry, and -0.0 is 0.0 (+0.0
+        # offset even on a cold cache); a near-integer order has its own
         _table.cache_clear()
-        built = [bessel_j_series(p, 0.5) for p in (1.0, True, 1, 1 + 1e-10)]
+        zeros = [bessel_j_series(p, 0.5) for p in (-0.0, 0.0, False)]
+        assert [s.offset.hex() for s in zeros] == ["0x0.0p+0"] * 3
+        built = [bessel_j_series(p, 0.5) for p in (1.0, True, 1)]
         entry = _table("J", 1.0, 60)
         assert all(s.coeffs is entry.coeffs for s in built)
         assert all(s._walk[0] is entry._walk[0] for s in built)
-        assert [s.offset.hex() for s in built] == ["0x1.0000000000000p+0"] * 4
-        zeros = [bessel_j_series(p, 0.5) for p in (-0.0, 0.0, 1e-10)]
-        assert [s.offset.hex() for s in zeros] == ["0x0.0p+0"] * 3
-        assert _table.cache_info().currsize == 2
+        assert [s.offset.hex() for s in built] == ["0x1.0000000000000p+0"] * 3
+        near = [bessel_j_series(p, 0.5) for p in (1 + 1e-10, 1e-10)]
+        assert [s.offset for s in near] == [1 + 1e-10, 1e-10]
+        assert near[0].coeffs != entry.coeffs
+        assert near[1].coeffs != zeros[0].coeffs
+        assert _table.cache_info().currsize == 4
 
     @pytest.mark.parametrize("build, tables", [
         (lambda: bessel_j_series(150, 1.0), 0),

@@ -491,7 +491,9 @@ def test_int_order_beyond_float_range_is_refused(call, error, message):
     (lambda v: _rows(1.0, 1.0, [2.0, v]), DomainError,
      lambda x: f"grid points must be {'positive' if x < 0 else 'finite'}, "
                f"got {x}"),
-], ids=["oracle-z", "grid-point"])
+    (lambda v: check_ode_residual(v, 1.0, bessel_j_series(1.0, 1.0), [1.0]),
+     DomainError, lambda x: f"order must be finite, got {x}"),
+], ids=["oracle-z", "grid-point", "residual-order"])
 def test_non_finite_real_argument_is_refused(call, error, message, value,
                                              as_float):
     """An int beyond float range reads as +-inf, and an infinite or NaN
@@ -501,6 +503,21 @@ def test_non_finite_real_argument_is_refused(call, error, message, value,
         call(value)
     assert type(info.value) is error
     assert str(info.value) == message(as_float)
+
+
+@pytest.mark.parametrize("check", [
+    lambda p: check_identity("derivative-lower", p, 0.5, [1.0]),
+    lambda p: check_series_vs_quadrature(p, 0.5, [1.0]),
+    lambda p: check_ode_residual(p, 0.5, bessel_j_series(2, 0.5), [1.0]),
+], ids=["identity", "oracle-check", "residual"])
+def test_an_order_given_as_text_is_its_number(check):
+    """The checks read the order as a number, as the constructors do, and
+    name the report with it: "2" gives the report of 2."""
+    report = check("2")
+    assert report == check(2) and report.passed
+    assert report.check_name.startswith(("derivative-lower[p=2 ",
+                                         "series-vs-quadrature[p=2 ",
+                                         "residual[p=2 "))
 
 
 # The report primitives before they handed their deviation columns to

@@ -296,10 +296,11 @@ class TestCheck:
         assert code == EXIT_OK
         assert out.splitlines()[-1] == "1/1 checks passed"
 
-    @pytest.mark.parametrize("family", ["J", "Jneg"])
+    @pytest.mark.parametrize("family", ["Jneg"])
     def test_residual_runs_at_the_snapped_order(self, capsys, family):
-        # the series is built at order 1, so the residual is taken at p = 1
-        # (at p = 1.0000000001 it is 1.8e-11) and the report reads as order 1
+        # the integer construction is built at order 1, so the residual is
+        # taken at p = 1 (at p = 1.0000000001 it is 1.8e-11) and the report
+        # reads as order 1
         reports = [run(capsys, "check", "--name", "residual", "--family",
                        family, "--order", order, "--alpha", "0.5",
                        "--tolerance", "1e-13")
@@ -307,6 +308,20 @@ class TestCheck:
         assert reports[0] == reports[1]
         assert reports[0][0] == EXIT_OK
         assert reports[0][1].startswith(f"PASS residual[{family} order=1 ")
+
+    def test_residual_runs_at_the_order_given(self, capsys):
+        # J is built at order 1.0000000001, and the residual is taken there
+        reports = [run(capsys, "check", "--name", "residual", "--family",
+                       "J", "--order", order, "--alpha", "0.5",
+                       "--tolerance", "1e-13", "--format", "json")
+                   for order in ("1.0000000001", "1")]
+        assert reports[0] != reports[1]
+        for (code, out, err), p in zip(reports, (1.0000000001, 1.0)):
+            assert (code, err) == (EXIT_OK, "")
+            report = json.loads(out)
+            assert report["check_name"] == "residual[J order=1 alpha=0.5]"
+            assert report["passed"] is True
+            assert {row[0] for row in report["grid"]} == {p}
 
     def test_family_without_name_defaults_to_residual(self, capsys):
         code, out, _ = run(capsys, "check", "--family", "J", "--order", "0.5",

@@ -98,6 +98,21 @@ class TestFirstDerivative:
         with pytest.raises(DomainError):
             conformable_diff_numeric(math.sin, -1.0, DiffConfig(0.5))
 
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    @pytest.mark.parametrize("operator", [conformable_diff_numeric,
+                                          conformable_diff2_numeric])
+    def test_rejects_non_finite_x(self, operator, x):
+        # refused before f is called: inf would reach math.sin, and NaN a
+        # step h = nan
+        def f(t):
+            raise AssertionError(f"f called at {t}")
+
+        with pytest.raises(DomainError) as info:
+            operator(f, x, DiffConfig(0.5))
+        assert type(info.value) is DomainError
+        assert str(info.value) == ("conformable derivative requires a "
+                                   f"finite x > 0, got {x}")
+
     def test_non_finite_function_value_raises(self):
         with pytest.raises(EvaluationError):
             conformable_diff_numeric(lambda t: float("nan"), 1.0,

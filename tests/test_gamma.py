@@ -1,4 +1,4 @@
-"""Tests for the gamma and harmonic-number helpers.
+"""Tests for the gamma function.
 
 The stdlib ``math.gamma`` serves as the independent oracle here; the
 package carries its own implementation so that the coefficient formulas
@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from confbessel import gamma, harmonic
+from confbessel import gamma
 from confbessel.errors import DomainError, PoleError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -102,29 +102,3 @@ class TestGammaAccuracy:
                     / (2.0 ** (2 * n + 1) * math.factorial(n)) * SQRT_PI)
             assert gamma(0.5 + n + 1.0) == pytest.approx(want, rel=1e-12)
 
-
-class TestHarmonic:
-    def test_small_values(self):
-        assert harmonic(0) == 0.0
-        assert harmonic(1) == 1.0
-        assert harmonic(2) == pytest.approx(1.5)
-        assert harmonic(3) == pytest.approx(11.0 / 6.0)
-        assert harmonic(4) == pytest.approx(25.0 / 12.0)
-
-    def test_monotone_increasing(self):
-        values = [harmonic(n) for n in range(10)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            harmonic(-1)
-
-    def test_is_the_plain_running_sum(self):
-        # left to right, uncompensated, as the tail of K_m accumulates it;
-        # a compensated sum (the builtin sum() on Python 3.12+) moves the
-        # last bit of H_n, first at n = 4
-        h = 0.0
-        for n in range(201):
-            if n:
-                h += 1.0 / n
-            assert harmonic(n).hex() == h.hex(), n

@@ -11,8 +11,9 @@ A row names the suites that its fault makes fail: the four parts of
 ``all_suites()`` and the seeded fuzz ``random_residual_suite(0..19)``.  A
 fault that every suite misses, a survivor, names instead the tier-1 test
 that compares with an independent truth and catches it: the mpmath closed
-form of the log families, the frozen while-loop kernel, or gamma against
-``math.gamma``.  A new check that catches a survivor moves its row.
+form of the log families, mpmath's J at near-integer orders, the frozen
+while-loop kernel, or gamma against ``math.gamma``.  A new check that
+catches a survivor moves its row.
 """
 
 import math
@@ -21,6 +22,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+import test_bessel as bessel_tests
 import test_gamma as gamma_tests
 import test_kernels as kernel_tests
 import test_series as series_tests
@@ -51,6 +53,11 @@ def failing_suites() -> set[str]:
 
 def log_closed_form():
     series_tests.TestMpmathPins().test_log_solutions_match_closed_form(1, 0.5)
+
+
+def near_integer_first_kind():
+    series_tests.TestMpmathPins().test_first_kind_matches_classical_bessel(
+        2.0000000009, 0.5)
 
 
 def while_loop_oracle():
@@ -103,8 +110,18 @@ def fractional_c0(table, family, order, n_terms, entry):
 def harmonic_step(table, m, n_terms, b0_num, ratios, tail):
     # h_n += 2/(n + 1): each tail slot takes H_n once more
     c = table("J", float(m), n_terms).coeffs[::2]
-    return b0_num, ratios, tuple(t - c[n] * B.harmonic(n)
+    return b0_num, ratios, tuple(t - c[n] * bessel_tests.harmonic(n)
                                  for n, t in enumerate(tail))
+
+
+@k_entry
+def harmonic_m_minus_1(table, m, n_terms, b0_num, ratios, tail):
+    # H_{m+n} - 1/m for H_{m+n}, as from H_{m-1} for H_m: each tail slot
+    # gains c_{2n}/m; y2zero (m = 0) keeps H_n
+    if not m:
+        return b0_num, ratios, tail
+    c = table("J", float(m), n_terms).coeffs[::2]
+    return b0_num, ratios, tuple(t + c[n] / m for n, t in enumerate(tail))
 
 
 @k_entry
@@ -116,6 +133,14 @@ def block_ratio(table, m, n_terms, b0_num, ratios, tail):
 @k_entry
 def doubled_b0(table, m, n_terms, b0_num, ratios, tail):
     return 2.0 * b0_num, ratios, tail
+
+
+def snapped_order(build):
+    # the first kind built at the integer within 1e-9 of its order
+    def faulty(p, alpha, n_terms=S.DEFAULT_TERMS):
+        m = round(p)
+        return build(float(m) if abs(p - m) <= 1e-9 else p, alpha, n_terms)
+    return faulty
 
 
 def shifted_offset(diff):
@@ -184,10 +209,10 @@ FAULTS = {
         lambda _: log_evaluator(
             lambda lg, lnx, pl: lg * (lnx * (1.0 + 1e-7)) + pl),
         frozenset(), log_closed_form),
-    # harmonic(m - 1) for harmonic(m) in K's tail; y2zero (m = 0) keeps H_0
-    "K-harmonic-m-minus-1": Fault(
-        B, "harmonic", lambda harmonic: lambda n: harmonic(max(n - 1, 0)),
-        frozenset(), log_closed_form),
+    "K-harmonic-m-minus-1": Fault(B, "_table", harmonic_m_minus_1,
+                                  frozenset(), log_closed_form),
+    "J-order-snapped": Fault(B, "bessel_j_series", snapped_order,
+                             frozenset(), near_integer_first_kind),
     "stop-rel-1e-9": Fault(S, "STOP_REL", lambda _: 1e-9, frozenset(),
                            while_loop_oracle),
     "stride-1-power-step": Fault(S, "eval_series_kernel",

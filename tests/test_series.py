@@ -158,10 +158,12 @@ class TestSeriesShift:
         assert series_shift(a, 0) is a
 
     def test_non_integer_moves_offset(self):
+        # a near-whole step too: only an exact whole step reindexes
         a = S(1.0, 0.0, [1.0])
-        shifted = series_shift(a, -0.5)
-        assert shifted.offset == -0.5
-        assert shifted.coeffs == (1.0,)
+        for dr in (-0.5, 1.0 + 1e-13, 1.0 - 1e-13):
+            shifted = series_shift(a, dr)
+            assert shifted.offset == dr
+            assert shifted.coeffs == (1.0,)
 
     def test_negative_integer_moves_offset(self):
         a = S(1.0, 1.0, [1.0, 2.0])
@@ -198,9 +200,12 @@ class TestSeriesRebase:
             series_rebase(a, 1.0)
 
     def test_fractional_step_raises(self):
+        # near-whole steps too: a relabelled offset, or zeros prepended,
+        # would change the function by x**(1e-13*alpha)
         a = S(1.0, 0.0, [1.0])
-        with pytest.raises(AlignmentError):
-            series_rebase(a, 0.25)
+        for offset in (0.25, -1e-13, -1.0 + 1e-13):
+            with pytest.raises(AlignmentError):
+                series_rebase(a, offset)
 
     def test_preserves_represented_function(self):
         a = S(0.5, 1.0, [1.0, -0.5, 0.25])
@@ -413,8 +418,10 @@ class TestEvalSeries:
 
 class TestLogSolution:
     def test_alpha_agreement_enforced(self):
-        with pytest.raises(AlignmentError):
-            LogSolution(S(0.5, 0.0, [1.0]), S(0.75, 0.0, [1.0]))
+        # equal, not merely close
+        for other in (0.75, 0.5 + 1e-13):
+            with pytest.raises(AlignmentError):
+                LogSolution(S(0.5, 0.0, [1.0]), S(other, 0.0, [1.0]))
 
     def test_zero_log_part_reduces_to_plain(self):
         sol = LogSolution(S(1.0, 0.0, [0.0]), S(1.0, 0.0, [1.0, 2.0]))
@@ -617,7 +624,10 @@ class TestMpmathPins:
     1e-14 * max(1, |ref|) holds.
     """
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("p", [0.0, 1.0, 2.5,
+                                   # near-integer orders, built as given
+                                   5e-10, 1.0 + 1e-10, 2.0000000009,
+                                   3.0 - 1e-10])
     @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
     def test_first_kind_matches_classical_bessel(self, p, alpha):
         s = bessel_j_series(p, alpha)
