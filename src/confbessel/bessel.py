@@ -37,8 +37,8 @@ import math
 import sys
 
 from .errors import DomainError, OrderCaseError, PoleError
-from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _finite,
-                     _whole, _with_alpha, checked_alpha, series_scale)
+from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _derived,
+                     _finite, _whole, checked_alpha, series_scale)
 
 __all__ = [
     "gamma",
@@ -189,7 +189,8 @@ def bessel_j_series(p: float, alpha: float,
     if p.is_integer() and p > _MAX_FACTORIAL:
         raise DomainError(f"integer order too large: m! overflows a "
                           f"double for m > {_MAX_FACTORIAL}")
-    return _with_alpha(_table("J", p, n_terms), alpha)
+    t = _table("J", p, n_terms)
+    return _derived(checked_alpha(alpha), t.offset, t.coeffs, t._walk)
 
 
 def bessel_j_neg_series(p: float, alpha: float,
@@ -210,7 +211,8 @@ def bessel_j_neg_series(p: float, alpha: float,
         )
     n_terms = _whole(n_terms, 1, ValueError,
                      "n_terms must be positive, got {}")
-    return _with_alpha(_table("Jneg", p, n_terms), alpha)
+    t = _table("Jneg", p, n_terms)
+    return _derived(checked_alpha(alpha), t.offset, t.coeffs, t._walk)
 
 
 def bessel_j_neg_integer_series(m: int, alpha: float,

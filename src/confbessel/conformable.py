@@ -11,7 +11,7 @@ import math
 from typing import Callable
 
 from .errors import DomainError, EvaluationError
-from .series import ImmutableValue, checked_alpha
+from .series import ImmutableValue, _as_float, checked_alpha
 
 __all__ = ["DiffConfig", "conformable_diff_numeric", "conformable_diff2_numeric"]
 
@@ -34,7 +34,7 @@ class DiffConfig(ImmutableValue):
 def _diff(f: Callable[[float], float], x: float, alpha: float,
           step_scale: float) -> float:
     """``x**(1-alpha)`` times the central difference of ``f`` at ``x``."""
-    if not 0.0 < x < math.inf:  # NaN fails it too
+    if not 0.0 < (x := _as_float(x)) < math.inf:  # NaN fails it too
         raise DomainError("conformable derivative requires a finite x > 0, "
                           f"got {x}")
     h = step_scale * max(x, 1.0)

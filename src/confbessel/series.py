@@ -130,8 +130,8 @@ class FracSeries(ImmutableValue):
     :func:`eval_series_kernel`: ``slots`` is ``coeffs[::stride]``, the even
     slots (stride 2) when every odd slot is zero, else every slot (stride
     1).  It is not a field, so equality, hash and repr ignore it.  This
-    constructor converts and checks every coefficient; :meth:`_walked`
-    takes only the walked slots.
+    constructor converts and checks outside input; :meth:`_walked` checks
+    only new walked slots, and :func:`_derived` reuses checked fields.
     """
 
     _fields = ("alpha", "offset", "coeffs")
@@ -150,8 +150,8 @@ class FracSeries(ImmutableValue):
         self.__dict__.update(alpha=alpha, offset=offset, coeffs=coeffs,
                              _walk=_walk_of(coeffs))
 
-    @classmethod
-    def _walked(cls, alpha: float, offset: float, size: int,
+    @staticmethod
+    def _walked(alpha: float, offset: float, size: int,
                 slots: tuple[float, ...], stride: int) -> "FracSeries":
         """The series of ``size`` slots, zero but for the floats ``slots``
         at ``::stride``; ``alpha`` and ``offset`` are already checked.  A
@@ -159,22 +159,19 @@ class FracSeries(ImmutableValue):
         _check_finite(slots)
         coeffs = [0.0] * size
         coeffs[::stride] = slots
-        coeffs = tuple(coeffs)
-        walk = (slots, 2) if stride == 2 else _walk_of(coeffs)
-        self = object.__new__(cls)
-        self.__dict__.update(alpha=alpha, offset=offset, coeffs=coeffs,
-                             _walk=walk)
-        return self
+        return _derived(alpha, offset, tuple(coeffs),
+                        (slots, 2) if stride == 2 else None)
 
     def __len__(self) -> int:
         return len(self.coeffs)
 
 
-def _with_alpha(a: FracSeries, alpha: float) -> FracSeries:
-    """``a`` read at order ``alpha``: its offset, coefficients and walk."""
+def _derived(alpha: float, offset: float, coeffs: tuple[float, ...],
+             walk: tuple | None = None) -> FracSeries:
+    """A series from checked fields; nothing is converted or checked."""
     series = object.__new__(FracSeries)
-    series.__dict__.update(alpha=checked_alpha(alpha), offset=a.offset,
-                           coeffs=a.coeffs, _walk=a._walk)
+    series.__dict__.update(alpha=alpha, offset=offset, coeffs=coeffs,
+                           _walk=walk or _walk_of(coeffs))
     return series
 
 
@@ -246,10 +243,12 @@ def series_shift(a: FracSeries, dr: float) -> FracSeries:
     dr = _finite(dr, ValueError, "shift must be finite, got {!r}")
     if dr.is_integer() and dr >= 1:
         try:
-            return FracSeries(a.alpha, a.offset, (0.0,) * int(dr) + a.coeffs)
+            return _derived(a.alpha, a.offset, (0.0,) * int(dr) + a.coeffs)
         except OverflowError:
             raise ValueError(f"shift of {dr:g} steps is too long") from None
-    return FracSeries(a.alpha, a.offset + dr, a.coeffs)
+    return _derived(a.alpha, _finite(a.offset + dr, ValueError,
+                                     "offset must be finite, got {!r}"),
+                    a.coeffs, a._walk)
 
 
 def series_rebase(a: FracSeries, offset: float) -> FracSeries:
@@ -271,7 +270,7 @@ def series_rebase(a: FracSeries, offset: float) -> FracSeries:
     k = int(steps)
     if k >= 0:
         try:
-            return FracSeries(a.alpha, offset, (0.0,) * k + a.coeffs)
+            return _derived(a.alpha, offset, (0.0,) * k + a.coeffs)
         except OverflowError:
             raise AlignmentError(f"cannot rebase by {steps:g} steps") from None
     if any(c != 0.0 for c in a.coeffs[:-k]):
@@ -279,8 +278,7 @@ def series_rebase(a: FracSeries, offset: float) -> FracSeries:
             f"cannot rebase offset {a.offset} to {offset}: "
             "leading coefficients are nonzero"
         )
-    coeffs = a.coeffs[-k:] or (0.0,)
-    return FracSeries(a.alpha, offset, coeffs)
+    return _derived(a.alpha, offset, a.coeffs[-k:] or (0.0,))
 
 
 def conformable_diff_exact(a: FracSeries) -> FracSeries:

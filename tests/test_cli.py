@@ -10,14 +10,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import confbessel
 from confbessel import cli
 from confbessel.cli import (
+    CHECK_NAMES,
     CSV_HEADER,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
+    FAMILIES,
     MAX_POINTS,
     MAX_TERMS,
     build_solution,
@@ -555,6 +559,96 @@ class TestExitCodeMatrix:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+#: Flag values for the argv fuzz, ``(plain, edge)`` per flag.  The edges
+#: are numbers a float reads as non-finite or out of range, signed zeros,
+#: orders at the limits of the constructions (141.3: gamma overflows; 149:
+#: the highest K; 150: subnormal c0; 170.5 and 171: too large) and
+#: near-integers, and malformed ranges and term counts.
+FUZZ_POOL = {
+    "--family": (FAMILIES, ("X",)),
+    "--order": (("0", "0.5", "1", "2", "3", "2.5"),
+                ("nan", "inf", "-inf", "1e400", "-0", "-1", "141.3", "149",
+                 "150", "170.5", "171", "2.0000000009", "1.9999999999",
+                 "5e-10", "1e-320", "x")),
+    "--alpha": (("1", "0.5", "0.3"),
+                ("nan", "inf", "-inf", "1e400", "0", "-0", "-1", "1e-310",
+                 "1.0000001")),
+    "--x": (("0.5", "1", "2.5", "7"),
+            ("nan", "inf", "-inf", "1e400", "0", "-0", "-1", "1e-300", "700",
+             "1e200", "")),
+    "--range": (("1:2:3", "0.5:7:4", "1:1:2"),
+                ("1e-300:1:2", "0:1:2", "-1:1:2", "2:1:3", "1:2", "1:2:3:4",
+                 "1:2:0", "1:2:-1", "1:2:2.5", "a:b:c", "inf:2:3", "1:nan:2",
+                 "1:1e400:2", "1:2:100001", "1e150:1e200:3", "")),
+    "--terms": (("1", "2", "30", "60", "400"),
+                ("0", "-1", "2.5", "1e400", "nan", "10001", "x")),
+    "--tolerance": (("1e-13", "1e-3", "1"),
+                    ("nan", "inf", "-inf", "1e400", "0", "-0", "-1",
+                     "1e-300")),
+    "--format": (("csv", "json", "plain"), ("xml",)),
+}
+
+
+def printed_points(out: str, command: str, fmt: str) -> list[tuple[str, str]]:
+    """The ``(value, tail_estimate)`` texts of each printed point."""
+    lines = out.splitlines()
+    if fmt == "json":
+        return [(r["value"], r["tail_estimate"])
+                for r in map(json.loads, lines)]
+    if fmt == "plain" and command == "eval":
+        fields = dict(line.split(" = ") for line in lines)
+        return [(fields["value"], fields["tail_estimate"])]
+    if fmt == "plain":
+        return [(r.split()[1], r.split()[3]) for r in lines[1:]]
+    assert lines[0] == CSV_HEADER
+    return [(r.split(",")[1], r.split(",")[3]) for r in lines[1:]]
+
+
+@st.composite
+def fuzz_argv(draw) -> list[str]:
+    """``eval`` with --x, ``table`` with --range or --x, or ``check`` with
+    --family (without it, check runs the whole suites), then up to three
+    more flags; each value is a plain or an edge value of its flag."""
+    command = draw(st.sampled_from(["eval", "table", "check"]))
+    first = {"eval": "--x", "check": "--family"}.get(command) \
+        or draw(st.sampled_from(["--range", "--x"]))
+    flags = [first, *draw(st.lists(
+        st.sampled_from(sorted(FUZZ_POOL.keys() - {first})), unique=True,
+        max_size=3))]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw(st.sampled_from(FUZZ_POOL[flag][draw(st.booleans())]))
+        argv += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    if command == "check" and draw(st.booleans()):
+        argv += ["--name", draw(st.sampled_from(CHECK_NAMES))]
+    return argv
+
+
+class TestArgvFuzz:
+    """Any argv drawn from the pool exits 0, 1 or 2 without a traceback,
+    and what ``eval`` and ``table`` print on exit 0 is finite."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=fuzz_argv())
+    # sums that are not finite, which must be refused, not printed
+    @example(argv=["eval", "--x", "1e200"])
+    @example(argv=["table", "--range=1e150:1e200:3", "--format", "json"])
+    @example(argv=["eval", "--family", "K", "--order", "1", "--x", "1e200",
+                   "--format=plain"])
+    def test_exit_codes_and_finite_output(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE)
+        assert "Traceback" not in err
+        if code == EXIT_OK and argv[0] != "check":
+            ns = cli.build_parser().parse_args(argv)
+            points = printed_points(out, ns.command, ns.format)
+            assert points
+            for value, tail in points:
+                assert math.isfinite(float(value))
+                assert math.isfinite(float(tail))
 
 
 class TestWriteErrors:

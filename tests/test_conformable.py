@@ -33,10 +33,11 @@ class TestDiffConfig:
         assert alpha == 1.0 and type(alpha) is float
 
     @pytest.mark.parametrize("alpha", [0.3, 0.7, 1.0])
-    @pytest.mark.parametrize("x", [0.4, 1.0, 3.7])
+    @pytest.mark.parametrize("x", [0.4, 1.0, 3.7, 3, 2**60 + 1])
     def test_steps_are_the_old_default_bit_for_bit(self, alpha, x):
         # the first derivative steps by 1e-6 * max(x, 1), each stage of the
-        # second by sqrt(1e-6) * max(x, 1), as the one-time default did
+        # second by sqrt(1e-6) * max(x, 1), as the one-time default did; an
+        # int x gives the bits of the int arithmetic it once went through
         f = math.sin
         cfg = DiffConfig(alpha)
         assert conformable_diff_numeric(f, x, cfg) \
@@ -112,6 +113,20 @@ class TestFirstDerivative:
         assert type(info.value) is DomainError
         assert str(info.value) == ("conformable derivative requires a "
                                    f"finite x > 0, got {x}")
+
+    @pytest.mark.parametrize("x, shown", [(10**400, "inf"),
+                                          (-10**400, "-inf")],
+                             ids=["10**400", "-10**400"])
+    @pytest.mark.parametrize("operator", [conformable_diff_numeric,
+                                          conformable_diff2_numeric])
+    def test_int_beyond_float_range_is_refused(self, operator, x, shown):
+        # read as +-inf, as every other entry point reads such an int,
+        # instead of escaping as OverflowError from the step arithmetic
+        with pytest.raises(DomainError) as info:
+            operator(math.sin, x, DiffConfig(0.5))
+        assert type(info.value) is DomainError
+        assert str(info.value) == ("conformable derivative requires a "
+                                   f"finite x > 0, got {shown}")
 
     def test_non_finite_function_value_raises(self):
         with pytest.raises(EvaluationError):

@@ -291,6 +291,65 @@ def test_whole_step_count_beyond_an_index_is_refused(steps):
     assert str(info.value) == f"cannot rebase by {float(steps):g} steps"
 
 
+class TestCheckOnce:
+    """A derived series reuses the checked coefficients it came from: only
+    newly computed slots are checked, each series once."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = series._check_finite
+
+        def counted(values):
+            calls.append(len(values))
+            return check(values)
+
+        monkeypatch.setattr(series, "_check_finite", counted)
+        return calls
+
+    @pytest.mark.parametrize("derive", [
+        lambda a: series_shift(a, 0.5),
+        lambda a: series_shift(a, -1.5),
+        lambda a: series_shift(a, 1),
+        lambda a: series_shift(a, 2),
+        lambda a: series_rebase(a, a.offset - 3.0),
+        lambda a: series_rebase(series_rebase(a, a.offset - 2.0), a.offset),
+    ], ids=["shift-half", "shift-negative", "shift-odd", "shift-even",
+            "rebase-down", "rebase-up"])
+    def test_shift_and_rebase_check_nothing(self, checks, derive):
+        j1 = bessel_j_series(1.0, 0.5)
+        checks.clear()
+        got = derive(j1)
+        assert checks == []
+        # the same series the validating constructor builds
+        want = FracSeries(got.alpha, got.offset, got.coeffs)
+        assert got == want and got._walk == want._walk
+
+    def test_fractional_shift_keeps_coefficients_and_walk(self):
+        j1 = bessel_j_series(1.0, 0.5)
+        shifted = series_shift(j1, 0.5)
+        assert shifted.coeffs is j1.coeffs
+        assert shifted._walk is j1._walk
+        assert shifted.offset == 1.5
+
+    @pytest.mark.parametrize("derive", [
+        lambda a: series_scale(a, -2.0),
+        conformable_diff_exact,
+    ], ids=["scale", "diff"])
+    def test_scale_and_diff_check_their_slots_once(self, checks, derive):
+        j1 = bessel_j_series(1.0, 0.5)
+        checks.clear()
+        derive(j1)
+        assert checks == [len(j1._walk[0])]
+
+    def test_overflowing_shift_offset_is_still_refused(self):
+        a = S(1.0, -1.7e308, [1.0])
+        with pytest.raises(ValueError) as info:
+            series_shift(a, -1.7e308)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "offset must be finite, got -inf"
+
+
 class TestConformableDiffExact:
     def test_constant_series_maps_to_zero(self):
         d = conformable_diff_exact(S(0.5, 0.0, [7.0]))
