@@ -25,7 +25,6 @@ from .bessel import (
     bessel_j_neg_series,
     bessel_j_series,
     gamma,
-    integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "eval_log_solution",
     "eval_series",
     "gamma",
-    "integer_order",
     "kernel_backend",
     "second_solution_integer_order",
     "second_solution_order_zero",

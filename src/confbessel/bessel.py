@@ -42,17 +42,12 @@ from .series import (DEFAULT_TERMS, FracSeries, LogSolution, _derived,
 
 __all__ = [
     "gamma",
-    "integer_order",
     "bessel_j_series",
     "bessel_j_neg_series",
     "bessel_j_neg_integer_series",
     "second_solution_order_zero",
     "second_solution_integer_order",
 ]
-
-#: Orders this close to an integer are treated as that integer.  Orders are
-#: user input, never the result of accumulation, so near-integers are intent.
-INTEGER_TOL = 1e-9
 
 # Lanczos approximation, g = 7, 9 coefficients.  Classic parameter set
 # (Godfrey's computation, reproduced in many libraries); accurate to ~15
@@ -71,6 +66,9 @@ _LANCZOS_COEFFS = (
 )
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+#: Within this of an integer n the reflection takes sin(pi z) at z - n.
+_NEAR_POLE = 2.0 ** -10
 
 #: 170! is the largest factorial a double holds.
 _MAX_FACTORIAL = 170
@@ -94,35 +92,35 @@ def gamma(z: float) -> float:
         if z <= _MAX_FACTORIAL + 1:
             return float(math.factorial(int(z) - 1))
     if z < 0.5:
-        # reflection: gamma(z) * gamma(1 - z) = pi / sin(pi z)
-        return math.pi / (math.sin(math.pi * z) * gamma(1.0 - z))
-    z -= 1.0
+        # reflection: gamma(z) * gamma(1 - z) = pi / sin(pi z).  The sine of
+        # math.pi * z is |z| u / |d| off at d = z - n (45 % one ulp from -2),
+        # so near n it is (-1)**n sin(pi d), d exact.  Elsewhere it costs at
+        # most 1.5e-11; reducing there too waits for ROADMAP item 2, since
+        # it moves the last bits of most fractional values.
+        n = round(z)
+        s = (math.sin(math.pi * z) if abs(d := z - n) >= _NEAR_POLE
+             else math.sin(math.pi * d) * (-1.0 if n % 2 else 1.0))
+        return math.pi / (s * gamma(1.0 - z))
+    w = z - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
+        acc += c / (w + i)
+    t = w + _LANCZOS_G + 0.5
     try:
-        value = _SQRT_TWO_PI * t ** (z + 0.5) * math.exp(-t) * acc
+        value = _SQRT_TWO_PI * t ** (w + 0.5) * math.exp(-t) * acc
     except OverflowError:
         value = math.inf
     if math.isinf(value):
-        raise DomainError(
-            f"gamma({z + 1.0:g}) overflows the Lanczos evaluation")
+        raise DomainError(f"gamma({z!r}) overflows the Lanczos evaluation")
     return value
 
 
-def integer_order(p: float) -> int | None:
-    """The integer m >= 0 within ``INTEGER_TOL`` of ``p``, else None.
-
-    Only these orders need the integer-order constructions (the sign
-    reduction of order -m and the logarithmic second solution); every other
-    p, half-odd integers included, has a valid order -p series.  The first
-    kind needs no rule: it is built at every order as given.  A non-finite
-    order, or an int beyond float range, raises :class:`DomainError`.
-    """
+def _whole_order(p: float) -> int | None:
+    """The whole number ``m >= 0`` that ``p`` is exactly, else None: the
+    one rule that routes orders to the integer-order constructions, which
+    takes no near-integer for m.  A non-finite p raises DomainError."""
     p = _finite(p, DomainError, "order must be finite, got {}")
-    m = round(p)
-    return m if m >= 0 and abs(p - m) <= INTEGER_TOL else None
+    return int(p) if p.is_integer() and p >= 0.0 else None
 
 
 @functools.lru_cache(maxsize=64)
@@ -201,10 +199,11 @@ def bessel_j_neg_series(p: float, alpha: float,
     ``c_{2n} = (-1)**n / (2**(2n-p) * n! * gamma(n+1-p))``.  The even
     recurrence divides by ``k * (k - 2p)``, which only vanishes at integer
     p, so the construction is valid even when 2p is a positive integer.
+    p is taken as given, however near an integer; a whole p is refused.
     """
     if p <= 0.0:
         raise OrderCaseError(f"negative-order series needs p > 0, got {p}")
-    if integer_order(p):  # m = 0, from 0 < p <= INTEGER_TOL, is built
+    if _whole_order(p) is not None:
         raise OrderCaseError(
             f"order -{p} with integer p reduces to a signed first-kind "
             "series; use bessel_j_neg_integer_series"

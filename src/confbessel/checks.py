@@ -39,10 +39,10 @@ from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bessel import (
+    _whole_order,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
-    integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
 )
@@ -570,11 +570,9 @@ def random_residual_suite(seed: int, cases: int = 8,
             p = float(rng.randrange(0, 4))
         xs = sorted(rng.uniform(0.3, 4.0) for _ in range(5))
         if rng.random() < 0.3 and p > 0.0:
-            m = integer_order(p)
-            if m:
-                solution = bessel_j_neg_integer_series(m, a)
-            else:
-                solution = bessel_j_neg_series(p, a)
+            m = _whole_order(p)
+            solution = (bessel_j_neg_series(p, a) if m is None
+                        else bessel_j_neg_integer_series(m, a))
             label = f"Jneg[p={p:g}]"
         else:
             solution = bessel_j_series(p, a)

@@ -22,10 +22,10 @@ import sys
 from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from .bessel import (
+    _whole_order,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
-    integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
 )
@@ -108,30 +108,35 @@ def build_solution(family: str, order: float, alpha: float,
                    terms: int) -> FracSeries | LogSolution:
     """Construct the requested solution family.
 
-    ``Jneg`` at an integer order routes through the sign-reduction to the
-    positive-order series instead of the (undefined) negative-order
-    recurrence.  ``K`` insists on integer order >= 1; ``y2zero`` exists at
-    order 0 only and refuses any other order.
+    ``Jneg`` at a whole order (``bessel._whole_order``, exact) routes
+    through the sign-reduction to the positive-order series instead of the
+    (undefined) negative-order recurrence.  ``K`` insists on a whole order
+    >= 1; ``y2zero`` exists at order 0 only and refuses any other order.
     """
     if family == "J":
         return bessel_j_series(order, alpha, terms)
     if family == "Jneg":
-        m = integer_order(order)
-        if m is not None:
-            return bessel_j_neg_integer_series(m, alpha, terms)
-        return bessel_j_neg_series(order, alpha, terms)
+        m = _whole_order(order)
+        return (bessel_j_neg_series(order, alpha, terms) if m is None
+                else bessel_j_neg_integer_series(m, alpha, terms))
     if family == "y2zero":
-        if integer_order(order) != 0:
-            raise UsageError(
-                f"family y2zero takes --order 0 only, got {order:g}")
+        if _whole_order(order) != 0:
+            raise UsageError("family y2zero takes --order 0 only, got "
+                             + _order_text(order))
         return second_solution_order_zero(alpha, terms)
     if family == "K":
-        m = integer_order(order)
+        m = _whole_order(order)
         if not m:
-            raise UsageError(
-                f"family K requires an integer order >= 1, got {order:g}")
+            raise UsageError("family K requires an integer order >= 1, got "
+                             + _order_text(order))
         return second_solution_integer_order(m, alpha, terms)
     raise UsageError(f"unknown family {family!r}")
+
+
+def _order_text(order: float) -> str:
+    """``f"{order:g}"`` where it reads back as order, else the repr."""
+    short = f"{order:g}"
+    return short if float(short) == order else repr(order)
 
 
 def _row(solution: FracSeries | LogSolution, x: float) -> dict:
@@ -249,12 +254,10 @@ def _collect_reports(ns: argparse.Namespace) -> "list[CheckReport]":
         raise UsageError("--family narrows the residual check only; drop "
                          "--family or use --name residual")
     solution = build_solution(ns.family, ns.order, ns.alpha, ns.terms)
-    # the order it was built at, |offset| (of the log part): --order itself
-    # for J and a non-integral Jneg, the snapped integer for the others
-    p = abs((solution.log_part if isinstance(solution, LogSolution)
-             else solution).offset)
+    # every family is built at --order as given, so the residual is taken
+    # there; abs reads -0.0 as the order 0.0 that is built
     return [checks.check_ode_residual(
-        p, ns.alpha, solution, ns.xs, ns.tolerance,
+        abs(ns.order), ns.alpha, solution, ns.xs, ns.tolerance,
         name=f"residual[{ns.family} order={ns.order:g} alpha={ns.alpha:g}]")]
 
 

@@ -22,13 +22,12 @@ from confbessel import (
     eval_log_solution,
     eval_series,
     gamma,
-    integer_order,
     second_solution_integer_order,
     second_solution_order_zero,
     series_scale,
     series_shift,
 )
-from confbessel.bessel import INTEGER_TOL, _table
+from confbessel.bessel import _table
 from confbessel.cli import UsageError, build_solution
 from confbessel.errors import DomainError, OrderCaseError
 from confbessel.series import checked_alpha
@@ -45,9 +44,13 @@ def harmonic(n):
     return h
 
 
-# Frozen reference: the four-way order classification that integer_order
-# replaced, kept verbatim.  integer_order must give m exactly where this
-# said ZERO (m = 0) or POSITIVE_INTEGER (m), and None otherwise.
+# Frozen reference: the four-way order classification that the package's
+# integer_order replaced, kept verbatim, with the tolerance both had.  The
+# package now routes orders on exact whole numbers: the classification with
+# its tolerance set to zero (ref_whole_order).
+
+#: The snapping tolerance of the frozen classification.
+INTEGER_TOL = 1e-9
 
 class OrderKind(enum.Enum):
     """Case classification of a real order p."""
@@ -93,10 +96,10 @@ def classify_order(p: float) -> BesselOrder:
 
 
 def ref_integer_order(p):
-    """integer_order's answer, read off the frozen classification.
+    """The frozen integer_order's answer, read off the classification.
 
     Below about -8.99e307 the classification overflowed forming
-    ``round(2.0 * p)``; integer_order answers None there, as for every
+    ``round(2.0 * p)``; integer_order answered None there, as for every
     other negative order.
     """
     try:
@@ -107,6 +110,37 @@ def ref_integer_order(p):
     if order.kind is OrderKind.ZERO:
         return 0
     return order.m
+
+
+def ref_whole_order(p):
+    """``ref_integer_order`` with a zero tolerance: m at a whole order
+    m >= 0, else None.  A non-finite order raises DomainError."""
+    with patch.dict(globals(), INTEGER_TOL=0.0):
+        return ref_integer_order(p)
+
+
+def ref_order_text(p):
+    """How a refusal names the order: ``:g`` where that reads back as p,
+    else repr, so 5.0 reads "5" and 2.9999999999 does not read "3"."""
+    return f"{p:g}" if float(f"{p:g}") == p else repr(p)
+
+
+def ref_route(family, p, alpha=1.0, n_terms=8):
+    """``build_solution`` on the frozen classification at zero tolerance:
+    the integer constructions at a whole order, Jneg as given elsewhere."""
+    m = ref_whole_order(p)
+    if family == "Jneg":
+        return (bessel_j_neg_series(p, alpha, n_terms) if m is None
+                else bessel_j_neg_integer_series(m, alpha, n_terms))
+    if family == "y2zero":
+        if m != 0:
+            raise UsageError("family y2zero takes --order 0 only, got "
+                             + ref_order_text(p))
+        return second_solution_order_zero(alpha, n_terms)
+    if not m:
+        raise UsageError("family K requires an integer order >= 1, got "
+                         + ref_order_text(p))
+    return second_solution_integer_order(m, alpha, n_terms)
 
 
 def indicial_value(series, p):
@@ -130,18 +164,17 @@ def root_series(p, alpha):
     """The constructed series whose leading terms sit at the roots +p, -p.
 
     At p = 0 the root is double and both are the order-zero series (the log
-    part of y2zero); at integer m the -m root leads the plain part of K.
+    part of y2zero); at a whole m the -m root leads the plain part of K.
     """
-    m = integer_order(p)
     plus = bessel_j_series(p, alpha)
-    if m == 0:
+    if p == 0.0:
         return plus, second_solution_order_zero(alpha).log_part
-    if m is not None:
-        return plus, second_solution_integer_order(m, alpha).plain_part
+    if p.is_integer():
+        return plus, second_solution_integer_order(p, alpha).plain_part
     return plus, bessel_j_neg_series(p, alpha)
 
 
-#: Orders at and just past the snapping tolerance, on both sides of 0.
+#: Orders at and just past the former snapping tolerance, on both sides of 0.
 EDGE_ORDERS = [
     0.0, -0.0, 5e-10, -5e-10, INTEGER_TOL, -INTEGER_TOL,
     2 * INTEGER_TOL, -2 * INTEGER_TOL,
@@ -152,43 +185,74 @@ EDGE_ORDERS = [
     1e300, -1e300, 0.5, 1.5, 2.0 - 1e-10, 3.0 + 1e-6,
 ]
 
+ROUTED = ("Jneg", "y2zero", "K")
+
+
+def routes_like_whole_order(p):
+    """``build_solution`` of each routed family at p has ``ref_route``'s
+    bytes, or its error and message."""
+    for family in ROUTED:
+        assert (_outcome(build_solution, family, p, 1.0, 8)
+                == _outcome(ref_route, family, p)), family
+
 
 class TestClassifyOrder:
+    """``build_solution`` routes orders on exact whole numbers: the sign
+    reduction and the log solutions take a whole order only, and Jneg is
+    built as given at every other order, however near an integer."""
+
     def test_zero_and_near_zero(self):
-        assert integer_order(0.0) == 0
-        assert integer_order(5e-10) == 0
-        assert integer_order(-5e-10) == 0
+        assert (_outcome(build_solution, "Jneg", 0.0, 1.0, 8)
+                == _outcome(bessel_j_series, 0.0, 1.0, 8))
+        assert build_solution("Jneg", 5e-10, 1.0, 8).offset == -5e-10
+        with pytest.raises(OrderCaseError, match="got -5e-10$"):
+            build_solution("Jneg", -5e-10, 1.0, 8)
+        for p in (5e-10, -5e-10):
+            with pytest.raises(UsageError, match=f"got {p!r}$"):
+                build_solution("y2zero", p, 1.0, 8)
 
     def test_positive_integers_carry_m(self):
         for p in (1.0, 2.0, 7.0):
-            assert integer_order(p) == int(p)
+            assert (_outcome(build_solution, "Jneg", p, 1.0, 8)
+                    == _outcome(bessel_j_neg_integer_series, int(p), 1.0, 8))
+            assert (_outcome(build_solution, "K", p, 1.0, 8)
+                    == _outcome(second_solution_integer_order, int(p), 1.0,
+                                8))
 
-    def test_near_integer_snaps(self):
-        assert integer_order(3.0 - 1e-10) == 3
+    def test_near_integer_is_not_snapped(self):
+        p = 3.0 - 1e-10
+        assert (_outcome(build_solution, "Jneg", p, 1.0, 8)
+                == _outcome(bessel_j_neg_series, p, 1.0, 8))
+        with pytest.raises(UsageError, match="got 2.9999999999$"):
+            build_solution("K", p, 1.0, 8)
 
     @pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 7.5])
     def test_half_odd_integers(self, p):
-        assert integer_order(p) is None
+        assert ref_whole_order(p) is None
+        routes_like_whole_order(p)
 
     @pytest.mark.parametrize("p", [0.3, 1.0 / 3.0, 2.7, math.pi])
     def test_generic_orders(self, p):
-        assert integer_order(p) is None
+        assert ref_whole_order(p) is None
+        routes_like_whole_order(p)
 
     def test_beyond_tolerance_is_generic(self):
-        assert integer_order(3.0 + 1e-6) is None
+        assert (_outcome(build_solution, "Jneg", 3.0 + 1e-6, 1.0, 8)
+                == _outcome(bessel_j_neg_series, 3.0 + 1e-6, 1.0, 8))
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
     def test_non_finite_orders_rejected(self, p):
-        with pytest.raises(DomainError) as got:
-            integer_order(p)
         with pytest.raises(DomainError) as want:
             classify_order(p)
-        assert str(got.value) == str(want.value)
-        assert str(got.value) == f"order must be finite, got {p}"
+        assert str(want.value) == f"order must be finite, got {p}"
+        for family in ROUTED:
+            with pytest.raises(DomainError) as got:
+                build_solution(family, p, 1.0, 8)
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("p", EDGE_ORDERS)
     def test_edges_match_frozen_classification(self, p):
-        assert integer_order(p) == ref_integer_order(p)
+        routes_like_whole_order(p)
 
     @settings(max_examples=400, deadline=None)
     @given(p=st.one_of(
@@ -200,9 +264,7 @@ class TestClassifyOrder:
     @example(p=-1e308)
     @example(p=-1.7976931348623157e308)
     def test_matches_frozen_classification(self, p):
-        got = integer_order(p)
-        assert got == ref_integer_order(p)
-        assert got is None or type(got) is int
+        routes_like_whole_order(p)
 
 
 class TestIndicial:
@@ -607,14 +669,12 @@ class TestProperties:
            alpha=st.floats(min_value=0.1, max_value=1.0))
     @example(p=2.0 + 9e-10, alpha=0.5)
     def test_indicial_roots_annihilate(self, p, alpha):
-        # J sits at +p as given; the -p root is Jneg's, or at a near-integer
-        # order the snapped integer's of the integer constructions
+        # J sits at +p and Jneg at -p as given, near-integers too; at a
+        # whole order the -p root is the integer constructions'
         plus, minus = root_series(p, alpha)
-        m = integer_order(p)
-        assert plus.offset == p
+        assert (plus.offset, minus.offset) == (p, -p)
         assert indicial_value(plus, p) == pytest.approx(0.0, abs=1e-12)
-        assert indicial_value(minus, p if m is None else m) == \
-            pytest.approx(0.0, abs=1e-12)
+        assert indicial_value(minus, p) == pytest.approx(0.0, abs=1e-12)
 
 
 # Frozen reference: the four constructors as they stood before the shared
@@ -766,10 +826,10 @@ def generic_outcome(build, *args):
         return _outcome(build, *args)
 
 
-def snapped_first_kind(order):
-    """Whether the frozen routing took the first-kind ``order >= 0`` for
-    an integer it is not: the snap that J no longer makes."""
-    return (order >= 0.0 and ref_integer_order(order) is not None
+def snapped(order):
+    """Whether the frozen routing took ``order`` for an integer it is not:
+    the snap that the package no longer makes."""
+    return (ref_integer_order(order) is not None
             and not float(order).is_integer())
 
 
@@ -805,19 +865,24 @@ class TestFrozenReference:
     @example(family=0, p=2.0000000009, alpha=0.5, n_terms=120)
     @example(family=0, p=3.0 - 1e-10, alpha=1.0, n_terms=1)
     @example(family=0, p=145.0 + 1e-10, alpha=0.5, n_terms=3)  # now refused
+    @example(family=1, p=3.0 + 1e-10, alpha=1.0, n_terms=40)
+    @example(family=1, p=145.0 + 1e-10, alpha=0.5, n_terms=3)
     def test_coefficients_and_errors_match_bit_for_bit(self, family, p,
                                                        alpha, n_terms):
         build, ref = FAMILIES[family]
         got = _outcome(build, p, alpha, n_terms)
         want = _outcome(ref, p, alpha, n_terms)
-        if family == 0 and snapped_first_kind(p):
-            # an intended change: J is built at a near-integer order as
-            # given, as the frozen builder built every non-integral order
-            assert got != want
+        if family in (0, 1) and snapped(p):
+            # an intended change: J and Jneg are built at a near-integer
+            # order as given, as the frozen builders built every
+            # non-integral order (the frozen Jneg refused a near-integer
+            # m >= 1, and built one near 0 as given)
             assert got == generic_outcome(ref, p, alpha, n_terms)
+            assert got != want or family == 1 and p < 0.5
             if p > 142.0:
-                # past about 141.2 gamma(p + 1) overflows the Lanczos
-                # evaluation, where the frozen snap took m! exactly
+                # past about 141.2 gamma(p + 1), or gamma(1 - p) through
+                # the reflection, overflows the Lanczos evaluation, where
+                # the frozen snap took m! exactly
                 assert got[0] is DomainError
         elif p == 150.0 and family in (0, 3):
             # an intended change: c0 = 1.2e-308 is subnormal
@@ -893,13 +958,21 @@ class TestCliRouting:
     def test_build_solution_matches_frozen_routing(self, family, order):
         got = _outcome(build_solution, family, order, 0.7, 40)
         want = _outcome(ref_build_solution, family, order, 0.7, 40)
-        if family == "y2zero" and ref_integer_order(order) != 0:
+        if family == "y2zero" and order != 0.0:
             # an intended change: y2zero used to ignore the order
             assert isinstance(want[0], bytes)
             assert got == (UsageError, "family y2zero takes --order 0 only, "
-                                       f"got {order:g}")
-        elif family == "J" and snapped_first_kind(order):
-            # and another: J is built at a near-integer order as given
+                                       f"got {ref_order_text(order)}")
+        elif family == "K" and not (order.is_integer() and order >= 1.0):
+            # and another: K refuses a near-integer order too, and names an
+            # order that :g would round (3.000001) by its repr
+            assert got == (UsageError, "family K requires an integer order "
+                                       f">= 1, got {ref_order_text(order)}")
+            assert (got == want) == (ref_order_text(order) == f"{order:g}")
+        elif snapped(order) and (family == "Jneg"
+                                 or family == "J" and order > 0.0):
+            # and a third: J and Jneg are built at a near-integer order as
+            # given (J refuses -5e-10 as it did)
             assert got != want
             assert got == generic_outcome(ref_build_solution, family, order,
                                           0.7, 40)

@@ -30,7 +30,6 @@ from confbessel import (
     eval_series,
     half_order_suite,
     identity_suite,
-    integer_order,
     random_residual_suite,
     residual_suite,
     scaling_suite,
@@ -43,6 +42,7 @@ from confbessel.checks import (COEFF_TOL, HALF_ORDER_TOL, IDENTITIES,
                                RESIDUAL_X, SCALING_TOL, SCALING_X,
                                CheckReport, _coefficientwise, _pointwise,
                                _rows, linspace)
+from confbessel.cli import build_solution
 from confbessel.errors import AlignmentError, DomainError, OrderCaseError
 from confbessel.series import series_rebase
 
@@ -454,8 +454,10 @@ BEYOND_FLOAT = 10 ** 400
      "order must be finite, got inf"),
     (lambda p: bessel_j_neg_series(p, 1.0), DomainError,
      "order must be finite, got inf"),
-    (integer_order, DomainError, "order must be finite, got inf"),
-    (lambda p: integer_order(-p), DomainError,
+    # the integer-order route: Jneg reads its order before routing it
+    (lambda p: build_solution("Jneg", p, 1.0, 8), DomainError,
+     "order must be finite, got inf"),
+    (lambda p: build_solution("Jneg", -p, 1.0, 8), DomainError,
      "order must be finite, got -inf"),
     (lambda p: bessel_j_neg_integer_series(p, 1.0), OrderCaseError,
      f"integer reduction needs integer m >= 0, got {BEYOND_FLOAT}"),

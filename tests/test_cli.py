@@ -29,7 +29,7 @@ from confbessel.cli import (
     parse_range,
     UsageError,
 )
-from confbessel import LogSolution, eval_series
+from confbessel import LogSolution, bessel_j_neg_series, eval_series
 
 #: Environment for ``python -m confbessel`` in a child process: it imports
 #: the package under test, whatever sys.path pytest was given.
@@ -78,6 +78,19 @@ class TestBuildSolution:
         with pytest.raises(UsageError):
             build_solution("K", 0.5, 0.5, 60)
 
+    def test_k_refuses_a_near_integer_by_its_repr(self):
+        with pytest.raises(UsageError, match=r"got 1\.0000000001$"):
+            build_solution("K", 1.0000000001, 0.5, 60)
+
+    def test_jneg_near_zero_prints_the_library_bytes(self, capsys):
+        # built at order -5e-10 as the library builds it, not as J_0
+        argv = ["eval", "--family", "Jneg", "--x", "0.5", "--format", "json"]
+        code, out, err = run(capsys, *argv, "--order", "5e-10")
+        assert (code, err) == (EXIT_OK, "")
+        library = eval_series(bessel_j_neg_series(5e-10, 1.0), 0.5)
+        assert json.loads(out)["value"] == library.value
+        assert out != run(capsys, *argv, "--order", "0")[1]
+
 
 class TestY2zeroOrder:
     """y2zero exists at order 0 only: any other ``--order`` is refused."""
@@ -101,18 +114,15 @@ class TestY2zeroOrder:
     @pytest.mark.parametrize("argv", [
         ["eval", "--family", "y2zero", "--alpha", "0.5", "--x", "1.5"],
         ["table", "--family", "y2zero", "--range", "0.5:3:4"],
+        ["check", "--family", "y2zero"],
     ])
-    def test_orders_that_snap_to_zero_keep_the_bytes(self, capsys, argv):
-        want = run(capsys, *argv)
-        assert want[0] == EXIT_OK
-        for order in ("0", "5e-10", "-5e-10"):
-            assert run(capsys, *argv, f"--order={order}") == want
-
-    def test_check_at_order_snapping_to_zero_passes(self, capsys):
-        code, out, err = run(capsys, "check", "--family", "y2zero",
-                             "--order", "5e-10")
-        assert (code, err) == (EXIT_OK, "")
-        assert out.startswith("PASS residual[y2zero order=5e-10 alpha=1] ")
+    def test_orders_near_zero_are_refused(self, capsys, argv):
+        # no snap: only 0 itself is order 0
+        assert run(capsys, *argv, "--order=0")[0] == EXIT_OK
+        for order in ("5e-10", "-5e-10"):
+            assert run(capsys, *argv, f"--order={order}") == (
+                EXIT_USAGE, "", "confbessel: error: family y2zero takes "
+                                f"--order 0 only, got {order}\n")
 
 
 class TestNegativeExponentValues:
@@ -128,7 +138,8 @@ class TestNegativeExponentValues:
                                                  points):
         argv = [points[0], "--family", family, *points[1:]]
         want = run(capsys, *argv, "--order=-5e-10")
-        assert want[0] == EXIT_OK
+        # -5e-10 is no order 0: y2zero and Jneg both refuse it by name
+        assert want[2].endswith(" got -5e-10\n")
         assert run(capsys, *argv, "--order", "-5e-10") == want
 
     def test_alpha_reaches_its_check(self, capsys):
@@ -300,18 +311,19 @@ class TestCheck:
         assert code == EXIT_OK
         assert out.splitlines()[-1] == "1/1 checks passed"
 
-    @pytest.mark.parametrize("family", ["Jneg"])
-    def test_residual_runs_at_the_snapped_order(self, capsys, family):
-        # the integer construction is built at order 1, so the residual is
-        # taken at p = 1 (at p = 1.0000000001 it is 1.8e-11) and the report
-        # reads as order 1
+    def test_jneg_residual_runs_at_the_order_given(self, capsys):
+        # Jneg is built at order -1.0000000001, not reduced to J_1, and the
+        # residual is taken there: the grid carries the order checked
         reports = [run(capsys, "check", "--name", "residual", "--family",
-                       family, "--order", order, "--alpha", "0.5",
-                       "--tolerance", "1e-13")
+                       "Jneg", "--order", order, "--alpha", "0.5",
+                       "--tolerance", "1e-13", "--format", "json")
                    for order in ("1.0000000001", "1")]
-        assert reports[0] == reports[1]
-        assert reports[0][0] == EXIT_OK
-        assert reports[0][1].startswith(f"PASS residual[{family} order=1 ")
+        assert reports[0] != reports[1]
+        for (code, out, err), p in zip(reports, (1.0000000001, 1.0)):
+            assert (code, err) == (EXIT_OK, "")
+            report = json.loads(out)
+            assert report["passed"] is True
+            assert {row[0] for row in report["grid"]} == {p}
 
     def test_residual_runs_at_the_order_given(self, capsys):
         # J is built at order 1.0000000001, and the residual is taken there

@@ -85,6 +85,18 @@ class TestGammaAccuracy:
             checked += 1
         assert checked > 400
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 20])
+    def test_near_a_pole(self, n):
+        # the reflection takes its sine at the exact remainder z + n, so
+        # the error stays at Lanczos's own however near z is to the pole -n;
+        # math.sin(math.pi * z) there loses about n u / |z + n| (45 % one
+        # ulp from -2)
+        for d in (math.ulp(max(n, 1.0)), 1e-13, 1e-10, 2.0 ** -11):
+            for z in (-n + d, -n - d):
+                if z < 0.5:
+                    assert gamma(z) == pytest.approx(math.gamma(z),
+                                                     rel=1e-13), z
+
     @pytest.mark.parametrize("z", [0.1, 0.37, 1.2, 4.8, 11.5, 27.0, 49.5])
     def test_recurrence_identity(self, z):
         assert gamma(z + 1.0) == pytest.approx(z * gamma(z), rel=5e-13)

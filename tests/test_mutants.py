@@ -11,9 +11,9 @@ A row names the suites that its fault makes fail: the four parts of
 ``all_suites()`` and the seeded fuzz ``random_residual_suite(0..19)``.  A
 fault that every suite misses, a survivor, names instead the tier-1 test
 that compares with an independent truth and catches it: the mpmath closed
-form of the log families, mpmath's J at near-integer orders, the frozen
-while-loop kernel, or gamma against ``math.gamma``.  A new check that
-catches a survivor moves its row.
+form of the log families, mpmath's J and J_{-p} at near-integer orders,
+the frozen while-loop kernel, or gamma against ``math.gamma``.  A new
+check that catches a survivor moves its row.
 """
 
 import math
@@ -60,12 +60,21 @@ def near_integer_first_kind():
         2.0000000009, 0.5)
 
 
+def near_integer_negative_order():
+    series_tests.TestMpmathPins(
+    ).test_negative_order_near_an_integer_matches_classical_bessel(3, 1e-10)
+
+
 def while_loop_oracle():
     kernel_tests.TestEvenSlots().test_families_through_the_evaluators(1.0, 30)
 
 
 def gamma_against_stdlib():
     gamma_tests.TestGammaAccuracy().test_matches_stdlib_to_twelve_digits()
+
+
+def gamma_near_a_pole():
+    gamma_tests.TestGammaAccuracy().test_near_a_pole(3)
 
 
 class Fault(NamedTuple):
@@ -143,6 +152,17 @@ def snapped_order(build):
     return faulty
 
 
+def snapped_negative_order(build):
+    # the series of order -p within 1e-9 of a whole m replaced by the sign
+    # reduction of order -m
+    def faulty(p, alpha, n_terms=S.DEFAULT_TERMS):
+        series, m = build(p, alpha, n_terms), round(p)
+        if abs(p - m) <= 1e-9:
+            return B.bessel_j_neg_integer_series(m, alpha, n_terms)
+        return series
+    return faulty
+
+
 def shifted_offset(diff):
     # the derivative's offset half a step off: r - 0.5 for r - 1
     def faulty(a):
@@ -213,6 +233,9 @@ FAULTS = {
                                   frozenset(), log_closed_form),
     "J-order-snapped": Fault(B, "bessel_j_series", snapped_order,
                              frozenset(), near_integer_first_kind),
+    "Jneg-order-snapped": Fault(B, "bessel_j_neg_series",
+                                snapped_negative_order, frozenset(),
+                                near_integer_negative_order),
     "stop-rel-1e-9": Fault(S, "STOP_REL", lambda _: 1e-9, frozenset(),
                            while_loop_oracle),
     "stride-1-power-step": Fault(S, "eval_series_kernel",
@@ -221,6 +244,11 @@ FAULTS = {
     # the seventh coefficient: a cut of the second to sixth is caught by
     # the half-order check, and of the first, eighth or ninth (1e-13 or
     # less in gamma) by no truth test
+    # the reflection's sine at math.pi * z everywhere, the pole's too: c0
+    # of Jneg at p = m + delta is off by about m u / delta, and no suite
+    # draws such p
+    "reflection-unreduced": Fault(B, "_NEAR_POLE", lambda _: 0.0,
+                                  frozenset(), gamma_near_a_pole),
     "lanczos-7-digits": Fault(B, "_LANCZOS_COEFFS", cut_to_7_digits(6),
                               frozenset(), gamma_against_stdlib),
 }

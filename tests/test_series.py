@@ -702,6 +702,35 @@ class TestMpmathPins:
                 assert abs(got - ref) <= 1e-13 * abs(ref) + 16 * u * mag, \
                     (p, alpha, t)
 
+    @pytest.mark.parametrize("step", [
+        1e-10, -1e-10, 5e-10, 9e-10, -9e-10, 1e-13, -1e-13,
+        # one ulp either side of m
+        math.inf, -math.inf])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_negative_order_near_an_integer_matches_classical_bessel(
+            self, m, step):
+        # J_{-p} at p = m + delta, built as given, at alpha = 1 on
+        # x in [0.01, 9].  c0 takes gamma(1 - p) through the reflection,
+        # whose sine is reduced exactly near the pole: with
+        # math.sin(math.pi * z) c0 was off by about m u / delta (1.8e-6 at
+        # m = 5 and delta = -1e-10, 45 % at one ulp).  Taking p for m,
+        # (-1)**m J_m, drops the x**(-p) terms of size delta and is off by
+        # up to 156 % here.  The gate is the first kind's but 1e-11 for
+        # 1e-13: one ulp from 5, at x = 0.01, the terms of size delta fall
+        # below STOP_REL at n = 8 and the kernel stops before the J_5 part
+        # at n = 10, a 3.8e-12 loss.  Every other case is within 1e-13.
+        p = math.nextafter(m, step) if math.isinf(step) else m + step
+        s = bessel_j_neg_series(p, 1.0)
+        u = 2.0 ** -53
+        with mpmath.workdps(40):
+            for x in (0.01, *(k / 4 for k in range(1, 37))):
+                ref = mpmath.besselj(-mpmath.mpf(p), x)
+                got = eval_series(s, x).value
+                mag = math.fsum(abs(c) * x ** (n + s.offset)
+                                for n, c in enumerate(s.coeffs))
+                assert abs(got - ref) <= 1e-11 * abs(ref) + 16 * u * mag, \
+                    (p, x)
+
     @pytest.mark.parametrize("m", [0, 1, 2, 5])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
     def test_log_solutions_match_closed_form(self, m, alpha):
