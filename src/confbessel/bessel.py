@@ -13,8 +13,9 @@ point of the fractional kind, the indicial roots are ``+p`` and ``-p``, and
 four solution families arise:
 
 * ``bessel_j_series`` -- the first-kind function of order p >= 0,
-* ``bessel_j_neg_series`` -- order -p for non-integer p (valid even when 2p
-  is a positive integer),
+* ``bessel_j_neg_series`` -- order -p for every p >= 0: built as given at a
+  non-integer p (valid even when 2p is a positive integer), and the signed
+  first-kind series ``bessel_j_neg_integer_series`` at a whole p,
 * ``second_solution_order_zero`` -- the logarithmic companion at p = 0,
 * ``second_solution_integer_order`` -- the logarithmic companion at a
   positive integer order m.
@@ -115,14 +116,6 @@ def gamma(z: float) -> float:
     return value
 
 
-def _whole_order(p: float) -> int | None:
-    """The whole number ``m >= 0`` that ``p`` is exactly, else None: the
-    one rule that routes orders to the integer-order constructions, which
-    takes no near-integer for m.  A non-finite p raises DomainError."""
-    p = _finite(p, DomainError, "order must be finite, got {}")
-    return int(p) if p.is_integer() and p >= 0.0 else None
-
-
 @functools.lru_cache(maxsize=64)
 def _table(family: str, order: float, n_terms: int) -> FracSeries | tuple:
     """The alpha-free J, Jneg or log (``K``) table at its normalized order.
@@ -193,21 +186,21 @@ def bessel_j_series(p: float, alpha: float,
 
 def bessel_j_neg_series(p: float, alpha: float,
                         n_terms: int = DEFAULT_TERMS) -> FracSeries:
-    """Solution of order ``-p`` for ``p > 0`` not an integer.
+    """Solution of order ``-p`` for every finite ``p >= 0``.
 
-    Offset -p, even coefficients
+    At a whole p = m (0 and -0.0 included) this is
+    :func:`bessel_j_neg_integer_series`, ``(-1)**m`` times the order-m
+    series.  At every other p, however near an integer, the series is
+    built as given: offset -p, even coefficients
     ``c_{2n} = (-1)**n / (2**(2n-p) * n! * gamma(n+1-p))``.  The even
     recurrence divides by ``k * (k - 2p)``, which only vanishes at integer
     p, so the construction is valid even when 2p is a positive integer.
-    p is taken as given, however near an integer; a whole p is refused.
     """
-    if p <= 0.0:
-        raise OrderCaseError(f"negative-order series needs p > 0, got {p}")
-    if _whole_order(p) is not None:
-        raise OrderCaseError(
-            f"order -{p} with integer p reduces to a signed first-kind "
-            "series; use bessel_j_neg_integer_series"
-        )
+    p = _finite(p, DomainError, "order must be finite, got {}")
+    if p < 0.0:
+        raise OrderCaseError(f"negative-order series needs p >= 0, got {p}")
+    if p.is_integer():
+        return bessel_j_neg_integer_series(int(p), alpha, n_terms)
     n_terms = _whole(n_terms, 1, ValueError,
                      "n_terms must be positive, got {}")
     t = _table("Jneg", p, n_terms)

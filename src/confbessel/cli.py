@@ -22,8 +22,7 @@ import sys
 from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from .bessel import (
-    _whole_order,
-    bessel_j_neg_integer_series,
+    bessel_j_neg_integer_series,  # not called; perfbench/spans.py rebinds it
     bessel_j_neg_series,
     bessel_j_series,
     second_solution_integer_order,
@@ -34,6 +33,7 @@ from .series import (
     DEFAULT_TERMS,
     FracSeries,
     LogSolution,
+    _finite,
     eval_log_solution,
     eval_series,
     linspace,
@@ -108,33 +108,32 @@ def build_solution(family: str, order: float, alpha: float,
                    terms: int) -> FracSeries | LogSolution:
     """Construct the requested solution family.
 
-    ``Jneg`` at a whole order (``bessel._whole_order``, exact) routes
-    through the sign-reduction to the positive-order series instead of the
-    (undefined) negative-order recurrence.  ``K`` insists on a whole order
-    >= 1; ``y2zero`` exists at order 0 only and refuses any other order.
+    ``J`` and ``Jneg`` take the order as their constructors do;
+    ``bessel_j_neg_series`` itself takes a whole order to the signed
+    first-kind series.  ``K`` insists on a whole order >= 1; ``y2zero``
+    exists at order 0 only and refuses any other order.
     """
     if family == "J":
         return bessel_j_series(order, alpha, terms)
     if family == "Jneg":
-        m = _whole_order(order)
-        return (bessel_j_neg_series(order, alpha, terms) if m is None
-                else bessel_j_neg_integer_series(m, alpha, terms))
+        return bessel_j_neg_series(order, alpha, terms)
+    if family not in FAMILIES:
+        raise UsageError(f"unknown family {family!r}")
+    order = _finite(order, DomainError, "order must be finite, got {}")
     if family == "y2zero":
-        if _whole_order(order) != 0:
+        if order != 0.0:
             raise UsageError("family y2zero takes --order 0 only, got "
                              + _order_text(order))
         return second_solution_order_zero(alpha, terms)
-    if family == "K":
-        m = _whole_order(order)
-        if not m:
-            raise UsageError("family K requires an integer order >= 1, got "
-                             + _order_text(order))
-        return second_solution_integer_order(m, alpha, terms)
-    raise UsageError(f"unknown family {family!r}")
+    if not (order.is_integer() and order >= 1.0):
+        raise UsageError("family K requires an integer order >= 1, got "
+                         + _order_text(order))
+    return second_solution_integer_order(int(order), alpha, terms)
 
 
 def _order_text(order: float) -> str:
-    """``f"{order:g}"`` where it reads back as order, else the repr."""
+    """``f"{order:g}"`` where it reads back as order, else the repr; alpha
+    in a report name is written the same way."""
     short = f"{order:g}"
     return short if float(short) == order else repr(order)
 
@@ -258,7 +257,8 @@ def _collect_reports(ns: argparse.Namespace) -> "list[CheckReport]":
     # there; abs reads -0.0 as the order 0.0 that is built
     return [checks.check_ode_residual(
         abs(ns.order), ns.alpha, solution, ns.xs, ns.tolerance,
-        name=f"residual[{ns.family} order={ns.order:g} alpha={ns.alpha:g}]")]
+        name=f"residual[{ns.family} order={_order_text(ns.order)} "
+             f"alpha={_order_text(ns.alpha)}]")]
 
 
 def run_check(ns: argparse.Namespace) -> int:

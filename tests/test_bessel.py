@@ -439,14 +439,30 @@ class TestNegativeOrderSeries:
         s = bessel_j_neg_series(p, 1.0)
         assert all(math.isfinite(c) for c in s.coeffs)
 
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    def test_integer_order_directed_to_reduction(self, p):
-        with pytest.raises(OrderCaseError):
-            bessel_j_neg_series(p, 1.0)
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(0, 170), as_float=st.booleans(),
+           alpha=st.floats(0.0, 1.0, exclude_min=True),
+           n_terms=st.integers(1, 130))
+    @example(m=0, as_float=None, alpha=1.0, n_terms=8)  # -0.0
+    @example(m=170, as_float=True, alpha=0.5, n_terms=130)
+    def test_whole_order_is_the_sign_reduction(self, m, as_float, alpha,
+                                               n_terms):
+        # as_float None gives -0.0.  repr tells -0.0 from 0.0 and shows
+        # every bit of a float, so this compares each field and the walk,
+        # or the error and message (c0 is refused at m = 150...170)
+        def outcome(build, *args):
+            try:
+                return repr(vars(build(*args)))
+            except DomainError as exc:
+                return str(exc)
 
-    @pytest.mark.parametrize("p", [0.0, -0.5])
-    def test_non_positive_order_rejected(self, p):
-        with pytest.raises(OrderCaseError):
+        p = -0.0 if as_float is None else float(m) if as_float else m
+        assert (outcome(bessel_j_neg_series, p, alpha, n_terms)
+                == outcome(bessel_j_neg_integer_series, m, alpha, n_terms))
+
+    @pytest.mark.parametrize("p", [-0.5, -1.0, -5e-324])
+    def test_negative_order_rejected(self, p):
+        with pytest.raises(OrderCaseError, match=r"needs p >= 0, got "):
             bessel_j_neg_series(p, 1.0)
 
     def test_order_below_half_an_ulp_of_one_is_order_zero(self):
@@ -884,6 +900,13 @@ class TestFrozenReference:
                 # the reflection, overflows the Lanczos evaluation, where
                 # the frozen snap took m! exactly
                 assert got[0] is DomainError
+        elif family == 1 and p.is_integer():
+            # another: Jneg at a whole p is the sign reduction, which the
+            # frozen builder refused ("reduces to a signed first-kind
+            # series" at m >= 1, "needs p > 0" at 0)
+            assert got == _outcome(bessel_j_neg_integer_series, int(p),
+                                   alpha, n_terms)
+            assert want[0] is OrderCaseError
         elif p == 150.0 and family in (0, 3):
             # an intended change: c0 = 1.2e-308 is subnormal
             assert got[0] is DomainError
@@ -969,6 +992,14 @@ class TestCliRouting:
             assert got == (UsageError, "family K requires an integer order "
                                        f">= 1, got {ref_order_text(order)}")
             assert (got == want) == (ref_order_text(order) == f"{order:g}")
+        elif family == "Jneg" and order < 0.0:
+            # and a fourth: bessel_j_neg_series takes every p >= 0, so its
+            # refusal of a negative order says "p >= 0" where the frozen
+            # builder, taking the order as given, said "p > 0"
+            message = "negative-order series needs p {} 0, got " + str(order)
+            assert (generic_outcome(ref_build_solution, family, order, 0.7, 40)
+                    == (OrderCaseError, message.format(">")))
+            assert got == (OrderCaseError, message.format(">="))
         elif snapped(order) and (family == "Jneg"
                                  or family == "J" and order > 0.0):
             # and a third: J and Jneg are built at a near-integer order as

@@ -188,6 +188,17 @@ class TestResidual:
         with pytest.raises(DomainError):
             check_ode_residual(1.0, 1.0, bessel_j_series(1.0, 1.0), [1e200])
 
+    @pytest.mark.parametrize("solution", [
+        bessel_j_series(1.0, 1.0), second_solution_order_zero(1.0)])
+    def test_alpha_other_than_the_solutions_is_refused(self, solution):
+        # the operator is the solution's; a report at another alpha would
+        # name an alpha it did not run at, and the log solution's middle
+        # term 2 x**alpha T(u) would mix the two (y2zero built at 1 and
+        # checked at 0.5 failed with max_rel 0.55)
+        with pytest.raises(AlignmentError, match=r"residual at alpha = 0\.5 "
+                           r"of a solution built at alpha = 1\.0$"):
+            check_ode_residual(0.0, 0.5, solution, (0.5, 1.0, 2.0))
+
 
 class TestIdentityChecks:
     @pytest.mark.parametrize("p", [1, 2, 3])

@@ -326,18 +326,33 @@ class TestCheck:
             assert {row[0] for row in report["grid"]} == {p}
 
     def test_residual_runs_at_the_order_given(self, capsys):
-        # J is built at order 1.0000000001, and the residual is taken there
+        # J is built at order 1.0000000001, the residual is taken there, and
+        # the report's name says so
         reports = [run(capsys, "check", "--name", "residual", "--family",
                        "J", "--order", order, "--alpha", "0.5",
                        "--tolerance", "1e-13", "--format", "json")
                    for order in ("1.0000000001", "1")]
         assert reports[0] != reports[1]
-        for (code, out, err), p in zip(reports, (1.0000000001, 1.0)):
+        for (code, out, err), p, text in zip(reports, (1.0000000001, 1.0),
+                                             ("1.0000000001", "1")):
             assert (code, err) == (EXIT_OK, "")
             report = json.loads(out)
-            assert report["check_name"] == "residual[J order=1 alpha=0.5]"
+            assert (report["check_name"]
+                    == f"residual[J order={text} alpha=0.5]")
             assert report["passed"] is True
             assert {row[0] for row in report["grid"]} == {p}
+
+    @pytest.mark.parametrize("order, alpha, name", [
+        ("2.0000000009", "1", "residual[Jneg order=2.0000000009 alpha=1]"),
+        ("0.5", "0.3333333", "residual[Jneg order=0.5 alpha=0.3333333]"),
+    ])
+    def test_residual_name_shows_order_and_alpha(self, capsys, order, alpha,
+                                                 name):
+        # :g where it reads back as the number, else its repr
+        code, out, err = run(capsys, "check", "--family", "Jneg", "--order",
+                             order, "--alpha", alpha, "--format", "csv")
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines()[1].startswith(name + ",true,")
 
     def test_family_without_name_defaults_to_residual(self, capsys):
         code, out, _ = run(capsys, "check", "--family", "J", "--order", "0.5",

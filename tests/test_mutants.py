@@ -163,6 +163,15 @@ def snapped_negative_order(build):
     return faulty
 
 
+def unsigned_whole_order(build):
+    # order -m built as the first kind of order m, without its (-1)**m
+    def faulty(p, alpha, n_terms=S.DEFAULT_TERMS):
+        if float(p).is_integer() and p >= 0.0:
+            return B.bessel_j_series(float(p), alpha, n_terms)
+        return build(p, alpha, n_terms)
+    return faulty
+
+
 def shifted_offset(diff):
     # the derivative's offset half a step off: r - 0.5 for r - 1
     def faulty(a):
@@ -211,6 +220,9 @@ FAULTS = {
         lambda build: lambda m, alpha, n_terms=S.DEFAULT_TERMS:
             S.series_scale(build(m, alpha, n_terms), -1.0),
         frozenset({"identities"})),
+    "Jneg-whole-unsigned": Fault(B, "bessel_j_neg_series",
+                                 unsigned_whole_order,
+                                 frozenset({"identities"})),
     "shift-sign": Fault(S, "series_shift",
                         lambda shift: lambda a, dr: shift(a, -dr),
                         frozenset({"identities"})),
