@@ -82,7 +82,8 @@ def gamma(z: float) -> float:
     elsewhere Lanczos, good to at least 12 significant digits on [-20, 50],
     with the reflection formula below 1/2.  Zero and negative integers raise
     :class:`PoleError`; arguments whose Lanczos product overflows a double
-    (above about 142.2 but integers to 171, or below about -141.2) raise
+    (above about 142.2 but integers to 171, or below about -141.2) and
+    those whose reflection overflows (0 < |z| below about 5.56e-309) raise
     :class:`DomainError`; a non-finite ``float(z)`` (an int beyond float
     range reads as +-inf) raises ValueError.
     """
@@ -101,7 +102,10 @@ def gamma(z: float) -> float:
         n = round(z)
         s = (math.sin(math.pi * z) if abs(d := z - n) >= _NEAR_POLE
              else math.sin(math.pi * d) * (-1.0 if n % 2 else 1.0))
-        return math.pi / (s * gamma(1.0 - z))
+        value = math.pi / (s * gamma(1.0 - z))
+        if math.isinf(value):  # 1/z overflows for |z| below about 5.56e-309
+            raise DomainError(f"gamma({z!r}) overflows the reflection formula")
+        return value
     w = z - 1.0
     acc = _LANCZOS_COEFFS[0]
     for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
@@ -168,19 +172,17 @@ def bessel_j_series(p: float, alpha: float,
     taken for m, and at m itself gamma(m + 1) is m! exactly.  The
     coefficients do not depend on alpha: only the exponents carry it.
     """
-    if p < 0.0:
-        raise OrderCaseError(
-            f"first-kind series needs p >= 0, got {p}; use "
-            "bessel_j_neg_series or bessel_j_neg_integer_series for -p"
-        )
+    # + 0.0: the order -0.0 is the order 0.0, and so is its offset
+    order = _finite(p, DomainError, "order must be finite, got {}") + 0.0
+    if order < 0.0:
+        raise OrderCaseError(f"first-kind series needs p >= 0, got {p}; "
+                             "use bessel_j_neg_series for -p")
     n_terms = _whole(n_terms, 1, ValueError,
                      "n_terms must be positive, got {}")
-    # + 0.0: the order -0.0 is the order 0.0, and so is its offset
-    p = _finite(p, DomainError, "order must be finite, got {}") + 0.0
-    if p.is_integer() and p > _MAX_FACTORIAL:
+    if order.is_integer() and order > _MAX_FACTORIAL:
         raise DomainError(f"integer order too large: m! overflows a "
                           f"double for m > {_MAX_FACTORIAL}")
-    t = _table("J", p, n_terms)
+    t = _table("J", order, n_terms)
     return _derived(checked_alpha(alpha), t.offset, t.coeffs, t._walk)
 
 

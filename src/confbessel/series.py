@@ -231,21 +231,14 @@ def series_scale(a: FracSeries, k: float) -> FracSeries:
 def series_shift(a: FracSeries, dr: float) -> FracSeries:
     """Multiply the represented function by ``x**(dr * alpha)``.
 
-    A whole ``dr >= 1`` prepends that many zero coefficients and keeps the
-    offset (a reindex by whole steps of alpha); any other ``dr``, negative
-    integers and near-integers included, is absorbed into the offset with
-    the coefficients untouched.  Both routes represent the same
-    multiplication.  A non-finite ``dr``, or one too long to index, raises
-    ValueError.
+    Every ``dr`` moves the offset by ``dr``, rounded as ``a.offset + dr``;
+    the coefficient tuple and its walk are kept.  :func:`series_rebase`
+    gives the zero-padded form of a whole-step shift.  A non-finite ``dr``,
+    or an offset that overflows, raises ValueError.
     """
     if dr == 0:
         return a
     dr = _finite(dr, ValueError, "shift must be finite, got {!r}")
-    if dr.is_integer() and dr >= 1:
-        try:
-            return _derived(a.alpha, a.offset, (0.0,) * int(dr) + a.coeffs)
-        except OverflowError:
-            raise ValueError(f"shift of {dr:g} steps is too long") from None
     return _derived(a.alpha, _finite(a.offset + dr, ValueError,
                                      "offset must be finite, got {!r}"),
                     a.coeffs, a._walk)

@@ -25,7 +25,6 @@ from confbessel import (
     second_solution_integer_order,
     second_solution_order_zero,
     series_scale,
-    series_shift,
 )
 from confbessel.bessel import _table
 from confbessel.cli import UsageError, build_solution
@@ -349,9 +348,24 @@ class TestFirstKindSeries:
                 assert eval_series(s_a, x).value == pytest.approx(
                     eval_series(s_1, x ** 0.6).value, rel=1e-12)
 
-    def test_negative_order_rejected(self):
-        with pytest.raises(OrderCaseError):
-            bessel_j_series(-0.5, 1.0)
+    @pytest.mark.parametrize("p", [-0.5, -1, "-1", -5e-324])
+    def test_negative_order_rejected(self, p):
+        # the order as given, and the one constructor for order -p
+        with pytest.raises(OrderCaseError) as info:
+            bessel_j_series(p, 1.0)
+        assert str(info.value) == (f"first-kind series needs p >= 0, got "
+                                   f"{p}; use bessel_j_neg_series for -p")
+
+    def test_order_is_read_before_it_is_compared(self):
+        # as bessel_j_neg_series reads it: a numeric string is a number,
+        # and -inf is not finite before it is negative
+        assert bessel_j_series("1", 0.5) == bessel_j_series(1.0, 0.5)
+        assert bessel_j_neg_series("1.5", 0.5) == bessel_j_neg_series(1.5, 0.5)
+        for p in (-math.inf, -10**400):
+            for build in (bessel_j_series, bessel_j_neg_series):
+                with pytest.raises(DomainError) as info:
+                    build(p, 0.5)
+                assert str(info.value) == "order must be finite, got -inf"
 
     def test_bad_terms_rejected(self):
         with pytest.raises(ValueError, match="n_terms must be positive"):
@@ -1000,6 +1014,14 @@ class TestCliRouting:
             assert (generic_outcome(ref_build_solution, family, order, 0.7, 40)
                     == (OrderCaseError, message.format(">")))
             assert got == (OrderCaseError, message.format(">="))
+        elif family == "J" and order < 0.0:
+            # and a fifth: the first kind's refusal of a negative order
+            # names bessel_j_neg_series alone, which takes every p >= 0
+            message = f"first-kind series needs p >= 0, got {order}; use {{}}"
+            assert want == (OrderCaseError, message.format(
+                "bessel_j_neg_series or bessel_j_neg_integer_series for -p"))
+            assert got == (OrderCaseError,
+                           message.format("bessel_j_neg_series for -p"))
         elif snapped(order) and (family == "Jneg"
                                  or family == "J" and order > 0.0):
             # and a third: J and Jneg are built at a near-integer order as
@@ -1100,16 +1122,16 @@ class TestWalkBuilt:
                                      ref_series_scale)):
                         assert_walk_built(gs, ws, g._walk[1] == 1)
 
-    @pytest.mark.parametrize("series", [
-        FracSeries(1.0, 0.0, (1.0, 0.0, -2.0)),  # even walk
-        # odd slots only: every slot
-        series_shift(FracSeries(0.5, 0.0, (1.0, 0.0, -2.0)), 1),
-        FracSeries(0.5, 0.0, (1.0, 3.0, -2.0, 0.0, 0.0)),  # every slot
-        FracSeries(0.5, -1.0, (1.0, 3.0, 0.0, 4.0)),  # n + r = 0 at n = 1
+    @pytest.mark.parametrize("series, stride", [
+        (FracSeries(1.0, 0.0, (1.0, 0.0, -2.0)), 2),
+        (FracSeries(0.5, 0.0, (0.0, 1.0, 0.0, -2.0)), 1),  # odd slots only
+        (FracSeries(0.5, 0.0, (1.0, 3.0, -2.0, 0.0, 0.0)), 1),
+        (FracSeries(0.5, -1.0, (1.0, 3.0, 0.0, 4.0)), 1),  # n + r = 0 at 1
         # n + r = 0 at the only odd slot: the derivative walks its even slots
-        FracSeries(0.5, -1.0, (1.0, -3.0)),
+        (FracSeries(0.5, -1.0, (1.0, -3.0)), 1),
     ], ids=["even", "odd", "every", "every-zeroed", "every-to-even"])
-    def test_algebra_on_each_walk(self, series):
+    def test_algebra_on_each_walk(self, series, stride):
+        assert series._walk[1] == stride
         for got, want in zip(
                 _algebra(series, conformable_diff_exact, series_scale),
                 _algebra(series, ref_conformable_diff_exact,
@@ -1124,21 +1146,24 @@ class TestWalkBuilt:
         d = conformable_diff_exact(FracSeries(1.0, -1.0, (1.0, 2.0)))
         assert d.coeffs == (-1.0, 0.0) and d._walk == ((-1.0,), 2)
         # k = 0 on odd slots: the even walk, as the constructor derives
-        z = series_scale(series_shift(FracSeries(1.0, 0.0, (1.0,)), 1), 0.0)
+        odd = FracSeries(1.0, 0.0, (0.0, 1.0))
+        assert odd._walk[1] == 1
+        z = series_scale(odd, 0.0)
         assert z._walk == ((0.0,), 2)
 
-    @pytest.mark.parametrize("series", [
-        FracSeries(1.0, 2.0, (1e308, 0.0, 1e308)),
-        series_shift(FracSeries(1.0, 2.0, (1e308,)), 1),
-        FracSeries(1.0, 2.0, (1e308, 1e308)),
-        FracSeries(1.0, 0.0, (1.0, 0.0, -1e308)),
+    @pytest.mark.parametrize("series, stride", [
+        (FracSeries(1.0, 2.0, (1e308, 0.0, 1e308)), 2),
+        (FracSeries(1.0, 2.0, (0.0, 1e308)), 1),
+        (FracSeries(1.0, 2.0, (1e308, 1e308)), 1),
+        (FracSeries(1.0, 0.0, (1.0, 0.0, -1e308)), 2),
     ])
     @pytest.mark.parametrize("op, ref_op", [
         (conformable_diff_exact, ref_conformable_diff_exact),
         (lambda s: series_scale(s, -1e10),
          lambda s: ref_series_scale(s, -1e10)),
     ], ids=["diff", "scale"])
-    def test_overflow_keeps_its_message(self, series, op, ref_op):
+    def test_overflow_keeps_its_message(self, series, stride, op, ref_op):
+        assert series._walk[1] == stride
         got = _outcome(op, series)
         assert got[0] is ValueError
         assert got == _outcome(ref_op, series)
@@ -1158,8 +1183,9 @@ class TestWalkBuilt:
         assert _outcome(build) == (DomainError, message)
 
     def test_producers_never_run_the_validating_init(self, monkeypatch):
-        inputs = [series_shift(FracSeries(1.0, 0.0, (1.0, 0.0, 2.0)), 1),
+        inputs = [FracSeries(1.0, 0.0, (0.0, 1.0, 0.0, 2.0)),
                   FracSeries(1.0, 0.5, (1.0, 2.0))]
+        assert [s._walk[1] for s in inputs] == [1, 1]
 
         def refuse(self, *args, **kwargs):
             raise AssertionError("FracSeries.__init__ ran")

@@ -36,6 +36,7 @@ from confbessel import (
     second_solution_integer_order,
     second_solution_order_zero,
 )
+from confbessel import series
 from confbessel.checks import (COEFF_TOL, HALF_ORDER_TOL, IDENTITIES,
                                LOG_RESIDUAL_X, N_COEFF_COMPARE,
                                ORACLE_MAX_ARG, ORACLE_TOL, POINT_TOL,
@@ -363,6 +364,23 @@ class TestSuites:
     def test_random_suite_alternate_seeds_pass(self):
         for seed in (0, 1, 2, 99):
             assert all(r.passed for r in random_residual_suite(seed, cases=4))
+
+    def test_suites_sum_even_walks_only(self, monkeypatch):
+        # every series the package builds, shifted ones included, holds its
+        # nonzero coefficients in even slots: the kernel never walks every
+        # slot (only outside input or an odd rebase makes such a series)
+        strides = []
+        kernel = series.eval_series_kernel
+
+        def recording(a, x):
+            strides.append(a._walk[1])
+            return kernel(a, x)
+
+        monkeypatch.setattr(series, "eval_series_kernel", recording)
+        all_suites()
+        for seed in range(20):
+            random_residual_suite(seed)
+        assert strides and set(strides) == {2}
 
 
 class TestLogResidualInternals:

@@ -8,6 +8,7 @@ at least 12 significant digits on [-20, 50].
 
 import math
 
+import mpmath
 import pytest
 
 from confbessel import gamma
@@ -72,6 +73,23 @@ class TestGammaValues:
         monkeypatch.setattr(math, "factorial", refuse)
         with pytest.raises(DomainError):
             gamma(z)
+
+
+    @pytest.mark.parametrize("z", [5e-324, -5e-324, 1e-310, -1e-310,
+                                   5.5e-309])
+    def test_tiny_argument_is_a_domain_error(self, z):
+        # the reflection pi / (sin(pi z) gamma(1 - z)) is about 1/z, which
+        # overflows a double for |z| below about 5.56e-309, where
+        # math.gamma raises too
+        with pytest.raises(DomainError) as info:
+            gamma(z)
+        assert str(info.value) == (
+            f"gamma({z!r}) overflows the reflection formula")
+
+    @pytest.mark.parametrize("z", [5.6e-309, 6e-309])
+    def test_smallest_arguments_that_fit_a_double(self, z):
+        with mpmath.workdps(30):
+            assert abs(gamma(z) / mpmath.gamma(mpmath.mpf(z)) - 1) <= 1e-15
 
 
 class TestGammaAccuracy:

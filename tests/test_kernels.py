@@ -17,7 +17,6 @@ from confbessel import (
     kernel_backend,
     second_solution_integer_order,
     second_solution_order_zero,
-    series_shift,
 )
 from confbessel import series
 from confbessel.series import eval_series_kernel
@@ -193,7 +192,9 @@ class TestBitIdentity:
         for log_solution in (second_solution_order_zero(alpha, n_terms),
                              second_solution_integer_order(2, alpha, n_terms)):
             parts += [log_solution.log_part, log_solution.plain_part]
-        parts.append(series_shift(parts[0], 1))  # walks every slot
+        # J_0 one slot later, as outside input: it walks every slot
+        parts.append(FracSeries(alpha, 0.0, (0.0,) + parts[0].coeffs))
+        assert parts[-1]._walk[1] == 1
         for part in parts:
             assert part._walk == walk_of(part.coeffs)
             for t in (0.01, 0.5, 1.0, 3.3, 9.0, 20.0):
@@ -216,8 +217,8 @@ def log_solution_bits(sol, x):
 class TestEvenSlots:
     """The walk a series records: even slots, or every slot once an odd slot
     is nonzero.  Slot counts, and through the evaluators every family (each
-    part walks its even slots) and J shifted by one slot (it walks every
-    slot)."""
+    part walks its even slots) and J_0 one slot later, built as a literal
+    (it walks every slot)."""
 
     @settings(max_examples=250, deadline=None)
     @given(
@@ -262,7 +263,7 @@ class TestEvenSlots:
                 second_solution_integer_order(2, alpha, n_terms)]
         for part in plain:
             assert part._walk == (part.coeffs[::2], 2)
-        plain.append(series_shift(plain[0], 1))
+        plain.append(FracSeries(alpha, 0.0, (0.0,) + plain[0].coeffs))
         assert plain[-1]._walk == (plain[-1].coeffs, 1)
         for t in (1e-3, 0.01, 0.5, 1.0, 3.3, 9.0, 14.5, 20.0):
             x = t ** (1.0 / alpha)

@@ -105,9 +105,13 @@ class TestEvenSlots:
         assert FracSeries(1, 0, [0, -0.0, 0])._walk == ((0.0, 0.0), 2)
         j = bessel_j_series(0.0, 0.5, 10)
         assert j._walk == (j.coeffs[::2], 2)
-        odd = series_shift(j, 1)
+        odd = FracSeries(0.5, 0.0, (0.0,) + j.coeffs)
         assert odd._walk == (odd.coeffs, 1)
-        assert series_shift(j, 2)._walk == ((0.0,) + j.coeffs[::2], 2)
+        # a rebase by an odd number of steps walks every slot, by an even
+        # number its even slots; a shift keeps the walk it was given
+        assert series_rebase(j, -1.0)._walk == (odd.coeffs, 1)
+        assert series_rebase(j, -2.0)._walk == ((0.0,) + j.coeffs[::2], 2)
+        assert series_shift(j, 1)._walk is j._walk
 
     def test_every_family_records_its_even_slots(self):
         parts = [bessel_j_series(2.5, 0.8, 30),
@@ -147,18 +151,22 @@ class TestSeriesScale:
 
 
 class TestSeriesShift:
-    def test_positive_integer_prepends_zeros(self):
-        a = S(1.0, 0.0, [1.0, 2.0])
-        shifted = series_shift(a, 2)
-        assert shifted.coeffs == (0.0, 0.0, 1.0, 2.0)
-        assert shifted.offset == 0.0
+    @pytest.mark.parametrize("k", [1, 2, 3, 10**18, 10**19])
+    def test_whole_step_moves_offset(self, k):
+        # no zeros are prepended: the tuple and its walk, even slots or
+        # every slot, are the ones given
+        for a in (bessel_j_series(1.0, 0.5), S(1.0, 0.5, [1.0, 2.0])):
+            shifted = series_shift(a, k)
+            assert shifted.coeffs is a.coeffs
+            assert shifted._walk is a._walk
+            assert shifted.offset == a.offset + k
+            assert shifted.alpha == a.alpha
 
     def test_zero_is_identity(self):
         a = S(1.0, 0.0, [1.0, 2.0])
         assert series_shift(a, 0) is a
 
     def test_non_integer_moves_offset(self):
-        # a near-whole step too: only an exact whole step reindexes
         a = S(1.0, 0.0, [1.0])
         for dr in (-0.5, 1.0 + 1e-13, 1.0 - 1e-13):
             shifted = series_shift(a, dr)
@@ -171,9 +179,35 @@ class TestSeriesShift:
         assert shifted.offset == 0.0
         assert shifted.coeffs == (1.0, 2.0)
 
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(["J", "Jneg", "log", "plain"]),
+           twice_p=st.integers(min_value=0, max_value=40),
+           alpha=st.floats(min_value=0.05, max_value=1.0),
+           n_terms=st.integers(min_value=1, max_value=60),
+           k=st.integers(min_value=1, max_value=3))
+    @example(family="J", twice_p=0, alpha=1.0, n_terms=1, k=1)
+    @example(family="Jneg", twice_p=3, alpha=0.5, n_terms=7, k=2)
+    @example(family="plain", twice_p=4, alpha=0.8, n_terms=6, k=3)
+    def test_rebased_whole_shift_is_the_padded_series(
+            self, family, twice_p, alpha, n_terms, k):
+        # whole and half-integer orders, so offset + k is exact
+        p = twice_p / 2
+        if family == "J":
+            a = bessel_j_series(p, alpha, n_terms)
+        elif family == "Jneg":
+            a = bessel_j_neg_series(p, alpha, n_terms)
+        else:
+            m = twice_p // 2
+            sol = (second_solution_integer_order(m, alpha, n_terms) if m
+                   else second_solution_order_zero(alpha, n_terms))
+            a = sol.log_part if family == "log" else sol.plain_part
+        got = series_rebase(series_shift(a, k), a.offset)
+        want = FracSeries(a.alpha, a.offset, (0.0,) * k + a.coeffs)
+        assert repr(got) == repr(want)
+        assert got == want and got._walk == want._walk
+
     @pytest.mark.parametrize("dr", [1, 3, 0.5, -1.5, -2])
     def test_shift_multiplies_by_power(self, dr):
-        # both shift routes must represent multiplication by x**(dr*alpha)
         a = S(0.7, 0.5, [1.0, -0.5, 0.25, 0.1])
         for x in (0.5, 1.0, 2.5):
             lhs = eval_series(series_shift(a, dr), x).value
@@ -282,13 +316,21 @@ def test_whole_step_count_beyond_an_index_is_refused(steps):
     # counts beyond sys.maxsize only: a count that fits an index but not
     # memory would really try to build the tuple of zeros
     a = bessel_j_series(0.0, 1.0, 10)
-    with pytest.raises(ValueError) as info:
-        series_shift(a, steps)
-    assert type(info.value) is ValueError
-    assert str(info.value) == f"shift of {float(steps):g} steps is too long"
     with pytest.raises(AlignmentError) as info:
         series_rebase(a, -steps)
     assert str(info.value) == f"cannot rebase by {float(steps):g} steps"
+
+
+def test_long_whole_shift_builds_no_slots():
+    # 10**6 + 1 steps move the offset only; the first power x**offset
+    # underflows to 0.0 at x = 0.999, as the true value does, and
+    # overflows at x = 1.5
+    j = bessel_j_series(0.0, 1.0)
+    a = series_shift(j, 10**6 + 1)
+    assert a.coeffs is j.coeffs
+    assert eval_series(a, 0.999).value == 0.0
+    with pytest.raises(DomainError):
+        eval_series(a, 1.5)
 
 
 class TestCheckOnce:
@@ -577,8 +619,8 @@ class TestLogSolution:
 
     def test_evaluators_pass_the_walk(self, monkeypatch):
         # the kernel receives each part series itself; every part of a
-        # family walks its even slots, and shifted by one slot, a family
-        # walks every slot
+        # family walks its even slots, and J_0 one slot later, built as a
+        # literal, walks every slot
         calls = []
         kernel = series.eval_series_kernel
 
@@ -589,7 +631,7 @@ class TestLogSolution:
         monkeypatch.setattr(series, "eval_series_kernel", recording)
         sol = second_solution_order_zero(0.5)
         eval_log_solution(sol, 1.5)
-        odd = series_shift(bessel_j_series(0.0, 0.5), 1)
+        odd = FracSeries(0.5, 0.0, (0.0,) + bessel_j_series(0.0, 0.5).coeffs)
         eval_series(odd, 1.5)
         parts = [sol.log_part, sol.plain_part, odd]
         assert len(calls) == len(parts)
@@ -661,8 +703,8 @@ class TestProperties:
         # First-order error analysis (Higham, Accuracy and Stability of
         # Numerical Algorithms, 2nd ed., ch. 3-4): the k-th power of x**alpha
         # takes k roundings plus k times the error of x**alpha itself (libm
-        # pow is good to about u), at most 2k u in all (k <= 6 on the
-        # shifted side, 3 on the other); the coefficients are
+        # pow is good to about u), at most 2k u in all (k <= 3 on either
+        # side, whose first power is one pow); the coefficients are
         # powers of two, so each product with them is exact; compensated
         # summation adds at most 2u sum|terms| (eq. 4.8); x**(m*alpha) and the
         # final product add 2u.  So |lhs - rhs| <= (14 + 10) u sum|terms|.

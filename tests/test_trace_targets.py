@@ -73,7 +73,9 @@ def test_kernel_counters_match_the_while_loop():
     logs = [bessel.second_solution_order_zero(0.8, 60),
             bessel.second_solution_integer_order(2, 0.5, 120)]
     parts = plain + [p for s in logs for p in (s.log_part, s.plain_part)]
-    parts.append(series.series_shift(plain[0], 1))  # odd slots only
+    # J_0 in the odd slots only, as outside input: it walks every slot
+    parts.append(series.FracSeries(0.8, 0.0, (0.0,) + plain[0].coeffs))
+    assert parts[-1]._walk[1] == 1
     xs = (0.01, 0.7, 2.0, 9.0, 30.0)
 
     terms = stops = 0
