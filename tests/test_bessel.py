@@ -1,11 +1,9 @@
-"""Tests for the solution-family constructors and order classification."""
+"""Tests for the solution-family constructors and the routing of orders
+to them."""
 
-import enum
 import math
 import struct
 import sys
-from typing import NamedTuple
-from unittest.mock import patch
 
 import mpmath
 import pytest
@@ -19,7 +17,6 @@ from confbessel import (
     bessel_j_neg_series,
     bessel_j_series,
     conformable_diff_exact,
-    eval_log_solution,
     eval_series,
     gamma,
     second_solution_integer_order,
@@ -27,119 +24,18 @@ from confbessel import (
     series_scale,
 )
 from confbessel.bessel import _table
-from confbessel.cli import UsageError, build_solution
+from confbessel.cli import FAMILIES, UsageError, build_solution
 from confbessel.errors import DomainError, OrderCaseError
-from confbessel.series import checked_alpha
 
 SQRT_PI = math.sqrt(math.pi)
 
 
 def harmonic(n):
-    """Harmonic number ``H_n`` with ``H_0 = 0``: the package's former
-    helper, kept verbatim (but for its check of n) for the references."""
+    """Harmonic number ``H_n`` with ``H_0 = 0``, summed left to right."""
     h = 0.0
     for k in range(1, n + 1):
         h += 1.0 / k
     return h
-
-
-# Frozen reference: the four-way order classification that the package's
-# integer_order replaced, kept verbatim, with the tolerance both had.  The
-# package now routes orders on exact whole numbers: the classification with
-# its tolerance set to zero (ref_whole_order).
-
-#: The snapping tolerance of the frozen classification.
-INTEGER_TOL = 1e-9
-
-class OrderKind(enum.Enum):
-    """Case classification of a real order p."""
-
-    ZERO = "zero"
-    GENERIC = "generic"
-    #: 2p is a positive integer while p is not an integer (p = 1/2, 3/2, ...).
-    #: The indicial roots differ by an integer, yet the order -p series still
-    #: exists because its even recurrence never hits the bad denominator.
-    HALF_ODD_INTEGER = "half-odd-integer"
-    POSITIVE_INTEGER = "positive-integer"
-
-
-class BesselOrder(NamedTuple):
-    """A real order together with its case classification.
-
-    ``m`` holds the integer value when ``kind`` is POSITIVE_INTEGER and is
-    None otherwise.
-    """
-
-    p: float
-    kind: OrderKind
-    m: int | None = None
-
-
-def classify_order(p: float) -> BesselOrder:
-    """Classify a real order, snapping to integers within 1e-9.
-
-    A non-finite order raises :class:`DomainError`.
-    """
-    p = float(p)
-    if not math.isfinite(p):
-        raise DomainError(f"order must be finite, got {p}")
-    if abs(p) <= INTEGER_TOL:
-        return BesselOrder(p, OrderKind.ZERO)
-    nearest = round(p)
-    if abs(p - nearest) <= INTEGER_TOL and nearest >= 1:
-        return BesselOrder(p, OrderKind.POSITIVE_INTEGER, int(nearest))
-    nearest2 = round(2.0 * p)
-    if abs(2.0 * p - nearest2) <= INTEGER_TOL and nearest2 >= 1:
-        return BesselOrder(p, OrderKind.HALF_ODD_INTEGER)
-    return BesselOrder(p, OrderKind.GENERIC)
-
-
-def ref_integer_order(p):
-    """The frozen integer_order's answer, read off the classification.
-
-    Below about -8.99e307 the classification overflowed forming
-    ``round(2.0 * p)``; integer_order answered None there, as for every
-    other negative order.
-    """
-    try:
-        order = classify_order(p)
-    except OverflowError:
-        assert p < 0.0
-        return None
-    if order.kind is OrderKind.ZERO:
-        return 0
-    return order.m
-
-
-def ref_whole_order(p):
-    """``ref_integer_order`` with a zero tolerance: m at a whole order
-    m >= 0, else None.  A non-finite order raises DomainError."""
-    with patch.dict(globals(), INTEGER_TOL=0.0):
-        return ref_integer_order(p)
-
-
-def ref_order_text(p):
-    """How a refusal names the order: ``:g`` where that reads back as p,
-    else repr, so 5.0 reads "5" and 2.9999999999 does not read "3"."""
-    return f"{p:g}" if float(f"{p:g}") == p else repr(p)
-
-
-def ref_route(family, p, alpha=1.0, n_terms=8):
-    """``build_solution`` on the frozen classification at zero tolerance:
-    the integer constructions at a whole order, Jneg as given elsewhere."""
-    m = ref_whole_order(p)
-    if family == "Jneg":
-        return (bessel_j_neg_series(p, alpha, n_terms) if m is None
-                else bessel_j_neg_integer_series(m, alpha, n_terms))
-    if family == "y2zero":
-        if m != 0:
-            raise UsageError("family y2zero takes --order 0 only, got "
-                             + ref_order_text(p))
-        return second_solution_order_zero(alpha, n_terms)
-    if not m:
-        raise UsageError("family K requires an integer order >= 1, got "
-                         + ref_order_text(p))
-    return second_solution_integer_order(m, alpha, n_terms)
 
 
 def indicial_value(series, p):
@@ -173,97 +69,85 @@ def root_series(p, alpha):
     return plus, bessel_j_neg_series(p, alpha)
 
 
-#: Orders at and just past the former snapping tolerance, on both sides of 0.
-EDGE_ORDERS = [
-    0.0, -0.0, 5e-10, -5e-10, INTEGER_TOL, -INTEGER_TOL,
-    2 * INTEGER_TOL, -2 * INTEGER_TOL,
-    *(m + d for m in (1, 2, 7, 170) for d in
-      (INTEGER_TOL, -INTEGER_TOL, 2 * INTEGER_TOL, -2 * INTEGER_TOL)),
-    -1.0, -2.0, -7.0, -1.0 + 5e-10,
-    5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
-    1e300, -1e300, 0.5, 1.5, 2.0 - 1e-10, 3.0 + 1e-6,
-]
+#: Orders on, near and between the whole numbers, on both sides of 0.
+ORDERS = [0.0, -0.0, 5e-10, -5e-10, 5e-324, -5e-324, 1.0, 2.0, 7.0,
+          1.0 + 1e-9, 2.0 - 1e-10, 3.0 + 1e-6, 0.5, 1.5, 7.5, 1.0 / 3.0,
+          math.pi, 149.0, 171.0, 1e300, -1.0, -7.0]
 
-ROUTED = ("Jneg", "y2zero", "K")
+Y2ZERO_ONLY = "family y2zero takes --order 0 only, got "
+K_WHOLE = "family K requires an integer order >= 1, got "
 
 
-def routes_like_whole_order(p):
-    """``build_solution`` of each routed family at p has ``ref_route``'s
-    bytes, or its error and message."""
-    for family in ROUTED:
-        assert (_outcome(build_solution, family, p, 1.0, 8)
-                == _outcome(ref_route, family, p)), family
+class TestBuildSolution:
+    """``build_solution`` hands J and Jneg their order as given, and takes
+    y2zero and K at exact whole orders only: 0 for y2zero, m >= 1 for K.
+    No order is taken for an integer it is not, however near."""
 
+    @pytest.mark.parametrize("p", ORDERS)
+    def test_first_kinds_take_the_order_as_given(self, p):
+        for family, build in (("J", bessel_j_series),
+                              ("Jneg", bessel_j_neg_series)):
+            assert (_outcome(build_solution, family, p, 0.7, 8)
+                    == _outcome(build, p, 0.7, 8))
 
-class TestClassifyOrder:
-    """``build_solution`` routes orders on exact whole numbers: the sign
-    reduction and the log solutions take a whole order only, and Jneg is
-    built as given at every other order, however near an integer."""
+    @pytest.mark.parametrize("family, p, text", [
+        # the order as :g writes it where that reads back as the order,
+        # else its repr
+        *[(family, p, text) for family in ("y2zero", "K") for p, text in (
+            (0.5, "0.5"), (-1.0, "-1"), (5e-10, "5e-10"), (-5e-10, "-5e-10"),
+            (2.9999999999, "2.9999999999"), (3.000001, "3.000001"),
+            (5e-324, "4.94066e-324"), (-1e308, "-1e+308"))],
+        ("y2zero", 5.0, "5"), ("y2zero", 1e300, "1e+300"),
+        ("K", 0.0, "0"), ("K", -0.0, "-0"),
+    ])
+    def test_refusals_name_the_order(self, family, p, text):
+        prefix = Y2ZERO_ONLY if family == "y2zero" else K_WHOLE
+        assert (_outcome(build_solution, family, p, 0.7, 8)
+                == (UsageError, prefix + text))
 
-    def test_zero_and_near_zero(self):
-        assert (_outcome(build_solution, "Jneg", 0.0, 1.0, 8)
-                == _outcome(bessel_j_series, 0.0, 1.0, 8))
-        assert build_solution("Jneg", 5e-10, 1.0, 8).offset == -5e-10
-        with pytest.raises(OrderCaseError, match="got -5e-10$"):
-            build_solution("Jneg", -5e-10, 1.0, 8)
-        for p in (5e-10, -5e-10):
-            with pytest.raises(UsageError, match=f"got {p!r}$"):
-                build_solution("y2zero", p, 1.0, 8)
-
-    def test_positive_integers_carry_m(self):
-        for p in (1.0, 2.0, 7.0):
-            assert (_outcome(build_solution, "Jneg", p, 1.0, 8)
-                    == _outcome(bessel_j_neg_integer_series, int(p), 1.0, 8))
-            assert (_outcome(build_solution, "K", p, 1.0, 8)
-                    == _outcome(second_solution_integer_order, int(p), 1.0,
-                                8))
-
-    def test_near_integer_is_not_snapped(self):
-        p = 3.0 - 1e-10
-        assert (_outcome(build_solution, "Jneg", p, 1.0, 8)
-                == _outcome(bessel_j_neg_series, p, 1.0, 8))
-        with pytest.raises(UsageError, match="got 2.9999999999$"):
-            build_solution("K", p, 1.0, 8)
-
-    @pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 7.5])
-    def test_half_odd_integers(self, p):
-        assert ref_whole_order(p) is None
-        routes_like_whole_order(p)
-
-    @pytest.mark.parametrize("p", [0.3, 1.0 / 3.0, 2.7, math.pi])
-    def test_generic_orders(self, p):
-        assert ref_whole_order(p) is None
-        routes_like_whole_order(p)
-
-    def test_beyond_tolerance_is_generic(self):
-        assert (_outcome(build_solution, "Jneg", 3.0 + 1e-6, 1.0, 8)
-                == _outcome(bessel_j_neg_series, 3.0 + 1e-6, 1.0, 8))
+    @pytest.mark.parametrize("p", [1.0, -1.0, math.nan])
+    def test_an_unknown_family_is_refused_before_its_order(self, p):
+        assert (_outcome(build_solution, "Q", p, 0.7, 8)
+                == (UsageError, "unknown family 'Q'"))
 
     @pytest.mark.parametrize("p", [math.nan, math.inf, -math.inf])
-    def test_non_finite_orders_rejected(self, p):
-        with pytest.raises(DomainError) as want:
-            classify_order(p)
-        assert str(want.value) == f"order must be finite, got {p}"
-        for family in ROUTED:
-            with pytest.raises(DomainError) as got:
-                build_solution(family, p, 1.0, 8)
-            assert str(got.value) == str(want.value)
+    def test_non_finite_orders_are_refused(self, p):
+        for family in FAMILIES:
+            assert (_outcome(build_solution, family, p, 0.7, 8)
+                    == (DomainError, f"order must be finite, got {p}")), family
 
-    @pytest.mark.parametrize("p", EDGE_ORDERS)
-    def test_edges_match_frozen_classification(self, p):
-        routes_like_whole_order(p)
-
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(p=st.one_of(
         st.floats(allow_nan=False, allow_infinity=False),
-        st.builds(lambda m, d: m + d, st.integers(-5, 200),
-                  st.floats(-3 * INTEGER_TOL, 3 * INTEGER_TOL)),
         st.builds(lambda m, d: m / 2 + d, st.integers(-5, 400),
-                  st.floats(-3 * INTEGER_TOL, 3 * INTEGER_TOL))))
-    @example(p=-1e308)
+                  st.floats(-3e-9, 3e-9))))
     @example(p=-1.7976931348623157e308)
-    def test_matches_frozen_classification(self, p):
-        routes_like_whole_order(p)
+    @example(p=0.0)
+    @example(p=-0.0)
+    @example(p=1.0)
+    @example(p=149.0)
+    @example(p=150.0)  # c0 is subnormal, and refused
+    def test_log_families_route_on_exact_whole_orders(self, p):
+        y2zero = _outcome(build_solution, "y2zero", p, 0.7, 8)
+        k = _outcome(build_solution, "K", p, 0.7, 8)
+        if p == 0.0:
+            assert y2zero == _outcome(second_solution_order_zero, 0.7, 8)
+        else:
+            assert y2zero[0] is UsageError
+            assert_names_the_order(y2zero[1], Y2ZERO_ONLY, p)
+        if p.is_integer() and p >= 1.0:
+            assert k == _outcome(second_solution_integer_order, int(p), 0.7,
+                                 8)
+        else:
+            assert k[0] is UsageError
+            assert_names_the_order(k[1], K_WHOLE, p)
+
+
+def assert_names_the_order(message, prefix, p):
+    """``message`` is ``prefix`` and then p written to read back as p."""
+    assert message.startswith(prefix)
+    text = message.removeprefix(prefix)
+    assert text in (f"{p:g}", repr(p)) and float(text) == p
 
 
 class TestIndicial:
@@ -373,21 +257,40 @@ class TestFirstKindSeries:
         with pytest.raises(ValueError, match="n_terms must be positive"):
             bessel_j_neg_series(2.5, 1.0, 0)
 
-    @pytest.mark.parametrize("p", [150.0, 151.0, 160.0, 170.0, 141.3])
-    def test_vanishing_leading_coefficient_rejected(self, p):
-        # 2**m * m! (or gamma(p+1) * 2**p) overflows, so c0 would be 0;
-        # at order 150 c0 = 1.2e-308 is subnormal and every value loses bits
-        with pytest.raises(DomainError):
-            bessel_j_series(p, 1.0)
-        if p == int(p):
-            with pytest.raises(DomainError):
-                second_solution_integer_order(p, 1.0)
-
     def test_largest_representable_orders_still_build(self):
         # c0 of order 149 is the smallest normal one (3.7e-306); order 141.2
         # is the last fractional order whose gamma evaluates
         assert bessel_j_series(149.0, 1.0).coeffs[0] >= 2.0 ** -1022
         assert bessel_j_series(141.2, 1.0).coeffs[0] > 0.0
+
+    @pytest.mark.parametrize("build, p, message", [
+        # 2**m * m! overflows from 151, so c0 would be 0; at order 150
+        # c0 = 1.2e-308 is subnormal and every value loses bits
+        *[(build, p, f"order {p:g} too large: the leading coefficient is "
+                     "not representable as a double")
+          for build in (bessel_j_series, bessel_j_neg_series,
+                        second_solution_integer_order)
+          for p in (150, 151.0, 160, 170.0)],
+        # (m - 1)! is exact to 171, but m! overflows
+        *[(build, 171, "integer order too large: m! overflows a double for "
+                       "m > 170")
+          for build in (bessel_j_series, bessel_j_neg_series,
+                        bessel_j_neg_integer_series,
+                        second_solution_integer_order)],
+        # past about 141.2 gamma(p + 1), or gamma(1 - p) through the
+        # reflection, overflows the Lanczos evaluation, near-integers too
+        (bessel_j_series, 141.3, "gamma(142.3) overflows the Lanczos "
+                                 "evaluation"),
+        (bessel_j_series, 145.0000000001, "gamma(146.0000000001) overflows "
+                                          "the Lanczos evaluation"),
+        (bessel_j_neg_series, 145.0000000001, "gamma(145.0000000001) "
+                                              "overflows the Lanczos "
+                                              "evaluation"),
+        (bessel_j_neg_series, 150.5, "gamma(150.5) overflows the Lanczos "
+                                     "evaluation"),
+    ])
+    def test_overflow_edges_name_their_cause(self, build, p, message):
+        assert _outcome(build, p, 1.0) == (DomainError, message)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_order_149_matches_mpmath(self, alpha):
@@ -418,6 +321,25 @@ class TestFirstKindSeries:
             assert abs(s.coeffs[0] - c0) <= 1e-14 * c0
         for k in range(2, 10, 2):
             assert s.coeffs[k] == -s.coeffs[k - 2] / (k * (k + 2.0 * p))
+
+    @pytest.mark.parametrize("p, neg", [
+        *[(p, False) for p in (0.0, 1.0, 2.5, 3.0 - 1e-10, 7.7, 141.2, 149.0)],
+        *[(p, True) for p in (1e-17, 0.5, 1.0 / 3.0, 2.5, 3.0 + 1e-10, 7.7,
+                              141.3)],
+    ])
+    def test_slots_are_the_recurrence_bit_for_bit(self, p, neg):
+        # c0 = 1/(gamma(p + 1) 2**p) at the root p, or 2**p/gamma(1 - p) at
+        # -p, then c_k = -c_{k-2} / (k (k + 2r)); odd slots are +0.0
+        s = (bessel_j_neg_series if neg else bessel_j_series)(p, 0.6, 121)
+        r = -p if neg else p
+        c = 2.0 ** p / gamma(1.0 - p) if neg else 1.0 / (gamma(p + 1.0)
+                                                        * 2.0 ** p)
+        want = [c]
+        for k in range(2, 121, 2):
+            want.append(c := -c / (k * (k + 2.0 * r)))
+        assert s.offset == r and len(s.coeffs) == 121
+        assert [v.hex() for v in s.coeffs[::2]] == [v.hex() for v in want]
+        assert {v.hex() for v in s.coeffs[1::2]} == {"0x0.0p+0"}
 
 
 class TestNegativeOrderSeries:
@@ -476,8 +398,10 @@ class TestNegativeOrderSeries:
 
     @pytest.mark.parametrize("p", [-0.5, -1.0, -5e-324])
     def test_negative_order_rejected(self, p):
-        with pytest.raises(OrderCaseError, match=r"needs p >= 0, got "):
+        with pytest.raises(OrderCaseError) as info:
             bessel_j_neg_series(p, 1.0)
+        assert str(info.value) == ("negative-order series needs p >= 0, "
+                                   f"got {p}")
 
     def test_order_below_half_an_ulp_of_one_is_order_zero(self):
         # 1 - p rounds to 1.0, where gamma is exactly 1, and k - 2p rounds
@@ -577,6 +501,35 @@ class TestSecondSolutionOrderZero:
             second_solution_order_zero(1e-310)
         assert second_solution_order_zero(1e-310, 2).plain_part.coeffs \
             == (0.0, 0.0)
+
+    @pytest.mark.parametrize("m, alpha, n_terms", [
+        (0, 0.5, 175), (0, 0.25, 3), (0, 1.0, 60), (1, 0.5, 175),
+        (2, 0.75, 40), (5, 0.3, 61), (149, 1.0, 3)])
+    def test_y2zero_is_k_at_zero(self, m, alpha, n_terms):
+        # K's plain part bit for bit: the block b_{2j} = b_0 rho_j with
+        # b_0 = -2**(m-1) (m-1)! / alpha and rho_j = rho_{j-1} / (4 j (m-j)),
+        # then the tail b_{2m+2n} = -c_{2n} (H_n + H_{m+n}) / (2 alpha), H
+        # summed left to right.  At m = 0 that is y2zero (DLMF 10.8.1), no
+        # block and slot 0 +0.0.  -c_{2n} H_n / alpha rounds otherwise where
+        # the numerator is subnormal: at alpha = 0.5, n = 87 and 88 of 175
+        sol = (second_solution_integer_order(m, alpha, n_terms) if m
+               else second_solution_order_zero(alpha, n_terms))
+        c, plain = sol.log_part.coeffs[::2], sol.plain_part.coeffs
+        assert len(plain) == 2 * m + n_terms
+        assert {v.hex() for v in plain[1::2]} <= {"0x0.0p+0"}
+        if m:
+            b0, rho = -float(2 ** (m - 1) * math.factorial(m - 1)) / alpha, 1.0
+            for j in range(m):
+                if j:
+                    rho /= 4.0 * j * (m - j)
+                assert plain[2 * j].hex() == (b0 * rho).hex(), j
+        for n, c2n in enumerate(c):
+            h = harmonic(n) + harmonic(m + n)
+            assert plain[2 * m + 2 * n].hex() == (
+                c2n * (0.0 - h) / (2.0 * alpha)).hex(), n
+        if (m, n_terms) == (0, 175):
+            assert any(0.0 < abs(c2n * harmonic(n)) < sys.float_info.min
+                       for n, c2n in enumerate(c))
 
 
 class TestSecondSolutionIntegerOrder:
@@ -707,128 +660,6 @@ class TestProperties:
         assert indicial_value(minus, p) == pytest.approx(0.0, abs=1e-12)
 
 
-# Frozen reference: the four constructors as they stood before the shared
-# even-term recurrence, each with its own copy of the coefficient loop.  The
-# rewrite must reproduce their coefficient bytes and their errors, except
-# that a subnormal leading coefficient (integer order 150) is now refused.
-
-def _ref_factorial(m):
-    if m > 170:
-        raise DomainError(f"integer order too large: m! overflows a double "
-                          "for m > 170")
-    return float(math.factorial(m))
-
-
-def _ref_leading(c0, p):
-    if c0 == 0.0 or not math.isfinite(c0):
-        raise DomainError(f"order {p:g} too large: the leading coefficient "
-                          "is not representable as a double")
-    return c0
-
-
-def ref_bessel_j_series(p, alpha, n_terms):
-    if p < 0.0:
-        raise OrderCaseError(
-            f"first-kind series needs p >= 0, got {p}; use "
-            "bessel_j_neg_series or bessel_j_neg_integer_series for -p"
-        )
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be positive, got {n_terms}")
-    order = classify_order(p)
-    if order.kind is OrderKind.ZERO:
-        p = 0.0
-        c0 = 1.0
-    elif order.kind is OrderKind.POSITIVE_INTEGER:
-        p = float(order.m)
-        c0 = 1.0 / (_ref_factorial(order.m) * 2.0 ** order.m)
-    else:
-        c0 = 1.0 / (gamma(p + 1.0) * 2.0 ** p)
-    coeffs = [0.0] * n_terms
-    coeffs[0] = _ref_leading(c0, p)
-    for k in range(2, n_terms, 2):
-        coeffs[k] = -coeffs[k - 2] / (k * (k + 2.0 * p))
-    return FracSeries(alpha, float(p), tuple(coeffs))
-
-
-def ref_bessel_j_neg_series(p, alpha, n_terms):
-    if p <= 0.0:
-        raise OrderCaseError(f"negative-order series needs p > 0, got {p}")
-    order = classify_order(p)
-    if order.kind is OrderKind.POSITIVE_INTEGER:
-        raise OrderCaseError(
-            f"order -{p} with integer p reduces to a signed first-kind "
-            "series; use bessel_j_neg_integer_series"
-        )
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be positive, got {n_terms}")
-    g = gamma(1.0 - p)
-    coeffs = [0.0] * n_terms
-    coeffs[0] = _ref_leading(2.0 ** p / g, -p)
-    for k in range(2, n_terms, 2):
-        coeffs[k] = -coeffs[k - 2] / (k * (k - 2.0 * p))
-    return FracSeries(alpha, -float(p), tuple(coeffs))
-
-
-def ref_second_solution_order_zero(alpha, n_terms):
-    al = checked_alpha(alpha)
-    log_part = ref_bessel_j_series(0.0, al, n_terms)
-    coeffs = [0.0] * n_terms
-    scale = 1.0
-    h = 0.0
-    sign = 1.0
-    for n in range(1, (n_terms - 1) // 2 + 1):
-        scale /= 4.0 * n * n
-        h += 1.0 / n
-        coeffs[2 * n] = sign * h * scale / al
-        sign = -sign
-    return LogSolution(log_part, FracSeries(al, 0.0, tuple(coeffs)))
-
-
-def ref_second_solution_integer_order(m, alpha, n_terms):
-    if m < 1 or m != int(m):
-        raise OrderCaseError(
-            f"integer-order second solution needs integer m >= 1, got {m}"
-        )
-    m = int(m)
-    a = al = checked_alpha(alpha)
-    log_part = ref_bessel_j_series(float(m), al, n_terms)
-
-    # second_solution_params(m, al, log_coeff=1.0)
-    fact = _ref_factorial(m - 1)
-    b0 = -1.0 * 2.0 ** (m - 1) * fact / a
-    if not math.isfinite(b0):
-        raise DomainError(f"order {m} too large: the leading coefficient "
-                          "overflows a double")
-    length = 2 * m + n_terms
-    coeffs = [0.0] * length
-
-    # b_chain_ratios(m)
-    ratios = [1.0]
-    value = 1.0
-    for j in range(1, m):
-        value /= 4.0 * j * (m - j)
-        ratios.append(value)
-    for j, ratio in enumerate(ratios):
-        coeffs[2 * j] = b0 * ratio
-
-    c0 = 1.0 / (_ref_factorial(m) * 2.0 ** m)
-    h_m = harmonic(m)
-    coeffs[2 * m] = -c0 * h_m / (2.0 * a)
-
-    c2n = c0
-    h_n = 0.0
-    h_mn = h_m
-    n = 1
-    while 2 * m + 2 * n < length:
-        c2n = -c2n / (2.0 * n * (2.0 * n + 2.0 * m))
-        h_n += 1.0 / n
-        h_mn += 1.0 / (m + n)
-        coeffs[2 * m + 2 * n] = -c2n * (h_n + h_mn) / (2.0 * a)
-        n += 1
-
-    return LogSolution(log_part, FracSeries(al, -float(m), tuple(coeffs)))
-
-
 def _bytes(series):
     return struct.pack(f"<d{len(series.coeffs)}d", series.offset,
                        *series.coeffs)
@@ -845,227 +676,10 @@ def _outcome(build, *args):
     return _bytes(result)
 
 
-def generic_outcome(build, *args):
-    """``_outcome(build, *args)`` with the frozen classification taking
-    every order for GENERIC: the frozen route of a non-integral order,
-    which the first kind now takes at every order."""
-    def generic(p):
-        return BesselOrder(float(p), OrderKind.GENERIC)
-
-    with patch.dict(globals(), classify_order=generic):
-        return _outcome(build, *args)
-
-
-def snapped(order):
-    """Whether the frozen routing took ``order`` for an integer it is not:
-    the snap that the package no longer makes."""
-    return (ref_integer_order(order) is not None
-            and not float(order).is_integer())
-
-
-FAMILIES = [
-    (bessel_j_series, ref_bessel_j_series),
-    (bessel_j_neg_series, ref_bessel_j_neg_series),
-    (lambda p, a, n: second_solution_order_zero(a, n),
-     lambda p, a, n: ref_second_solution_order_zero(a, n)),
-    (second_solution_integer_order, ref_second_solution_integer_order),
-]
-
-orders = st.one_of(
-    st.integers(0, 172).map(float),
-    st.integers(0, 172).map(lambda m: m + 0.5),
-    st.floats(0.0, 145.0),
-)
-term_counts = st.one_of(st.sampled_from([1, 2, 3, 120]),
-                        st.integers(0, 150).map(lambda k: 2 * k + 1))
-alphas = st.floats(0.0, 1.0, exclude_min=True)
-
-
-class TestFrozenReference:
-    @settings(max_examples=300, deadline=None)
-    @given(family=st.sampled_from(range(len(FAMILIES))), p=orders,
-           alpha=alphas, n_terms=term_counts)
-    @example(family=3, p=149.0, alpha=1e-6, n_terms=3)  # b_0 overflows
-    @example(family=3, p=1.0, alpha=1e-310, n_terms=3)  # and at m = 1
-    @example(family=1, p=141.5, alpha=1.0, n_terms=120)
-    @example(family=0, p=171.0, alpha=1.0, n_terms=1)
-    @example(family=2, p=0.0, alpha=5e-324, n_terms=3)  # 1/(4 alpha) overflows
-    @example(family=2, p=0.0, alpha=0.5, n_terms=175)  # subnormal numerators
-    @example(family=0, p=5e-324, alpha=0.5, n_terms=3)  # near-integer orders
-    @example(family=0, p=2.0000000009, alpha=0.5, n_terms=120)
-    @example(family=0, p=3.0 - 1e-10, alpha=1.0, n_terms=1)
-    @example(family=0, p=145.0 + 1e-10, alpha=0.5, n_terms=3)  # now refused
-    @example(family=1, p=3.0 + 1e-10, alpha=1.0, n_terms=40)
-    @example(family=1, p=145.0 + 1e-10, alpha=0.5, n_terms=3)
-    def test_coefficients_and_errors_match_bit_for_bit(self, family, p,
-                                                       alpha, n_terms):
-        build, ref = FAMILIES[family]
-        got = _outcome(build, p, alpha, n_terms)
-        want = _outcome(ref, p, alpha, n_terms)
-        if family in (0, 1) and snapped(p):
-            # an intended change: J and Jneg are built at a near-integer
-            # order as given, as the frozen builders built every
-            # non-integral order (the frozen Jneg refused a near-integer
-            # m >= 1, and built one near 0 as given)
-            assert got == generic_outcome(ref, p, alpha, n_terms)
-            assert got != want or family == 1 and p < 0.5
-            if p > 142.0:
-                # past about 141.2 gamma(p + 1), or gamma(1 - p) through
-                # the reflection, overflows the Lanczos evaluation, where
-                # the frozen snap took m! exactly
-                assert got[0] is DomainError
-        elif family == 1 and p.is_integer():
-            # another: Jneg at a whole p is the sign reduction, which the
-            # frozen builder refused ("reduces to a signed first-kind
-            # series" at m >= 1, "needs p > 0" at 0)
-            assert got == _outcome(bessel_j_neg_integer_series, int(p),
-                                   alpha, n_terms)
-            assert want[0] is OrderCaseError
-        elif p == 150.0 and family in (0, 3):
-            # an intended change: c0 = 1.2e-308 is subnormal
-            assert got[0] is DomainError
-            assert isinstance(_outcome(ref_bessel_j_series, p, alpha, n_terms),
-                              bytes)
-        elif family == 2 and want == (ValueError, "non-finite coefficient inf"):
-            # another: at alpha below about 1.4e-309 the plain part of
-            # y2zero overflows, which is now a DomainError
-            assert got[0] is DomainError
-        elif family == 3 and want == (
-                DomainError, f"order {p:g} too large: the leading "
-                             "coefficient overflows a double"):
-            # and a third: b_0 overflows only through a small alpha at the
-            # orders that reach it, so the message names alpha as well
-            assert got == (DomainError, f"alpha = {alpha:g} is too small for "
-                                        f"order {p:g}: the leading "
-                                        "coefficient overflows a double")
-        elif family == 2 and got != want:
-            # and a fourth: y2zero is K at m = 0, whose tail
-            # (-c (2 H_n)) / (2 alpha) rounds otherwise than (-c H_n) / alpha
-            # where the numerator -c_{2n} H_n is subnormal (n = 87, 88)
-            assert_y2zero_is_k_at_zero(alpha, n_terms)
-        else:
-            assert got == want
-
-
-def assert_y2zero_is_k_at_zero(alpha, n_terms):
-    """The frozen y2zero's bytes, but for plain slots whose numerator
-    ``-c_{2n} H_n`` is subnormal, and the same values at three points."""
-    got = second_solution_order_zero(alpha, n_terms)
-    want = ref_second_solution_order_zero(alpha, n_terms)
-    assert _bytes(got.log_part) == _bytes(want.log_part)
-    plain, ref = got.plain_part, want.plain_part
-    assert struct.pack("<d", plain.offset) == struct.pack("<d", ref.offset)
-    c = want.log_part.coeffs
-    for k, (g, w) in enumerate(zip(plain.coeffs, ref.coeffs, strict=True)):
-        numerator = -c[k] * harmonic(k // 2)
-        if k % 2 or not 0.0 < abs(numerator) < sys.float_info.min:
-            assert struct.pack("<d", g) == struct.pack("<d", w), k
-    for x in (0.5, 2.0, 10.0):
-        assert (struct.pack("<dqd", *eval_log_solution(got, x))
-                == struct.pack("<dqd", *eval_log_solution(want, x))), x
-
-
-def ref_build_solution(family, order, alpha, terms):
-    """``cli.build_solution`` as it stood, on the frozen classification."""
-    if family == "J":
-        return ref_bessel_j_series(order, alpha, terms)
-    if family == "Jneg":
-        kind = classify_order(order)
-        if kind.kind in (OrderKind.ZERO, OrderKind.POSITIVE_INTEGER):
-            return bessel_j_neg_integer_series(kind.m or 0, alpha, terms)
-        return ref_bessel_j_neg_series(order, alpha, terms)
-    if family == "y2zero":
-        return ref_second_solution_order_zero(alpha, terms)
-    if family == "K":
-        kind = classify_order(order)
-        if kind.kind is not OrderKind.POSITIVE_INTEGER:
-            raise UsageError(
-                f"family K requires an integer order >= 1, got {order:g}")
-        return ref_second_solution_integer_order(kind.m, alpha, terms)
-    raise UsageError(f"unknown family {family!r}")
-
-
-class TestCliRouting:
-    # "Q" is refused by argparse's choices before it reaches build_solution;
-    # a library caller gets the same usage error as the frozen routing
-    @pytest.mark.parametrize("family", ["J", "Jneg", "y2zero", "K", "Q"])
-    @pytest.mark.parametrize("order", [
-        0.0, 5e-10, -5e-10, 1.0, 2.0 - 1e-10, 0.5, 2.5, 3.0 + 1e-6, -1.0,
-        170.5])
-    def test_build_solution_matches_frozen_routing(self, family, order):
-        got = _outcome(build_solution, family, order, 0.7, 40)
-        want = _outcome(ref_build_solution, family, order, 0.7, 40)
-        if family == "y2zero" and order != 0.0:
-            # an intended change: y2zero used to ignore the order
-            assert isinstance(want[0], bytes)
-            assert got == (UsageError, "family y2zero takes --order 0 only, "
-                                       f"got {ref_order_text(order)}")
-        elif family == "K" and not (order.is_integer() and order >= 1.0):
-            # and another: K refuses a near-integer order too, and names an
-            # order that :g would round (3.000001) by its repr
-            assert got == (UsageError, "family K requires an integer order "
-                                       f">= 1, got {ref_order_text(order)}")
-            assert (got == want) == (ref_order_text(order) == f"{order:g}")
-        elif family == "Jneg" and order < 0.0:
-            # and a fourth: bessel_j_neg_series takes every p >= 0, so its
-            # refusal of a negative order says "p >= 0" where the frozen
-            # builder, taking the order as given, said "p > 0"
-            message = "negative-order series needs p {} 0, got " + str(order)
-            assert (generic_outcome(ref_build_solution, family, order, 0.7, 40)
-                    == (OrderCaseError, message.format(">")))
-            assert got == (OrderCaseError, message.format(">="))
-        elif family == "J" and order < 0.0:
-            # and a fifth: the first kind's refusal of a negative order
-            # names bessel_j_neg_series alone, which takes every p >= 0
-            message = f"first-kind series needs p >= 0, got {order}; use {{}}"
-            assert want == (OrderCaseError, message.format(
-                "bessel_j_neg_series or bessel_j_neg_integer_series for -p"))
-            assert got == (OrderCaseError,
-                           message.format("bessel_j_neg_series for -p"))
-        elif snapped(order) and (family == "Jneg"
-                                 or family == "J" and order > 0.0):
-            # and a third: J and Jneg are built at a near-integer order as
-            # given (J refuses -5e-10 as it did)
-            assert got != want
-            assert got == generic_outcome(ref_build_solution, family, order,
-                                          0.7, 40)
-        else:
-            assert got == want
-
-
-# The series algebra as it stood before the producers built only their walked
-# slots: every slot computed, and the result validated by FracSeries.
-
-def ref_series_scale(a, k):
-    return FracSeries(a.alpha, a.offset, tuple(k * c for c in a.coeffs))
-
-
-def ref_conformable_diff_exact(a):
-    al = a.alpha
-    r = a.offset
-    return FracSeries(a.alpha, r - 1.0,
-                      tuple(al * (n + r) * c for n, c in enumerate(a.coeffs)))
-
-
 def _parts(solution):
     if isinstance(solution, LogSolution):
         return [solution.log_part, solution.plain_part]
     return [solution]
-
-
-def ref_family(family, order, alpha, n_terms):
-    """The frozen build of ``build_solution(family, order, ...)``."""
-    if family == "J":
-        return ref_bessel_j_series(order, alpha, n_terms)
-    if family == "Jneg" and ref_integer_order(order) is None:
-        return ref_bessel_j_neg_series(order, alpha, n_terms)
-    if family == "Jneg":
-        m = ref_integer_order(order)
-        return ref_series_scale(ref_bessel_j_series(float(m), alpha, n_terms),
-                                -1.0 if m % 2 else 1.0)
-    if family == "y2zero":
-        return ref_second_solution_order_zero(alpha, n_terms)
-    return ref_second_solution_integer_order(int(order), alpha, n_terms)
 
 
 WALK_ORDERS = (0.0, 0.5, 1.0, 2.5, 3.0, 149.0)
@@ -1076,51 +690,64 @@ WALK_CASES = ([("J", p) for p in WALK_ORDERS]
 SCALES = (2.5, -1.0, -0.3, 0.0)
 
 
-def _algebra(series, diff, scale):
-    """The series itself, its derivative and its scalings by SCALES."""
-    return [series, diff(series)] + [scale(series, k) for k in SCALES]
+def dense_diff(a):
+    """``conformable_diff_exact(a)``'s slots, every one computed:
+    ``alpha (n + r) c_n``, at offset r - 1."""
+    return [a.alpha * (n + a.offset) * c for n, c in enumerate(a.coeffs)]
 
 
-def assert_walk_built(got, want, every_slot_input=False):
-    """``got`` holds ``want``'s walked slots bit for bit and +0.0 elsewhere,
-    and records the walk the validating constructor derives.
+def dense_scale(a, k):
+    """``series_scale(a, k)``'s slots, every one computed: ``k c_n``."""
+    return [k * c for c in a.coeffs]
+
+
+def assert_algebra_walk_built(a):
+    """``a``, its derivative and its scalings by SCALES each hold the
+    dense slots on their walk (``assert_walk_built``)."""
+    every_slot_input = a._walk[1] == 1
+    for got, offset, dense in [
+            (a, a.offset, a.coeffs),
+            (conformable_diff_exact(a), a.offset - 1.0, dense_diff(a)),
+            *[(series_scale(a, k), a.offset, dense_scale(a, k))
+              for k in SCALES]]:
+        assert got.alpha == a.alpha
+        assert_walk_built(got, offset, dense, every_slot_input)
+
+
+def assert_walk_built(got, offset, dense, every_slot_input=False):
+    """``got`` holds the walked slots of ``dense`` bit for bit and +0.0
+    elsewhere, at ``offset``, and records the walk the validating
+    constructor derives.
 
     Only from an input that walks every slot can a producer record the
     even walk with odd slots it computed (``k = 0``, or ``n + r = 0`` at
-    the last nonzero odd slot); those keep the bits of the dense builders.
+    the last nonzero odd slot); those keep the bits of the dense slots.
     """
     slots, stride = got._walk
     rebuilt = FracSeries(got.alpha, got.offset, got.coeffs)
     assert got == rebuilt and got._walk == rebuilt._walk
-    assert (got.alpha, got.offset) == (want.alpha, want.offset)
-    assert len(got.coeffs) == len(want.coeffs)
-    walked = range(0, len(got.coeffs), stride)
+    assert got.offset == offset and len(got.coeffs) == len(dense)
+    walked = range(0, len(dense), stride)
     assert ([c.hex() for c in slots] == [got.coeffs[n].hex() for n in walked]
-            == [want.coeffs[n].hex() for n in walked])
-    for n in range(len(got.coeffs)):
+            == [dense[n].hex() for n in walked])
+    for n in range(len(dense)):
         if n not in walked:
-            assert want.coeffs[n] == 0.0
+            assert dense[n] == 0.0
             assert got.coeffs[n].hex() == "0x0.0p+0" or (
-                every_slot_input
-                and got.coeffs[n].hex() == want.coeffs[n].hex())
+                every_slot_input and got.coeffs[n].hex() == dense[n].hex())
 
 
 class TestWalkBuilt:
     """The constructors and the series algebra compute only the walked
-    slots; the result is the dense one of the frozen builders above."""
+    slots; each holds the slots that every slot computed would give."""
 
     @pytest.mark.parametrize("family, order", WALK_CASES)
     def test_matches_dense_formulas(self, family, order):
         for alpha in (0.3, 0.8, 1.0):
             for n_terms in (1, 2, 3, 30, 60, 121):
-                got = build_solution(family, order, alpha, n_terms)
-                want = ref_family(family, order, alpha, n_terms)
-                for g, w in zip(_parts(got), _parts(want), strict=True):
-                    for gs, ws in zip(
-                            _algebra(g, conformable_diff_exact, series_scale),
-                            _algebra(w, ref_conformable_diff_exact,
-                                     ref_series_scale)):
-                        assert_walk_built(gs, ws, g._walk[1] == 1)
+                for part in _parts(build_solution(family, order, alpha,
+                                                  n_terms)):
+                    assert_algebra_walk_built(part)
 
     @pytest.mark.parametrize("series, stride", [
         (FracSeries(1.0, 0.0, (1.0, 0.0, -2.0)), 2),
@@ -1132,11 +759,7 @@ class TestWalkBuilt:
     ], ids=["even", "odd", "every", "every-zeroed", "every-to-even"])
     def test_algebra_on_each_walk(self, series, stride):
         assert series._walk[1] == stride
-        for got, want in zip(
-                _algebra(series, conformable_diff_exact, series_scale),
-                _algebra(series, ref_conformable_diff_exact,
-                         ref_series_scale)):
-            assert_walk_built(got, want, series._walk[1] == 1)
+        assert_algebra_walk_built(series)
 
     def test_walk_follows_the_constructor_rule(self):
         # n + r = 0 zeroes slot 0: every slot in, every slot out
@@ -1157,16 +780,16 @@ class TestWalkBuilt:
         (FracSeries(1.0, 2.0, (1e308, 1e308)), 1),
         (FracSeries(1.0, 0.0, (1.0, 0.0, -1e308)), 2),
     ])
-    @pytest.mark.parametrize("op, ref_op", [
-        (conformable_diff_exact, ref_conformable_diff_exact),
-        (lambda s: series_scale(s, -1e10),
-         lambda s: ref_series_scale(s, -1e10)),
+    @pytest.mark.parametrize("op, dense", [
+        (conformable_diff_exact, dense_diff),
+        (lambda s: series_scale(s, -1e10), lambda s: dense_scale(s, -1e10)),
     ], ids=["diff", "scale"])
-    def test_overflow_keeps_its_message(self, series, stride, op, ref_op):
+    def test_overflow_keeps_its_message(self, series, stride, op, dense):
+        # the message names the first slot that overflows, walked or not
         assert series._walk[1] == stride
-        got = _outcome(op, series)
-        assert got[0] is ValueError
-        assert got == _outcome(ref_op, series)
+        first = next(c for c in dense(series) if not math.isfinite(c))
+        assert _outcome(op, series) == (ValueError,
+                                        f"non-finite coefficient {first}")
 
     @pytest.mark.parametrize("build, message", [
         (lambda: second_solution_order_zero(1e-310, 60),
@@ -1177,6 +800,13 @@ class TestWalkBuilt:
          "overflows a double"),
         (lambda: second_solution_integer_order(3, 1e-310, 3),
          "alpha = 1e-310 is too small for order 3: the leading coefficient "
+         "overflows a double"),
+        # 1/(4 alpha), and b_0 at the highest order the log part admits
+        (lambda: second_solution_order_zero(5e-324, 3),
+         "alpha = 4.94066e-324 is too small: the plain part's coefficients "
+         "overflow a double"),
+        (lambda: second_solution_integer_order(149, 1e-6, 3),
+         "alpha = 1e-06 is too small for order 149: the leading coefficient "
          "overflows a double"),
     ])
     def test_small_alpha_keeps_its_message(self, build, message):
@@ -1198,23 +828,25 @@ class TestWalkBuilt:
 
 
 class TestTableCache:
-    """Each family's alpha-free table is built once per (order, n_terms);
-    a build from the cache is the frozen builders' result bit for bit."""
+    """Each family's alpha-free table is built once per (order, n_terms),
+    and every alpha reads it: a build from the cache is a cold build."""
 
-    def test_cold_and_warm_builds_match_the_frozen_builders(self):
-        _table.cache_clear()
-        for alpha in (0.3, 0.8, 1.0):
-            for family, order in WALK_CASES:
-                for n_terms in (1, 2, 3, 60, 121):
-                    got = build_solution(family, order, alpha, n_terms)
-                    want = ref_family(family, order, alpha, n_terms)
-                    for g, w in zip(_parts(got), _parts(want), strict=True):
-                        assert_walk_built(g, w)
-            if alpha == 0.3:
-                cold = _table.cache_info()
-                assert cold.misses == cold.currsize > 0
-        warm = _table.cache_info()
-        assert warm.misses == cold.misses and warm.hits > cold.hits
+    def test_warm_builds_are_the_cold_builds(self):
+        alphas = (0.3, 0.8, 1.0)
+        for family, order in WALK_CASES:
+            for n_terms in (1, 2, 3, 60, 121):
+                cold = {}
+                for alpha in alphas:
+                    _table.cache_clear()
+                    cold[alpha] = _outcome(build_solution, family, order,
+                                           alpha, n_terms)
+                misses = _table.cache_info().misses
+                # the tables of the last cold build serve every alpha
+                for alpha in alphas:
+                    assert _outcome(build_solution, family, order, alpha,
+                                    n_terms) == cold[alpha], alpha
+                info = _table.cache_info()
+                assert info.misses == misses > 0 and info.hits > 0
 
     @pytest.mark.parametrize("build", [bessel_j_series, bessel_j_neg_series])
     def test_first_kind_tables_are_shared_across_alpha(self, build):

@@ -6,7 +6,6 @@ representation J_n(z) = (1/pi) * integral of cos(n t - z sin t) over
 """
 
 import math
-import struct
 
 import mpmath
 import numpy as np
@@ -41,11 +40,10 @@ from confbessel.checks import (COEFF_TOL, HALF_ORDER_TOL, IDENTITIES,
                                LOG_RESIDUAL_X, N_COEFF_COMPARE,
                                ORACLE_MAX_ARG, ORACLE_TOL, POINT_TOL,
                                RESIDUAL_X, SCALING_TOL, SCALING_X,
-                               CheckReport, _coefficientwise, _pointwise,
-                               _rows, linspace)
+                               _coefficientwise, _pointwise, _report, _rows,
+                               linspace)
 from confbessel.cli import build_solution
 from confbessel.errors import AlignmentError, DomainError, OrderCaseError
-from confbessel.series import series_rebase
 
 # frozen quadrature-oracle values
 J0_AT_1 = 0.76519768655796655
@@ -152,6 +150,102 @@ class TestReportInvariants:
         r = check_identity(name, 1, 1.0, [1.0, 1e10, 2.0])
         assert not r.passed
         assert r.max_abs_err == math.inf
+
+
+ROWS = [(1.0, 0.5, 1.0), (1.0, 0.5, 2.0), (1.0, 0.5, 3.0)]
+
+
+def pointwise(devs, tolerance=None, mode="abs"):
+    """``_pointwise`` over the first rows of ROWS, row k deviating by
+    ``devs[k]``, a ``(diff, ref)`` pair."""
+    return _pointwise("rules", ROWS[:len(devs)],
+                      lambda p, a, x: devs[int(x) - 1], tolerance, mode)
+
+
+def half_steps(lhs, rhs, steps):
+    """``(lhs, rhs)`` as series at alpha 0.5, rhs ``steps`` steps above."""
+    return FracSeries(0.5, 1.0, lhs), FracSeries(0.5, 1.0 + steps, rhs)
+
+
+class TestReportRules:
+    """``_report`` reduces the primitives' deviation columns to one
+    report: a column's error is its largest entry, a NaN counting as inf,
+    and the gauge (the abs column in "abs" mode, else the rel column)
+    passes when finite and within the tolerance."""
+
+    @pytest.mark.parametrize("column", [
+        [math.nan], [math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 0.0]])
+    @pytest.mark.parametrize("mode", ["abs", "rel"])
+    def test_a_nan_counts_as_inf_and_fails(self, column, mode):
+        # max() would drop a NaN that follows a number
+        r = _report("rules", ROWS, column, column, math.inf, mode)
+        assert (r.max_abs_err, r.max_rel_err, r.passed) == (math.inf,
+                                                            math.inf, False)
+
+    @pytest.mark.parametrize("dev", [(math.nan, 0.0), (1.0, math.nan),
+                                     (math.inf, 0.0), (math.inf, math.inf)])
+    @pytest.mark.parametrize("mode", ["abs", "rel"])
+    def test_a_non_finite_point_fails_at_any_tolerance(self, dev, mode):
+        # a NaN relative deviation |diff| / (1 + |ref|) makes both inf
+        r = pointwise([(0.0, 0.0), dev, (0.0, 0.0)], math.inf, mode)
+        assert (r.max_abs_err, r.max_rel_err, r.passed) == (math.inf,
+                                                            math.inf, False)
+
+    def test_an_empty_grid_raises(self):
+        sides = half_steps((1.0,), (1.0,), 0)
+        for report in (lambda: pointwise([]),
+                       lambda: _coefficientwise("rules", [], sides)):
+            with pytest.raises(ValueError) as info:
+                report()
+            assert str(info.value) == "check 'rules' ran on an empty grid"
+
+    def test_the_gauge_follows_the_mode(self):
+        # |diff| 1e-3 at |ref| 1e6: abs 1e-3, rel about 1e-9
+        for mode, passed in (("abs", False), ("rel", True)):
+            r = pointwise([(1e-3, 1e6)], 1e-6, mode)
+            assert (r.mode, r.passed) == (mode, passed)
+            assert (r.max_abs_err, r.max_rel_err) == (1e-3, 1e-3 / (1 + 1e6))
+        # the gauge passes at the tolerance itself
+        assert pointwise([(1e-3, 0.0)], 1e-3).passed
+        assert not pointwise([(1e-3, 0.0)], 1e-3 * (1 - 2 ** -52)).passed
+
+    def test_fields_are_floats_and_an_empty_column_is_zero(self):
+        r = _report("rules", [(1, 1, 2)], [], [1], 1, "abs")
+        assert r == ("rules", ((1.0, 1.0, 2.0),), 0.0, 1.0, 1.0, "abs", True)
+        assert [type(v) for v in (*r.grid[0], r.max_abs_err, r.max_rel_err,
+                                  r.tolerance)] == [float] * 6
+        assert type(r.passed) is bool
+
+    def test_coefficient_column(self):
+        # |l - r| / max(|l|, |r|) over slots where either is nonzero, rhs
+        # aligned to lhs's offset and both zero-padded to N_COEFF_COMPARE
+        # slots; the abs column holds |lhs(x) - rhs(x)|
+        lhs, rhs = half_steps((1.0, 0.0, 2.0, 0.0), (1.0, 3.0, 2.5), 0)
+        r = _coefficientwise("rules", ROWS, (lhs, rhs))
+        assert (r.mode, r.max_rel_err) == ("rel", 1.0)
+        assert r.max_abs_err == max(
+            abs(eval_series(lhs, x).value - eval_series(rhs, x).value)
+            for _, _, x in ROWS)
+        assert _coefficientwise("rules", ROWS, half_steps(
+            (1.0, 0.0, 2.0), (1.0, 0.0, 2.5), 0)).max_rel_err == 0.2
+        # one step up is one slot to the right
+        assert _coefficientwise("rules", ROWS, half_steps(
+            (0.0, 1.0, 0.0), (1.0,), 1)).max_rel_err == 0.0
+        # a difference past the compared slots is not seen
+        same = (1.0,) + (0.0,) * (N_COEFF_COMPARE - 1)
+        r = _coefficientwise("rules", ROWS, half_steps(same, same + (1.0,), 0))
+        assert r.max_rel_err == 0.0 and r.passed
+
+    @pytest.mark.parametrize("steps", [0.5, -1.5])
+    def test_misaligned_sides_fail(self, steps):
+        # no whole number of steps aligns them: rel inf at any tolerance,
+        # and the spot deviations as ever
+        lhs, rhs = half_steps((1.0,), (1.0,), steps)
+        r = _coefficientwise("rules", ROWS, (lhs, rhs), math.inf)
+        assert (r.max_rel_err, r.passed) == (math.inf, False)
+        assert r.max_abs_err == max(
+            abs(eval_series(lhs, x).value - eval_series(rhs, x).value)
+            for _, _, x in ROWS) > 0.0
 
 
 class TestResidual:
@@ -549,136 +643,3 @@ def test_an_order_given_as_text_is_its_number(check):
     assert report.check_name.startswith(("derivative-lower[p=2 ",
                                          "series-vs-quadrature[p=2 ",
                                          "residual[p=2 "))
-
-
-# The report primitives before they handed their deviation columns to
-# ``_report``, kept verbatim (but for the names) as the oracle: the
-# primitives must build the same CheckReport bit for bit.
-
-def ref_report(name, grid, max_abs, max_rel, tolerance, mode):
-    if not grid:
-        raise ValueError(f"check {name!r} ran on an empty grid")
-    if mode not in ("abs", "rel"):
-        raise ValueError(f"unknown report mode {mode!r}")
-    gauge = max_abs if mode == "abs" else max_rel
-    return CheckReport(
-        check_name=name,
-        grid=tuple((float(p), float(a), float(x)) for p, a, x in grid),
-        max_abs_err=float(max_abs),
-        max_rel_err=float(max_rel),
-        tolerance=float(tolerance),
-        mode=mode,
-        passed=bool(math.isfinite(gauge) and gauge <= tolerance),
-    )
-
-
-def ref_pointwise(name, rows, deviation, tolerance=None, mode="abs"):
-    max_abs = 0.0
-    max_rel = 0.0
-    for p, a, x in rows:
-        diff, ref = deviation(p, a, x)
-        d = abs(diff)
-        rel = d / (1.0 + abs(ref))
-        if rel != rel:
-            d = rel = math.inf
-        max_abs = max(max_abs, d)
-        max_rel = max(max_rel, rel)
-    return ref_report(name, rows, max_abs, max_rel,
-                      POINT_TOL if tolerance is None else tolerance, mode)
-
-
-def ref_coefficientwise(name, rows, sides, tolerance=None):
-    lhs, rhs = sides
-    aligned = series_rebase(rhs, lhs.offset)
-    max_rel = 0.0
-    for i in range(N_COEFF_COMPARE):
-        l = lhs.coeffs[i] if i < len(lhs.coeffs) else 0.0
-        r = aligned.coeffs[i] if i < len(aligned.coeffs) else 0.0
-        scale = max(abs(l), abs(r))
-        if scale > 0.0:
-            max_rel = max(max_rel, abs(l - r) / scale)
-    max_abs = 0.0
-    for _, _, x in rows:
-        d = abs(eval_series(lhs, x).value - eval_series(rhs, x).value)
-        max_abs = max(max_abs, d if d == d else math.inf)
-    return ref_report(name, rows, max_abs, max_rel,
-                      COEFF_TOL if tolerance is None else tolerance, "rel")
-
-
-def ref_misaligned(name, rows, sides, tolerance=None):
-    """The report of sides that no whole number of steps aligns, which the
-    frozen copy refused with AlignmentError: an infinite relative error,
-    and the spot deviations as the frozen copy takes them."""
-    lhs, rhs = sides
-    max_abs = 0.0
-    for _, _, x in rows:
-        d = abs(eval_series(lhs, x).value - eval_series(rhs, x).value)
-        max_abs = max(max_abs, d if d == d else math.inf)
-    return ref_report(name, rows, max_abs, math.inf,
-                      COEFF_TOL if tolerance is None else tolerance, "rel")
-
-
-def report_outcome(primitive, *args):
-    """Every field of the report, floats as bytes, or the error raised."""
-    try:
-        r = primitive(*args)
-    except Exception as exc:  # the error type and message are compared
-        return type(exc), str(exc)
-    return (r.check_name, [struct.pack("<3d", *row) for row in r.grid],
-            struct.pack("<3d", r.max_abs_err, r.max_rel_err, r.tolerance),
-            r.mode, r.passed, [type(field) for field in r])
-
-
-SPECIAL = (0.0, -0.0, 5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan)
-deviations = st.one_of(st.sampled_from(SPECIAL), st.floats())
-tolerances = st.sampled_from([None, 0.0, 1e-9, math.inf])
-coefficients = st.integers(1, 40).flatmap(lambda size: st.lists(
-    st.one_of(st.just(0.0),
-              st.sampled_from((-0.0, 5e-324, 1.0, -2.5, 1e300, -1e300)),
-              st.floats(allow_nan=False, allow_infinity=False)),
-    min_size=size, max_size=size))
-spot_rows = st.lists(st.sampled_from([0.5, 1.0, 2.0, 7.5]), min_size=1,
-                     max_size=4).map(lambda xs: [(1.0, 0.5, x) for x in xs])
-
-
-class TestFrozenPrimitives:
-    """``_pointwise`` and ``_coefficientwise`` against the frozen copies."""
-
-    @settings(max_examples=400, deadline=None)
-    @given(pairs=st.lists(st.tuples(deviations, deviations), max_size=8),
-           tolerance=tolerances, mode=st.sampled_from(["abs", "rel"]))
-    @example(pairs=[], tolerance=None, mode="abs")  # empty grid
-    @example(pairs=[(math.inf, math.inf)], tolerance=math.inf, mode="abs")
-    @example(pairs=[(1.0, math.nan), (2.0, 0.0)], tolerance=None, mode="rel")
-    def test_pointwise(self, pairs, tolerance, mode):
-        rows = [(float(i), 0.5, 1.0 + i) for i in range(len(pairs))]
-
-        def deviation(p, a, x):
-            return pairs[int(p)]
-
-        args = ("frozen", rows, deviation, tolerance, mode)
-        assert (report_outcome(_pointwise, *args)
-                == report_outcome(ref_pointwise, *args))
-
-    @settings(max_examples=400, deadline=None)
-    @given(lhs=coefficients, rhs=coefficients,
-           steps=st.sampled_from([-2, -1, 0, 1, 2, 0.5]),
-           rows=spot_rows, tolerance=tolerances)
-    @example(lhs=[1.0], rhs=[1.0, 2.0], steps=-1, rows=[(1.0, 0.5, 1.0)],
-             tolerance=None)  # leading coefficients are nonzero
-    @example(lhs=[1.0], rhs=[1.0], steps=0.5, rows=[(1.0, 0.5, 2.0)],
-             tolerance=math.inf)  # half a step apart
-    @example(lhs=[1.0], rhs=[1.0], steps=0, rows=[], tolerance=None)
-    @example(lhs=[1.0], rhs=[1.0], steps=0.5, rows=[], tolerance=None)
-    @example(lhs=[1e300, 1.0], rhs=[-1e300], steps=0,
-             rows=[(1.0, 0.5, 1.0)], tolerance=math.inf)
-    def test_coefficientwise(self, lhs, rhs, steps, rows, tolerance):
-        sides = (FracSeries(0.5, 1.0, lhs), FracSeries(0.5, 1.0 + steps, rhs))
-        args = ("frozen", rows, sides, tolerance)
-        want = report_outcome(ref_coefficientwise, *args)
-        if want[0] is AlignmentError:
-            # an intended change: misaligned sides fail the check (exit 1
-            # from the CLI) instead of raising (exit 2)
-            want = report_outcome(ref_misaligned, *args)
-            assert want[0] is ValueError or want[4] is False
-        assert report_outcome(_coefficientwise, *args) == want

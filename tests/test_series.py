@@ -773,6 +773,17 @@ class TestMpmathPins:
                 assert abs(got - ref) <= 1e-11 * abs(ref) + 16 * u * mag, \
                     (p, x)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 3a: the early stop assumes falling terms; the terms "
+        "of size delta fall below STOP_REL at n = 8, before the J_5 part"))
+    def test_negative_order_one_ulp_from_five_sums_its_j5_part(self):
+        # 9 slots summed, tail estimate 4.6e-24, 3.8e-12 relative off
+        p = math.nextafter(5.0, math.inf)
+        got = eval_series(bessel_j_neg_series(p, 1.0), 0.01).value
+        with mpmath.workdps(40):
+            ref = mpmath.besselj(-mpmath.mpf(p), 0.01)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+
     @pytest.mark.parametrize("m", [0, 1, 2, 5])
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
     def test_log_solutions_match_closed_form(self, m, alpha):
