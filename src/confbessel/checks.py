@@ -64,7 +64,6 @@ from .series import (
 
 __all__ = [
     "CheckReport",
-    "linspace",
     "classical_bessel_j",
     "check_ode_residual",
     "check_identity",

@@ -11,14 +11,20 @@ Exit codes: 0 success (all checks passed), 1 at least one check failed,
 across runs; CSV uses 17 significant digits so values round-trip through
 text.  ``NO_COLOR`` suppresses the PASS/FAIL coloring of plain check
 output (color is only attempted on a terminal anyway).
+
+An argv of the plain form -- a subcommand, then ``--flag value`` pairs
+with full flag names and values that convert and lie in their choices --
+is read straight from the flag table, ``COMMANDS``, into the namespace
+argparse would build.  argparse is imported only for help and for the argv
+that this reader refuses, and prints and exits for them as it always has.
 """
 
-import argparse
 import contextlib
 import math
 import os
 import re
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from .bessel import (
@@ -40,7 +46,12 @@ from .series import (
 )
 
 if TYPE_CHECKING:
+    from argparse import ArgumentParser, Namespace
+
     from .checks import CheckReport
+
+    #: What the run functions read: argparse's namespace, or the reader's.
+    Args = Namespace | SimpleNamespace
 
 __all__ = ["main", "console_entry", "build_solution", "parse_range"]
 
@@ -208,7 +219,7 @@ def _emit_rows(rows: list[dict], fmt: str, out: TextIO) -> None:
                       f"{r['terms_used']:>6d} {r['tail_estimate']:>12.3e}\n")
 
 
-def run_points(ns: argparse.Namespace) -> int:
+def run_points(ns: "Args") -> int:
     """``eval`` and ``table``: every point is evaluated before any is written.
 
     A one-row ``table`` prints the same JSON and CSV bytes as ``eval``; only
@@ -244,7 +255,7 @@ def _plain_report_lines(reports: "list[CheckReport]",
     return lines
 
 
-def _collect_reports(ns: argparse.Namespace) -> "list[CheckReport]":
+def _collect_reports(ns: "Args") -> "list[CheckReport]":
     from . import checks  # loaded only by the check command
 
     if ns.family is None:
@@ -261,7 +272,7 @@ def _collect_reports(ns: argparse.Namespace) -> "list[CheckReport]":
              f"alpha={_order_text(ns.alpha)}]")]
 
 
-def run_check(ns: argparse.Namespace) -> int:
+def run_check(ns: "Args") -> int:
     reports = _collect_reports(ns)
     with _output(ns.output_path) as out:
         if ns.format == "json":
@@ -280,54 +291,94 @@ def run_check(ns: argparse.Namespace) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
-def _add_common(sub: argparse.ArgumentParser, *, family_default,
-                format_default: str) -> None:
-    sub.add_argument("--family", choices=FAMILIES, default=family_default,
-                     help="solution family (default %(default)s)")
-    sub.add_argument("--order", type=float, default=None,
-                     help="order p (default 0.0)")
-    sub.add_argument("--alpha", type=float, default=None,
-                     help="derivative order in (0, 1] (default 1.0)")
-    sub.add_argument("--x", type=float, default=None,
-                     help="evaluation point, must be > 0")
-    sub.add_argument("--range", dest="range_spec", default=None,
-                     metavar="a:b:n",
-                     help="inclusive linear grid start:stop:count")
-    sub.add_argument("--terms", type=int, default=None,
-                     help=f"series length (default {DEFAULT_TERMS})")
-    sub.add_argument("--format", choices=("csv", "json", "plain"),
-                     default=format_default, help="output format")
-    sub.add_argument("--tolerance", type=float, default=None,
-                     help="override check tolerance")
-    sub.add_argument("--out", dest="output_path", default=None,
-                     help="write output to this file instead of stdout")
+def _flags(family_default: str | None, format_default: str,
+           *extra: tuple) -> dict[str, tuple]:
+    """``flag -> (dest, type, choices, default, metavar, help)``; a None
+    type keeps the text as given."""
+    return dict((
+        ("--family", ("family", None, FAMILIES, family_default, None,
+                      "solution family (default %(default)s)")),
+        ("--order", ("order", float, None, None, None,
+                     "order p (default 0.0)")),
+        ("--alpha", ("alpha", float, None, None, None,
+                     "derivative order in (0, 1] (default 1.0)")),
+        ("--x", ("x", float, None, None, None,
+                 "evaluation point, must be > 0")),
+        ("--range", ("range_spec", None, None, None, "a:b:n",
+                     "inclusive linear grid start:stop:count")),
+        ("--terms", ("terms", int, None, None, None,
+                     f"series length (default {DEFAULT_TERMS})")),
+        ("--format", ("format", None, ("csv", "json", "plain"),
+                      format_default, None, "output format")),
+        ("--tolerance", ("tolerance", float, None, None, None,
+                         "override check tolerance")),
+        ("--out", ("output_path", None, None, None, None,
+                   "write output to this file instead of stdout")),
+        *extra))
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: The flag table: subcommand -> (help, flags).  ``build_parser`` hands
+#: every row to argparse and ``_read_plain`` reads argv with the same rows,
+#: so both paths take the same flags, types, choices and defaults.
+COMMANDS = {
+    "eval": ("evaluate one solution at one point", _flags("J", "plain")),
+    "table": ("tabulate one solution on a grid", _flags("J", "csv")),
+    "check": ("run the verification suites", _flags(None, "plain", (
+        "--name", ("check_name", None, CHECK_NAMES, None, None,
+                   "which suite to run (default: all, or residual when "
+                   "--family is given)")))),
+}
+
+
+def build_parser() -> "ArgumentParser":
+    import argparse  # loaded only for help and for argv _read_plain refuses
+
     parser = argparse.ArgumentParser(
         prog="confbessel",
         description="Evaluate and verify conformable fractional Bessel "
                     "solutions.")
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = subs.add_parser("eval", help="evaluate one solution at one point")
-    _add_common(p_eval, family_default="J", format_default="plain")
-
-    p_table = subs.add_parser("table", help="tabulate one solution on a grid")
-    _add_common(p_table, family_default="J", format_default="csv")
-
-    p_check = subs.add_parser("check", help="run the verification suites")
-    _add_common(p_check, family_default=None, format_default="plain")
-    p_check.add_argument("--name", dest="check_name", choices=CHECK_NAMES,
-                         default=None,
-                         help="which suite to run (default: all, or residual "
-                              "when --family is given)")
-    for p in (parser, p_eval, p_table, p_check):
-        p._negative_number_matcher = _NEGATIVE_NUMBER
+    for command, (command_help, flags) in COMMANDS.items():
+        sub = subs.add_parser(command, help=command_help)
+        sub._negative_number_matcher = _NEGATIVE_NUMBER
+        for flag, (dest, kind, choices, default, metavar, flag_help) \
+                in flags.items():
+            sub.add_argument(flag, dest=dest, type=kind, choices=choices,
+                             default=default, metavar=metavar, help=flag_help)
     return parser
 
 
-def _validate(ns: argparse.Namespace) -> None:
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds for a plain argv, else None.
+
+    Plain is a subcommand, then ``--flag value`` pairs: each flag a full
+    flag name of that subcommand, each value not starting with ``-``,
+    converted by the flag's type and, where it has choices, one of them.
+    Anything else -- help, ``--flag=value``, an abbreviation, a value that
+    starts with ``-`` or fails its type or choices -- is for argparse.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    flags = COMMANDS[argv[0]][1]
+    values = {"command": argv[0],
+              **{row[0]: row[3] for row in flags.values()}}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        row = flags.get(flag)
+        if row is None or text.startswith("-"):
+            return None
+        dest, kind, choices = row[:3]
+        try:
+            value = text if kind is None else kind(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
+def _validate(ns: "Args") -> None:
     """Refuse malformed flags, then fill what depends on them.
 
     Fills the defaults of ``--order``, ``--alpha`` and ``--terms`` (None
@@ -368,11 +419,13 @@ def _validate(ns: argparse.Namespace) -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = _read_plain(argv)
+    if ns is None:
+        try:
+            ns = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         _validate(ns)
         if ns.command == "check":

@@ -678,6 +678,85 @@ class TestArgvFuzz:
                 assert math.isfinite(float(tail))
 
 
+#: Tokens at the edge of the plain form that ``cli._read_plain`` reads: help,
+#: an abbreviation and an ambiguous one, a joined value, the separator,
+#: negative numbers, numbers a float reads as non-finite, padded and
+#: underscored digits, the empty string and a bad choice.
+EDGE_TOKENS = ("-h", "--help", "--fam", "--f", "--x=1", "--", "-1", "-5e-10",
+               "nan", "1e400", " 3", "1_0", "", "Q")
+
+
+@st.composite
+def edge_argv(draw) -> list[str]:
+    """A ``fuzz_argv`` with one to three tokens, the subcommand included,
+    replaced by edge tokens, then maybe one more appended."""
+    argv = draw(fuzz_argv())
+    for _ in range(draw(st.integers(1, 3))):
+        argv[draw(st.integers(0, len(argv) - 1))] = \
+            draw(st.sampled_from(EDGE_TOKENS))
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(EDGE_TOKENS)))
+    return argv
+
+
+def argparse_vars(argv) -> str | None:
+    """``repr(vars(...))`` of argparse's namespace (NaN compares by its
+    repr), or None where argparse refuses the argv."""
+    try:
+        return repr(vars(cli.build_parser().parse_args(argv)))
+    except SystemExit:
+        return None
+
+
+class TestPlainReader:
+    """The reader builds argparse's namespace or leaves the argv to
+    argparse, so every argv prints the same bytes either way."""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval"],
+        ["eval", "--x", "1"],
+        ["eval", "--x", "nan", "--terms", "1_0", "--order", " 3"],
+        ["eval", "--x", "1e400", "--x", "2", "--out", ""],
+        ["table", "--family", "Jneg", "--range", "1:2:3", "--format", "json"],
+        ["check", "--family", "K", "--order", "1", "--name", "residual",
+         "--tolerance", "1e-3"],
+    ])
+    def test_plain_argv_is_read(self, capsys, argv):
+        ns = cli._read_plain(argv)
+        assert ns is not None
+        assert repr(vars(ns)) == argparse_vars(argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["eval", "-h"], ["eval", "--help"], ["frobnicate"],
+        ["eval", "--fam", "J"], ["eval", "--x=1"], ["eval", "--x"],
+        ["eval", "--", "--x", "1"], ["eval", "--x", "-1"],
+        ["eval", "--order", "-5e-10", "--x", "1"], ["eval", "--terms", "2.5"],
+        ["eval", "--terms", "1e400"], ["eval", "--x", ""],
+        ["eval", "--family", "Q", "--x", "1"], ["eval", "--name", "all"],
+        ["check", "--name", "nosuch"],
+    ])
+    def test_other_argv_is_left_to_argparse(self, argv):
+        assert cli._read_plain(argv) is None
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argv=st.one_of(fuzz_argv(), edge_argv()))
+    # a flag that only starts a flag name: argparse reads the separator and
+    # an ambiguous abbreviation as no flag of the table
+    @example(argv=["eval", "--x", "1", "--", "J"])
+    @example(argv=["eval", "--x", "1", "--f", "J"])
+    def test_reader_agrees_with_argparse(self, capsys, monkeypatch, argv):
+        capsys.readouterr()  # what an earlier, failing example printed
+        ns = cli._read_plain(argv)
+        if ns is not None:
+            assert repr(vars(ns)) == argparse_vars(argv)
+            capsys.readouterr()
+        want = run(capsys, *argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read_plain", lambda argv: None)
+            assert run(capsys, *argv) == want
+
+
 class TestWriteErrors:
     """A failed write is exit 2 with one error line, never a traceback."""
 

@@ -5,7 +5,8 @@ even the quadrature oracle (``checks.classical_bessel_j``) is plain
 ``math``.  The check suites (``confbessel.checks``) and the numeric operator
 (``confbessel.conformable``) load on first use of one of their names, and
 the package never imports ``dataclasses``.  The CLI loads ``json`` only to
-write ``--format json``, and no module imports ``__future__``.  Each case
+write ``--format json`` and ``argparse`` only for help and for an argv
+outside the plain form, and no module imports ``__future__``.  Each case
 runs in a fresh interpreter, because the test process itself has long since
 imported all of them; the probe there imports nothing that it watches.
 """
@@ -23,7 +24,8 @@ import confbessel
 PACKAGE_ROOT = Path(confbessel.__file__).resolve().parent.parent
 
 WATCHED = ("numpy", "confbessel.checks", "confbessel.conformable",
-           "dataclasses", "json", "__future__")
+           "dataclasses", "json", "__future__", "argparse", "gettext",
+           "locale")
 
 # the watched names and the argv arrive as plain arguments, and the result
 # leaves as a repr, so the probe itself loads neither json nor ast
@@ -74,13 +76,19 @@ def loaded(*names):
     (["table", "--range", "0.5:4:5", "--format", "json"], 0, ("json",)),
     (["check", "--name", "residual", "--family", "J", "--format", "json"], 0,
      ("confbessel.checks", "json")),
+    (["eval", "--help"], 0, ("argparse", "gettext", "locale")),
+    (["eval", "--family", "Q", "--x", "1"], 2,
+     ("argparse", "gettext", "locale")),
 ], ids=["import", "eval", "eval-csv", "table", "table-plain",
         "check-residual", "malformed-eval", "malformed-table",
-        "malformed-table-json", "eval-json", "table-json", "check-json"])
+        "malformed-table-json", "eval-json", "table-json", "check-json",
+        "help", "bad-choice"])
 def test_cold_path_leaves_numpy_unloaded(argv, code, modules):
     """eval, table and usage errors load no check code, no dataclasses and,
     but to write JSON, no json; the residual check loads the suites but
-    neither numpy nor dataclasses; no call loads __future__."""
+    neither numpy nor dataclasses; no call loads __future__.  argparse, with
+    the gettext and locale modules it pulls in, loads only for help and for
+    an argv that the flag table does not read, such as a bad choice."""
     assert run_cold(argv) == {"code": code, **loaded(*modules)}
 
 
