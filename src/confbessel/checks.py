@@ -394,7 +394,9 @@ def check_identity(name: str, p: int, alpha: float,
     coefficient, ``POINT_TOL`` pointwise.  The report is named with ``p``
     as given; everything else uses its int.
     """
-    row = IDENTITIES[name]
+    if (row := IDENTITIES.get(name)) is None:
+        raise ValueError(f"unknown identity {name!r}; the identities are "
+                         + ", ".join(IDENTITIES))
     m = _whole(p, row.least, ValueError,
                f"{row.what} needs an integer order >= {row.least}, got {{}}")
     alpha, rows = _rows(m, alpha, grid)
@@ -559,6 +561,8 @@ def random_residual_suite(seed: int, cases: int = 8,
     Orders mix generic reals, half-odd integers and integers; a random subset
     takes the negative-order family, the sign reduction at integer orders.
     """
+    cases = _whole(cases, 0, ValueError,
+                   "cases must be a whole number >= 0, got {}")
     rng = random.Random(seed)
     reports = []
     for i in range(cases):

@@ -69,7 +69,9 @@ _SUITES = {
     "all": "all_suites",
 }
 CHECK_NAMES = tuple(_SUITES)
-CSV_HEADER = "x,value,terms_used,tail_estimate"
+#: The row fields plain ``eval`` and CSV write; JSON writes every field.
+ROW_FIELDS = ("x", "value", "terms_used", "tail_estimate")
+CSV_HEADER = ",".join(ROW_FIELDS)
 REPORT_CSV_HEADER = "check_name,passed,max_abs_err,max_rel_err,tolerance,mode"
 
 #: Upper limits on ``--terms`` and on the ``--range`` count.  Both are
@@ -208,8 +210,7 @@ def _emit_rows(rows: list[dict], fmt: str, out: TextIO) -> None:
     if fmt == "csv":
         out.write(CSV_HEADER + "\n")
         for r in rows:
-            out.write(f"{_fmt(r['x'])},{_fmt(r['value'])},"
-                      f"{r['terms_used']},{_fmt(r['tail_estimate'])}\n")
+            out.write(",".join(_fmt(r[key]) for key in ROW_FIELDS) + "\n")
     elif fmt == "json":
         _emit_json(rows, out)
     else:
@@ -232,8 +233,8 @@ def run_points(ns: "Args") -> int:
     rows = [_row(solution, x) for x in ns.xs]
     with _output(ns.output_path) as out:
         if ns.command == "eval" and ns.format == "plain":
-            for key, value in rows[0].items():
-                out.write(f"{key} = {_fmt(value)}\n")
+            for key in ROW_FIELDS:
+                out.write(f"{key} = {_fmt(rows[0][key])}\n")
         else:
             _emit_rows(rows, ns.format, out)
     return EXIT_OK

@@ -13,23 +13,24 @@ import numpy as np
 import pytest
 
 from confbessel import (
-    DiffConfig,
     FracSeries,
     LogSolution,
     bessel_j_neg_series,
     bessel_j_series,
+    conformable_diff_exact,
+    eval_log_solution,
+    eval_series,
+    second_solution_integer_order,
+)
+from confbessel.checks import (
     check_half_order_closed_forms,
     check_identity,
     check_ode_residual,
     check_second_solution_scaling,
     check_series_vs_quadrature,
-    conformable_diff_exact,
-    conformable_diff_numeric,
-    eval_log_solution,
-    eval_series,
-    second_solution_integer_order,
     solution_corpus,
 )
+from confbessel.conformable import DiffConfig, conformable_diff_numeric
 from confbessel.cli import main as cli_main
 
 HALF_ORDER_GRID = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)

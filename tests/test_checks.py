@@ -16,32 +16,44 @@ from hypothesis import strategies as st
 from confbessel import (
     FracSeries,
     LogSolution,
-    all_suites,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
+    eval_series,
+    second_solution_integer_order,
+    second_solution_order_zero,
+)
+from confbessel import series
+from confbessel.checks import (
+    COEFF_TOL,
+    HALF_ORDER_TOL,
+    IDENTITIES,
+    LOG_RESIDUAL_X,
+    N_COEFF_COMPARE,
+    ORACLE_MAX_ARG,
+    ORACLE_TOL,
+    POINT_TOL,
+    RESIDUAL_X,
+    SCALING_TOL,
+    SCALING_X,
+    _coefficientwise,
+    _pointwise,
+    _report,
+    _rows,
+    all_suites,
     check_half_order_closed_forms,
     check_identity,
     check_ode_residual,
     check_second_solution_scaling,
     check_series_vs_quadrature,
     classical_bessel_j,
-    eval_series,
     half_order_suite,
     identity_suite,
+    linspace,
     random_residual_suite,
     residual_suite,
     scaling_suite,
-    second_solution_integer_order,
-    second_solution_order_zero,
 )
-from confbessel import series
-from confbessel.checks import (COEFF_TOL, HALF_ORDER_TOL, IDENTITIES,
-                               LOG_RESIDUAL_X, N_COEFF_COMPARE,
-                               ORACLE_MAX_ARG, ORACLE_TOL, POINT_TOL,
-                               RESIDUAL_X, SCALING_TOL, SCALING_X,
-                               _coefficientwise, _pointwise, _report, _rows,
-                               linspace)
 from confbessel.cli import build_solution
 from confbessel.errors import AlignmentError, DomainError, OrderCaseError
 
@@ -351,6 +363,13 @@ class TestIdentityChecks:
         with pytest.raises(ValueError, match="lowering identity"):
             check_identity("derivative-lower", 1.5, 0.5, GRID)
 
+    def test_unknown_name_lists_the_identities(self):
+        with pytest.raises(ValueError) as info:
+            check_identity("derivative-sideways", 1, 0.5, GRID)
+        assert str(info.value) == (
+            "unknown identity 'derivative-sideways'; the identities are "
+            + ", ".join(IDENTITIES))
+
     @pytest.mark.parametrize("name", list(IDENTITIES))
     def test_default_tolerance_comes_from_the_primitive(self, name):
         r = check_identity(name, 1, 0.5, GRID)
@@ -459,6 +478,20 @@ class TestSuites:
         for seed in (0, 1, 2, 99):
             assert all(r.passed for r in random_residual_suite(seed, cases=4))
 
+    def test_random_suite_reads_cases_as_a_whole_number(self):
+        names = [r.check_name for r in random_residual_suite(5, cases=2)]
+        for cases in (2.0, "2"):
+            got = random_residual_suite(5, cases=cases)
+            assert [r.check_name for r in got] == names
+        assert random_residual_suite(5, cases=0) == []
+
+    @pytest.mark.parametrize("cases", [-1, 2.5, "2.5", math.nan, math.inf])
+    def test_random_suite_refuses_other_cases(self, cases):
+        with pytest.raises(ValueError) as info:
+            random_residual_suite(5, cases=cases)
+        assert str(info.value) == \
+            f"cases must be a whole number >= 0, got {cases}"
+
     def test_suites_sum_even_walks_only(self, monkeypatch):
         # every series the package builds, shifted ones included, holds its
         # nonzero coefficients in even slots: the kernel never walks every
@@ -482,8 +515,9 @@ class TestLogResidualInternals:
         # residual of u*ln(x) + v assembled from series parts must vanish
         # for the constructed K_m; spot-check the assembly at one point by
         # comparing against a brute-force numeric second derivative
-        from confbessel import DiffConfig, conformable_diff2_numeric, \
-            conformable_diff_numeric
+        from confbessel.conformable import (DiffConfig,
+                                            conformable_diff2_numeric,
+                                            conformable_diff_numeric)
 
         m, alpha, x = 1, 1.0, 1.5
         sol = second_solution_integer_order(m, alpha)

@@ -24,6 +24,7 @@ from confbessel.cli import (
     FAMILIES,
     MAX_POINTS,
     MAX_TERMS,
+    ROW_FIELDS,
     build_solution,
     main,
     parse_range,
@@ -227,6 +228,44 @@ class TestEval:
         from confbessel import bessel_j_series
         exact = eval_series(bessel_j_series(0.0, 1.0), 1.0).value
         assert printed == exact
+
+
+class TestRowFields:
+    """Plain ``eval`` and CSV write the fields of ``ROW_FIELDS``, JSON every
+    field of the row, so a field added to the row reaches JSON only."""
+
+    EXTRA = {"error_bound": 1e-3, "regime": "series"}
+
+    def add_extra_fields(self, monkeypatch):
+        row = cli._row
+        monkeypatch.setattr(cli, "_row", lambda solution, x: {
+            **row(solution, x), **self.EXTRA})
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--x", "2"],
+        ["eval", "--x", "2", "--format", "csv"],
+        ["table", "--range", "1:2:3"],
+        ["table", "--range", "1:2:3", "--format", "plain"],
+    ])
+    def test_plain_and_csv_bytes_ignore_extra_fields(self, capsys,
+                                                     monkeypatch, argv):
+        expected = run(capsys, *argv)
+        self.add_extra_fields(monkeypatch)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == EXIT_OK
+
+    @pytest.mark.parametrize("command, where", [
+        ("eval", ["--x", "2"]), ("table", ["--range", "1:2:3"])])
+    def test_json_carries_extra_fields(self, capsys, monkeypatch, command,
+                                       where):
+        self.add_extra_fields(monkeypatch)
+        code, out, _ = run(capsys, command, *where, "--format", "json")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == EXIT_OK and records
+        for record in records:
+            assert list(record) == [*ROW_FIELDS, *self.EXTRA]
+            assert record["error_bound"] == 1e-3
+            assert record["regime"] == "series"
 
 
 class TestTable:

@@ -5,13 +5,15 @@ import math
 import pytest
 
 from confbessel import (
-    DiffConfig,
     bessel_j_series,
-    conformable_diff2_numeric,
     conformable_diff_exact,
-    conformable_diff_numeric,
     eval_series,
     second_solution_order_zero,
+)
+from confbessel.conformable import (
+    DiffConfig,
+    conformable_diff2_numeric,
+    conformable_diff_numeric,
 )
 from confbessel.errors import DomainError, EvaluationError
 

@@ -3,8 +3,9 @@
 No path loads numpy: the package needs only the standard library, and
 even the quadrature oracle (``checks.classical_bessel_j``) is plain
 ``math``.  The check suites (``confbessel.checks``) and the numeric operator
-(``confbessel.conformable``) load on first use of one of their names, and
-the package never imports ``dataclasses``.  The CLI loads ``json`` only to
+(``confbessel.conformable``) are imported from their own modules, never
+from the package, so they load only where a caller imports them, and the
+package never imports ``dataclasses``.  The CLI loads ``json`` only to
 write ``--format json`` and ``argparse`` only for help and for an argv
 outside the plain form, and no module imports ``__future__``.  Each case
 runs in a fresh interpreter, because the test process itself has long since
@@ -12,6 +13,7 @@ imported all of them; the probe there imports nothing that it watches.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -102,12 +104,52 @@ def test_check_all_still_reaches_the_oracle():
 def test_all_suites_leaves_numpy_unloaded():
     probe = """
 import sys
-import confbessel
-reports = confbessel.all_suites()
+from confbessel.checks import all_suites
+reports = all_suites()
 print(len(reports), all(r.passed for r in reports), "numpy" in sys.modules)
 """
     count, passed, numpy_loaded = run_python("-c", probe).stdout.split()
     assert (int(count) > 0, passed, numpy_loaded) == (True, "True", "False")
+
+
+#: ``confbessel.__all__``: the solutions, their evaluation and their exact
+#: derivative.
+PUBLIC = [
+    "EvalResult", "FracSeries", "LogSolution", "__version__",
+    "bessel_j_neg_integer_series", "bessel_j_neg_series", "bessel_j_series",
+    "conformable_diff_exact", "eval_log_solution", "eval_series", "gamma",
+    "kernel_backend", "second_solution_integer_order",
+    "second_solution_order_zero", "series_rebase", "series_scale",
+    "series_shift",
+]
+
+#: Names that ``confbessel`` does not export, each with the one module that
+#: defines it.
+SUBMODULE_ONLY = {
+    **dict.fromkeys((
+        "CheckReport", "all_suites", "check_half_order_closed_forms",
+        "check_identity", "check_ode_residual",
+        "check_second_solution_scaling", "check_series_vs_quadrature",
+        "classical_bessel_j", "half_order_suite", "identity_suite",
+        "random_residual_suite", "residual_suite", "scaling_suite",
+        "solution_corpus"), "confbessel.checks"),
+    **dict.fromkeys((
+        "DiffConfig", "conformable_diff2_numeric",
+        "conformable_diff_numeric"), "confbessel.conformable"),
+}
+
+
+def test_public_names_are_the_solutions_and_their_evaluation():
+    assert sorted(confbessel.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("name", sorted(SUBMODULE_ONLY))
+def test_check_and_numeric_names_live_in_their_own_module(name):
+    with pytest.raises(AttributeError):
+        getattr(confbessel, name)
+    module = importlib.import_module(SUBMODULE_ONLY[name])
+    assert name in module.__all__
+    assert getattr(module, name).__module__ == module.__name__
 
 
 def test_every_public_name_resolves_to_its_submodule_object():

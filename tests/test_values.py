@@ -14,19 +14,17 @@ import numpy as np
 import pytest
 
 from confbessel import (
-    CheckReport,
-    DiffConfig,
     EvalResult,
     FracSeries,
     LogSolution,
     bessel_j_neg_integer_series,
     bessel_j_neg_series,
     bessel_j_series,
-    check_identity,
-    check_ode_residual,
     second_solution_integer_order,
     second_solution_order_zero,
 )
+from confbessel.checks import CheckReport, check_identity, check_ode_residual
+from confbessel.conformable import DiffConfig
 from confbessel.errors import DomainError
 
 
