@@ -556,11 +556,18 @@ def random_residual_suite(seed: int, cases: int = 8,
                           tolerance: float | None = None) -> list[CheckReport]:
     """Seeded exploratory fuzzing: residual checks at random orders and grids.
 
-    Deterministic for a given seed, so a surprising failure can be replayed.
+    Deterministic for a given seed, so a surprising failure can be replayed:
+    ``seed`` is a whole number >= 0, and an int seeds the stream as given.
     Not part of the acceptance gate; the gating suites use fixed grids.
     Orders mix generic reals, half-odd integers and integers; a random subset
     takes the negative-order family, the sign reduction at integer orders.
     """
+    if not (seed.__class__ is int and seed >= 0):
+        message = "seed must be a whole number >= 0, got {}"
+        try:
+            seed = _whole(seed, 0, ValueError, message)
+        except (TypeError, ValueError):  # float() refuses None, a list, "x"
+            raise ValueError(message.format(seed)) from None
     cases = _whole(cases, 0, ValueError,
                    "cases must be a whole number >= 0, got {}")
     rng = random.Random(seed)

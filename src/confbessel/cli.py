@@ -17,6 +17,8 @@ with full flag names and values that convert and lie in their choices --
 is read straight from the flag table, ``COMMANDS``, into the namespace
 argparse would build.  argparse is imported only for help and for the argv
 that this reader refuses, and prints and exits for them as it always has.
+JSON lines are written here as ``json.dumps`` writes them, and ``json`` is
+imported only for a value that no record holds.
 """
 
 import contextlib
@@ -82,10 +84,10 @@ MAX_POINTS = 100_000
 #: A negative value that ``float`` reads: argparse's pattern (``-5``,
 #: ``-.5``) with a trailing dot (``-5.``), an exponent (``-5e-10``) and
 #: ``-inf``, ``-infinity`` and ``-nan`` in any case added, so that each of
-#: them after ``--order`` is a value, as in ``--order=-5e-10``.
-_NEGATIVE_NUMBER = re.compile(
-    r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
-    re.IGNORECASE)
+#: them after ``--order`` is a value, as in ``--order=-5e-10``.  Only
+#: argparse reads it, so ``build_parser`` compiles it.
+_NEGATIVE_NUMBER = (
+    r"(?i)^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$")
 
 
 class UsageError(Exception):
@@ -196,14 +198,36 @@ def _output(path: str | None) -> Iterator[TextIO]:
         raise UsageError(f"cannot write output path {path!r}: {exc}") from exc
 
 
-def _emit_json(records: list[dict], out: TextIO) -> None:
-    """One strict JSON object per line; a non-finite float as CSV prints it."""
-    import json  # loaded only for --format json
+def _json(v: object) -> str:
+    """``json.dumps(v, allow_nan=False)``.
 
+    Written here for what records hold -- printable-ASCII text without
+    ``"`` or ``\\``, bools, ints, finite floats and tuples of these -- and
+    left to json, loaded only then, for any other value.
+    """
+    kind = v.__class__
+    if kind is str and v.isascii() and v.isprintable() \
+            and '"' not in v and "\\" not in v:
+        return f'"{v}"'
+    if kind is bool:
+        return "true" if v else "false"
+    if kind is int or (kind is float and math.isfinite(v)):
+        return repr(v)
+    if kind is tuple:
+        return "[" + ", ".join(map(_json, v)) + "]"
+    import json
+
+    return json.dumps(v, allow_nan=False)
+
+
+def _emit_json(records: list[dict], out: TextIO) -> None:
+    """One strict JSON object per line, as ``json.dumps`` writes it; a
+    non-finite float as CSV prints it."""
     for r in records:
         r = {k: _fmt(v) if v.__class__ is float and not math.isfinite(v)
              else v for k, v in r.items()}
-        out.write(json.dumps(r, allow_nan=False) + "\n")
+        out.write("{" + ", ".join(f"{_json(k)}: {_json(v)}"
+                                  for k, v in r.items()) + "}\n")
 
 
 def _emit_rows(rows: list[dict], fmt: str, out: TextIO) -> None:
@@ -338,11 +362,12 @@ def build_parser() -> "ArgumentParser":
         prog="confbessel",
         description="Evaluate and verify conformable fractional Bessel "
                     "solutions.")
-    parser._negative_number_matcher = _NEGATIVE_NUMBER
+    negative_number = re.compile(_NEGATIVE_NUMBER)
+    parser._negative_number_matcher = negative_number
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (command_help, flags) in COMMANDS.items():
         sub = subs.add_parser(command, help=command_help)
-        sub._negative_number_matcher = _NEGATIVE_NUMBER
+        sub._negative_number_matcher = negative_number
         for flag, (dest, kind, choices, default, metavar, flag_help) \
                 in flags.items():
             sub.add_argument(flag, dest=dest, type=kind, choices=choices,

@@ -485,6 +485,33 @@ class TestSuites:
             assert [r.check_name for r in got] == names
         assert random_residual_suite(5, cases=0) == []
 
+    def test_random_suite_seeds_an_int_as_given(self):
+        # names and errors of the suite before the seed was read; 2**64 + 1
+        # is no float, so a seed read through float would change its stream
+        for seed, names, errs in (
+            (2**31 - 1, ["fuzz-residual[0: J[p=1] alpha=0.488]",
+                         "fuzz-residual[1: J[p=2.5] alpha=0.504]"],
+             [3.518616530340245e-17, 4.652862824056684e-17]),
+            (2**64 + 1, ["fuzz-residual[0: Jneg[p=2] alpha=0.326]",
+                         "fuzz-residual[1: J[p=3] alpha=0.917]"],
+             [1.1777701489153597e-17, 1.3552949837337842e-16])):
+            got = random_residual_suite(seed, cases=2)
+            assert [r.check_name for r in got] == names
+            assert [r.max_rel_err for r in got] == errs
+
+    def test_random_suite_reads_seed_as_a_whole_number(self):
+        want = random_residual_suite(7, cases=3)
+        for seed in (7.0, "7", " 7.0 "):
+            assert random_residual_suite(seed, cases=3) == want
+
+    @pytest.mark.parametrize("seed", [
+        None, 2.5, -1, [1], "x", math.nan, math.inf, -(2**64)])
+    def test_random_suite_refuses_other_seeds(self, seed):
+        with pytest.raises(ValueError) as info:
+            random_residual_suite(seed, cases=2)
+        assert str(info.value) == \
+            f"seed must be a whole number >= 0, got {seed}"
+
     @pytest.mark.parametrize("cases", [-1, 2.5, "2.5", math.nan, math.inf])
     def test_random_suite_refuses_other_cases(self, cases):
         with pytest.raises(ValueError) as info:

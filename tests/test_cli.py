@@ -234,7 +234,7 @@ class TestRowFields:
     """Plain ``eval`` and CSV write the fields of ``ROW_FIELDS``, JSON every
     field of the row, so a field added to the row reaches JSON only."""
 
-    EXTRA = {"error_bound": 1e-3, "regime": "series"}
+    EXTRA = {"error_bound": 1e-3, "regime": "series", "note": '"ré"\\\n'}
 
     def add_extra_fields(self, monkeypatch):
         row = cli._row
@@ -262,10 +262,57 @@ class TestRowFields:
         code, out, _ = run(capsys, command, *where, "--format", "json")
         records = [json.loads(line) for line in out.splitlines()]
         assert code == EXIT_OK and records
-        for record in records:
+        for line, record in zip(out.splitlines(), records):
             assert list(record) == [*ROW_FIELDS, *self.EXTRA]
             assert record["error_bound"] == 1e-3
             assert record["regime"] == "series"
+            assert record["note"] == '"ré"\\\n'
+            assert line == json.dumps(record, allow_nan=False)
+
+
+#: What a JSON record may hold, and more: text from all of Unicode (lone
+#: surrogates, quotes, backslashes, control characters and DEL included,
+#: printable ASCII drawn often), bools, big ints and finite floats
+#: (+-0.0 and subnormals included), nested in tuples.
+JSON_TEXT = st.text(st.one_of(
+    st.characters(min_codepoint=0x20, max_codepoint=0x7e),
+    st.sampled_from('"\\\x00\x1f\x7f'),
+    st.characters(exclude_categories=())))
+JSON_VALUES = st.recursive(
+    st.one_of(JSON_TEXT, st.booleans(), st.integers(-10**40, 10**40),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    lambda children: st.lists(children, max_size=4).map(tuple),
+    max_leaves=12)
+
+
+class TestJsonWriter:
+    """``_json`` writes the bytes ``json.dumps(v, allow_nan=False)`` does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(value=JSON_VALUES)
+    @example(value=0.0)
+    @example(value=-0.0)
+    @example(value=5e-324)
+    @example(value=sys.float_info.max)
+    @example(value=10**30)
+    @example(value=((), ((),)))
+    @example(value='"ré"\\\n')
+    @example(value="\ud800\U0001f600")
+    def test_writes_what_json_writes(self, value):
+        assert cli._json(value) == json.dumps(value, allow_nan=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(siblings=st.lists(JSON_VALUES, max_size=3),
+           bad=st.sampled_from([math.inf, -math.inf, math.nan]),
+           depth=st.integers(0, 4))
+    def test_non_finite_float_at_any_depth_raises(self, siblings, bad,
+                                                  depth):
+        value = bad
+        for _ in range(depth):
+            value = (*siblings, value)
+        for write in (cli._json, lambda v: json.dumps(v, allow_nan=False)):
+            with pytest.raises(ValueError):
+                write(value)
 
 
 class TestTable:

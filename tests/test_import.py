@@ -5,8 +5,10 @@ even the quadrature oracle (``checks.classical_bessel_j``) is plain
 ``math``.  The check suites (``confbessel.checks``) and the numeric operator
 (``confbessel.conformable``) are imported from their own modules, never
 from the package, so they load only where a caller imports them, and the
-package never imports ``dataclasses``.  The CLI loads ``json`` only to
-write ``--format json`` and ``argparse`` only for help and for an argv
+package never imports ``dataclasses``.  The CLI writes ``--format json``
+itself, as ``json.dumps`` would, so no call here loads ``json``: it loads
+only for a record value outside the text, bools, numbers and tuples that
+CLI records hold.  The CLI loads ``argparse`` only for help and for an argv
 outside the plain form, and no module imports ``__future__``.  Each case
 runs in a fresh interpreter, because the test process itself has long since
 imported all of them; the probe there imports nothing that it watches.
@@ -74,10 +76,10 @@ def loaded(*names):
     (["eval", "--alpha", "1.5", "--x", "1"], 2, ()),
     (["table", "--range", "1:2"], 2, ()),
     (["table", "--x", "1", "--range", "1:2:3", "--format", "json"], 2, ()),
-    (["eval", "--x", "4", "--format", "json"], 0, ("json",)),
-    (["table", "--range", "0.5:4:5", "--format", "json"], 0, ("json",)),
+    (["eval", "--x", "4", "--format", "json"], 0, ()),
+    (["table", "--range", "0.5:4:5", "--format", "json"], 0, ()),
     (["check", "--name", "residual", "--family", "J", "--format", "json"], 0,
-     ("confbessel.checks", "json")),
+     ("confbessel.checks",)),
     (["eval", "--help"], 0, ("argparse", "gettext", "locale")),
     (["eval", "--family", "Q", "--x", "1"], 2,
      ("argparse", "gettext", "locale")),
@@ -86,9 +88,9 @@ def loaded(*names):
         "malformed-table-json", "eval-json", "table-json", "check-json",
         "help", "bad-choice"])
 def test_cold_path_leaves_numpy_unloaded(argv, code, modules):
-    """eval, table and usage errors load no check code, no dataclasses and,
-    but to write JSON, no json; the residual check loads the suites but
-    neither numpy nor dataclasses; no call loads __future__.  argparse, with
+    """eval, table and usage errors load no check code and no dataclasses;
+    the residual check loads the suites but neither numpy nor dataclasses;
+    no call loads json, JSON output included, nor __future__.  argparse, with
     the gettext and locale modules it pulls in, loads only for help and for
     an argv that the flag table does not read, such as a bad choice."""
     assert run_cold(argv) == {"code": code, **loaded(*modules)}
